@@ -35,7 +35,6 @@ from .spectral import (
     DegeneratePair,
     LadderReport,
     eigensolve,
-    jacobi_eigh,
     diagnose_states,
     harmonic_sweep,
     threshold_estimate,
@@ -85,7 +84,6 @@ __all__ = [
     "DegeneratePair",
     "LadderReport",
     "eigensolve",
-    "jacobi_eigh",
     "diagnose_states",
     "harmonic_sweep",
     "threshold_estimate",

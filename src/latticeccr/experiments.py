@@ -11,7 +11,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,202 +28,121 @@ from .spectral import (
     wannier_stark_analysis,
 )
 
-EXPERIMENTS = (
-    "spectrum",
-    "sweep",
-    "dynamics",
-    "ccr-check",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-)
-
 
 # ---------------------------------------------------------------------------
 # config validation
 
-def _type_check(kind):
-    def check(value, key):
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-            return value
-        raise AssertionError(kind)
+def _check(value, kind, key):
+    """Validate one config value against its kind and return it normalized.
 
-    return check
-
-
-def _positive(kind):
-    base = _type_check(kind)
-
-    def check(value, key):
-        value = base(value, key)
-        if not value > 0:
-            raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
+    kind is a tuple of allowed values; "int", "float" or "str", where a
+    trailing "+" requires a positive value; or a kind in brackets for a
+    non-empty list of such values, followed by "*" if the list may be
+    empty. Floats must be finite.
+    """
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"config key {key!r} must be one of {kind}, got {value!r}")
         return value
-
-    return check
-
-
-def _number_list(value, key):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config key {key!r} must be a non-empty list of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"config key {key!r} must contain numbers, got {v!r}")
-        out.append(float(v))
-    return out
-
-
-def _int_list(value, key):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config key {key!r} must be a non-empty list of integers")
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"config key {key!r} must contain integers, got {v!r}")
-    return list(value)
-
-
-def _choice(options):
-    def check(value, key):
-        if value not in options:
-            raise ConfigError(f"config key {key!r} must be one of {options}, got {value!r}")
+    if kind.startswith("["):
+        if not isinstance(value, list) or not (value or kind.endswith("*")):
+            need = "a list" if kind.endswith("*") else "a non-empty list"
+            raise ConfigError(f"config key {key!r} must be {need}, got {value!r}")
+        return [_check(v, kind[1 : kind.index("]")], key) for v in value]
+    base = kind.rstrip("+")
+    if base == "str":
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
         return value
+    if isinstance(value, bool) or not isinstance(value, int if base == "int" else (int, float)):
+        noun = "an integer" if base == "int" else "a number"
+        raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}")
+    if base == "float":
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            value = np.inf
+        if not np.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    if kind.endswith("+") and not value > 0:
+        raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
+    return value
 
-    return check
 
-
-def _optional(inner):
-    def check(value, key):
-        return None if value is None else inner(value, key)
-
-    return check
-
-
-_LATTICE = {"M": (None, _positive(int)), "a": (1.0, _positive(float))}
-_OUTPUT = {"path": (None, _optional(_type_check(str))), "format": ("csv", _choice(("csv", "json")))}
-_TOL = {
-    "eigensolve": (1e-10, _positive(float)),
-    "leak_warn": (1e-10, _positive(float)),
-    "leak_fail": (1e-6, _positive(float)),
-}
+# Each leaf is (default, kind); a None default marks an optional key. Every
+# experiment lists only the keys its runner reads.
+_OUTPUT = {"path": (None, "str"), "format": ("csv", ("csv", "json"))}
+_SOLVE = {"eigensolve": (1e-10, "float+")}
+_LEAK = {**_SOLVE, "leak_warn": (1e-10, "float+"), "leak_fail": (1e-6, "float+")}
 _HOPPING = {
-    "kind": ("quadratic", _choice(("quadratic", "cosine", "custom"))),
-    "t0": (0.0, _type_check(float)),
-    "t_n": ([], lambda v, k: _number_list(v, k) if v else []),
+    "kind": ("quadratic", ("quadratic", "cosine", "custom")),
+    "t0": (0.0, "float"),
+    "t_n": ([], "[float]*"),
 }
 _POTENTIAL = {
-    "kind": ("harmonic", _choice(("constant", "linear", "harmonic", "custom"))),
-    "V0": (0.0, _type_check(float)),
-    "F": (0.4, _type_check(float)),
-    "c": (0.01, _type_check(float)),
-    "values": ([], lambda v, k: _number_list(v, k) if v else []),
+    "kind": ("harmonic", ("constant", "linear", "harmonic", "custom")),
+    "V0": (0.0, "float"),
+    "F": (0.4, "float"),
+    "c": (0.01, "float"),
+    "values": ([], "[float]*"),
 }
-_PACKET = {
-    "n0": (0, _type_check(int)),
-    "b": (0.2, _positive(float)),
-    "k0": (0.0, _type_check(float)),
-}
-_TIME = {"t_max": (None, _optional(_positive(float))), "dt": (None, _optional(_positive(float)))}
+_TIME = {"t_max": (None, "float+"), "dt": (None, "float+")}
+_GRID = {"x_min": (0.1, "float+"), "x_max": (3.0, "float+"), "points": (25, "int+")}
 
+
+def _packet(n0, b):
+    return {"n0": (n0, "int"), "b": (b, "float+"), "k0": (0.0, "float")}
+
+
+def _schema(M, **keys):
+    return {"lattice": {"M": (M, "int+"), "a": (1.0, "float+")}, **keys, "output": _OUTPUT}
+
+
+_SWEEP = {"c": (0.01, "float+"), "grid": _GRID, "states_per_point": (20, "int+")}
 _SCHEMAS = {
-    "spectrum": {
-        "lattice": {**_LATTICE, "M": (100, _positive(int))},
-        "hopping": _HOPPING,
-        "potential": _POTENTIAL,
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
-    "sweep": {
-        "lattice": {**_LATTICE, "M": (100, _positive(int))},
-        "c": (0.01, _positive(float)),
-        "grid": {
-            "x_min": (0.1, _positive(float)),
-            "x_max": (3.0, _positive(float)),
-            "points": (25, _positive(int)),
-        },
-        "states_per_point": (20, _positive(int)),
-        "hopping": _HOPPING,
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
-    "dynamics": {
-        "lattice": {**_LATTICE, "M": (128, _positive(int))},
-        "hopping": _HOPPING,
-        "potential": _POTENTIAL,
-        "packet": {**_PACKET, "n0": (20, _type_check(int))},
-        "time": _TIME,
-        "model": ("auto", _choice(("auto", "linear", "harmonic", "periodic_kinetic", "none"))),
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
-    "ccr-check": {
-        "lattice": {**_LATTICE, "M": (100, _positive(int))},
-        "packet": {**_PACKET, "b": (50.0, _positive(float))},
-        "margin": (None, _optional(_positive(int))),
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
-    "fig1": {
-        "lattice": {**_LATTICE, "M": (100, _positive(int))},
-        "c": (0.01, _positive(float)),
-        "grid": {
-            "x_min": (0.1, _positive(float)),
-            "x_max": (3.0, _positive(float)),
-            "points": (25, _positive(int)),
-        },
-        "states_per_point": (20, _positive(int)),
-        "nn_pair": ([1, 2], _int_list),
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
-    "fig2": {
-        "lattice": {**_LATTICE, "M": (100, _positive(int))},
-        "c_values": ([1.0, 0.1, 0.01], _number_list),
-        "n_cut": (80, _positive(int)),
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
-    "fig3": {
-        "lattice": {**_LATTICE, "M": (100, _positive(int))},
-        "F": (0.4, _positive(float)),
-        "c": (0.01, _positive(float)),
-        "target_site": (-41, _type_check(int)),
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
-    "fig4": {
-        "lattice": {**_LATTICE, "M": (288, _positive(int))},
-        "F": (0.4, _positive(float)),
-        "b": ([0.2, 0.02], _number_list),
-        "n0": (0, _type_check(int)),
-        "oracle_b": (0.02, _positive(float)),
-        "time": _TIME,
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
-    "fig5": {
-        "lattice": {**_LATTICE, "M": (192, _positive(int))},
-        "c": (0.01, _positive(float)),
-        "b": (0.2, _positive(float)),
-        "n0": ([20, 30, 40], _int_list),
-        "nn_n0": (20, _type_check(int)),
-        "time": _TIME,
-        "output": _OUTPUT,
-        "tolerances": _TOL,
-    },
+    "spectrum": _schema(100, hopping=_HOPPING, potential=_POTENTIAL, tolerances=_SOLVE),
+    "sweep": _schema(100, **_SWEEP, hopping=_HOPPING, tolerances=_SOLVE),
+    "dynamics": _schema(
+        128,
+        hopping=_HOPPING,
+        potential=_POTENTIAL,
+        packet=_packet(20, 0.2),
+        time=_TIME,
+        model=("auto", ("auto", "linear", "harmonic", "periodic_kinetic", "none")),
+        tolerances=_LEAK,
+    ),
+    "ccr-check": _schema(100, packet=_packet(0, 50.0), margin=(None, "int+")),
+    "fig1": _schema(100, **_SWEEP, nn_pair=([1, 2], "[int]"), tolerances=_SOLVE),
+    "fig2": _schema(
+        100, c_values=([1.0, 0.1, 0.01], "[float+]"), n_cut=(80, "int+"), tolerances=_SOLVE
+    ),
+    "fig3": _schema(
+        100,
+        F=(0.4, "float+"),
+        c=(0.01, "float+"),
+        target_site=(-41, "int"),
+        tolerances=_SOLVE,
+    ),
+    "fig4": _schema(
+        288,
+        F=(0.4, "float+"),
+        b=([0.2, 0.02], "[float+]"),
+        n0=(0, "int"),
+        oracle_b=(0.02, "float+"),
+        time=_TIME,
+        tolerances=_LEAK,
+    ),
+    "fig5": _schema(
+        192,
+        c=(0.01, "float+"),
+        b=(0.2, "float+"),
+        n0=([20, 30, 40], "[int]"),
+        nn_n0=(20, "int"),
+        time=_TIME,
+        tolerances=_LEAK,
+    ),
 }
+EXPERIMENTS = tuple(_SCHEMAS)
 
 
 @dataclass(frozen=True)
@@ -251,17 +170,7 @@ class RunManifest:
     error: dict | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "config": self.config,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "warnings": self.warnings,
-            "derived": self.derived,
-            "dataset": self.dataset,
-            "error": self.error,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
@@ -276,36 +185,49 @@ def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
                 raise ConfigError(f"config key {prefix + key!r} must be an object")
             out[key] = _validate_tree(sub, entry, prefix=f"{prefix}{key}.")
         else:
-            default, check = entry
-            if key in raw:
-                out[key] = check(raw[key], prefix + key) if check else raw[key]
-            else:
-                out[key] = default
+            default, kind = entry
+            value = raw.get(key, default)
+            given = key in raw and not (value is None and default is None)
+            out[key] = _check(value, kind, prefix + key) if given else value
     return out
 
 
-def _resolve_derived_defaults(experiment: str, params: dict) -> None:
+def _time_defaults(time: dict, a: float, kind: str, force: float, curvature: float) -> None:
+    """Fill unset time keys: two periods of the motion, in about 126 (Bloch)
+    or 63 (harmonic) steps per period; 10 time units in steps of 0.1 when
+    the potential sets no period."""
+    if kind == "linear" and force != 0:
+        dt, period = 0.05 / (a * abs(force)), 2 * np.pi / (a * abs(force))
+    elif kind == "harmonic" and curvature > 0:
+        dt, period = 0.1 / np.sqrt(curvature), 2 * np.pi / np.sqrt(curvature)
+    else:
+        dt, period = 0.1, 5.0
+    time["dt"] = time["dt"] or dt
+    time["t_max"] = time["t_max"] or 2 * period
+
+
+def _resolve(experiment: str, params: dict) -> None:
+    """Cross-key checks, then the defaults that depend on other keys."""
+    pot = params.get("potential")
+    if pot and pot["kind"] == "harmonic" and not pot["c"] > 0:
+        raise ConfigError("config key 'potential.c' must be positive")
+    grid = params.get("grid")
+    if grid and grid["x_max"] <= grid["x_min"]:
+        raise ConfigError("config key 'grid.x_max' must exceed 'grid.x_min'")
+    if experiment == "fig1" and min(params["nn_pair"]) < 0:
+        raise ConfigError(f"config key 'nn_pair' must hold indices >= 0, got {params['nn_pair']}")
+    if experiment == "fig4" and params["oracle_b"] not in params["b"]:
+        raise ConfigError(
+            f"config key 'oracle_b' must be one of 'b' {params['b']}, got {params['oracle_b']!r}"
+        )
     a = params["lattice"]["a"]
     if experiment == "fig4":
-        force = params["F"]
-        params["time"]["dt"] = params["time"]["dt"] or 0.05 / (a * force)
-        params["time"]["t_max"] = params["time"]["t_max"] or 2 * (2 * np.pi / (a * force))
-    elif experiment == "fig5":
-        root = np.sqrt(params["c"])
-        params["time"]["dt"] = params["time"]["dt"] or 0.1 / root
-        params["time"]["t_max"] = params["time"]["t_max"] or 25.0 / root
+        _time_defaults(params["time"], a, "linear", params["F"], 0.0)
+    elif experiment == "fig5":  # the one exception: 25/sqrt(c), about four periods
+        params["time"]["t_max"] = params["time"]["t_max"] or 25.0 / np.sqrt(params["c"])
+        _time_defaults(params["time"], a, "harmonic", 0.0, params["c"])
     elif experiment == "dynamics":
-        pot = params["potential"]
-        if pot["kind"] == "linear" and pot["F"] != 0:
-            params["time"]["dt"] = params["time"]["dt"] or 0.05 / (a * abs(pot["F"]))
-            params["time"]["t_max"] = params["time"]["t_max"] or 2 * (2 * np.pi / (a * abs(pot["F"])))
-        elif pot["kind"] == "harmonic" and pot["c"] > 0:
-            root = np.sqrt(pot["c"])
-            params["time"]["dt"] = params["time"]["dt"] or 0.1 / root
-            params["time"]["t_max"] = params["time"]["t_max"] or 2 * (2 * np.pi / root)
-        else:
-            params["time"]["dt"] = params["time"]["dt"] or 0.1
-            params["time"]["t_max"] = params["time"]["t_max"] or 10.0
+        _time_defaults(params["time"], a, pot["kind"], pot["F"], pot["c"])
     if params["output"]["path"] is None:
         params["output"]["path"] = f"{experiment}.csv"
 
@@ -330,23 +252,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
     body = {k: v for k, v in raw.items() if k != "experiment"}
     params = _validate_tree(body, _SCHEMAS[experiment])
-    _resolve_derived_defaults(experiment, params)
-    _validate_semantics(experiment, params)
+    _resolve(experiment, params)
     return ExperimentConfig(experiment=experiment, params=params)
-
-
-def _validate_semantics(experiment: str, params: dict) -> None:
-    if experiment == "fig3" and params["F"] == 0:
-        raise ConfigError("config key 'F' must be nonzero for fig3")
-    if experiment == "fig4" and params["F"] == 0:
-        raise ConfigError("config key 'F' must be nonzero for fig4")
-    if experiment in ("spectrum", "dynamics"):
-        pot = params["potential"]
-        if pot["kind"] == "harmonic" and not pot["c"] > 0:
-            raise ConfigError("config key 'potential.c' must be positive")
-    grid = params.get("grid")
-    if grid and grid["x_max"] <= grid["x_min"]:
-        raise ConfigError("config key 'grid.x_max' must exceed 'grid.x_min'")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -356,19 +263,32 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # dataset emission
 
-def _format_cell(value) -> str:
+def _cell(value):
+    """One dataset cell as a plain Python value; floats keep 12 significant
+    digits and negative zero becomes 0.0."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return bool(value)
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if np.isnan(v):
-        return "nan"
-    if v == 0.0:
-        v = 0.0  # normalize negative zero
-    return f"{v:.11e}"  # 12 significant digits
+        return int(value)
+    return float(f"{float(value) + 0.0:.11e}")
+
+
+def _csv_token(cell) -> str:
+    if isinstance(cell, float):
+        return f"{cell:.11e}"
+    return cell if isinstance(cell, str) else json.dumps(cell)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(text.encode("ascii"))
+        os.replace(tmp, path)
+    except OSError as err:
+        raise OSError(f"failed writing {path}: {err}") from err
 
 
 def emit_dataset(rows, columns, path: str, fmt: str = "csv") -> str:
@@ -379,39 +299,26 @@ def emit_dataset(rows, columns, path: str, fmt: str = "csv") -> str:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown dataset format {fmt!r}")
-    ncol = len(columns)
+    cells = []
     for row in rows:
-        if len(row) != ncol:
-            raise ValueError(f"row with {len(row)} cells does not fit {ncol} columns")
+        if len(row) != len(columns):
+            raise ValueError(f"row with {len(row)} cells does not fit {len(columns)} columns")
+        cells.append([_cell(v) for v in row])
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        payload = "\n".join(lines) + "\n"
+        text = "".join(",".join(map(_csv_token, row)) + "\n" for row in [columns, *cells])
     else:
-        def as_json_value(v):
-            if isinstance(v, str):
-                return v
-            if isinstance(v, (bool, np.bool_)):
-                return bool(v)
-            if isinstance(v, (int, np.integer)):
-                return int(v)
-            return float(f"{float(v):.11e}")  # same 12-digit rounding as csv
-
-        body = {"columns": list(columns), "rows": [[as_json_value(v) for v in row] for row in rows]}
-        payload = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    payload = payload.encode("ascii")
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except OSError as err:
-        raise OSError(f"failed writing dataset to {path}: {err}") from err
+        body = {"columns": list(columns), "rows": cells}
+        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    _write_atomic(path, text)
     return path
 
 
 # ---------------------------------------------------------------------------
 # experiment bodies
+
+def _spec(params: dict) -> LatticeSpec:
+    return LatticeSpec(params["lattice"]["M"], params["lattice"]["a"])
+
 
 def _hopping_from(params: dict) -> Hopping:
     cfg = params["hopping"]
@@ -431,88 +338,91 @@ def _potential_from(params: dict) -> Potential:
     return Potential.custom(cfg["values"])
 
 
+def _solve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential):
+    return eigensolve(build_hamiltonian(spec, hop, pot), tol=params["tolerances"]["eigensolve"])
+
+
+def _evolve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential, packets, model: str):
+    """The configured time grid and one TimeSeries per packet, from one eigensolve."""
+    tgrid = np.arange(0.0, params["time"]["t_max"] + 1e-12, params["time"]["dt"])
+    sr = _solve(params, spec, hop, pot)
+    tol = params["tolerances"]
+    runs = [
+        run_timeseries(
+            spec, hop, pot, packet, tgrid, model=model, sr=sr,
+            leak_warn=tol["leak_warn"], leak_fail=tol["leak_fail"],
+        )
+        for packet in packets
+    ]
+    return tgrid, runs
+
+
 def _run_spectrum(params):
-    spec = LatticeSpec(params["lattice"]["M"], params["lattice"]["a"])
-    ham = build_hamiltonian(spec, _hopping_from(params), _potential_from(params))
-    sr = eigensolve(ham, tol=params["tolerances"]["eigensolve"])
-    diags = diagnose_states(sr, spec)
+    spec = _spec(params)
+    sr = _solve(params, spec, _hopping_from(params), _potential_from(params))
     columns = ["n", "energy", "parity", "s_n", "center"]
-    rows = [[d.index, sr.eigenvalues[d.index], d.parity, d.overlap, d.center] for d in diags]
+    rows = [
+        [d.index, sr.eigenvalues[d.index], d.parity, d.overlap, d.center]
+        for d in diagnose_states(sr, spec)
+    ]
     return columns, rows, {"residual_norm": sr.residual_norm}
 
 
 def _sweep_rows(params, hopping, states):
-    c = params["c"]
-    grid = params["grid"]
-    xs = np.linspace(grid["x_min"], grid["x_max"], grid["points"])
-    a_values = xs / c**0.25
-    sweep = harmonic_sweep(c, a_values, states, params["lattice"]["M"], hopping)
-    return sweep
+    c, grid = params["c"], params["grid"]
+    a_values = np.linspace(grid["x_min"], grid["x_max"], grid["points"]) / c**0.25
+    sweep = harmonic_sweep(
+        c, a_values, states, params["lattice"]["M"], hopping, tol=params["tolerances"]["eigensolve"]
+    )
+    columns = (sweep.ac_quarter, sweep.index, sweep.e_over_sqrt_c, sweep.reference)
+    return [list(row) for row in zip(*columns)]
 
 
 def _run_sweep(params):
-    sweep = _sweep_rows(params, _hopping_from(params), params["states_per_point"])
-    columns = ["ac_quarter", "n", "e_over_sqrtc", "dashed_ref"]
-    rows = [
-        [sweep.ac_quarter[i], int(sweep.index[i]), sweep.e_over_sqrt_c[i], sweep.reference[i]]
-        for i in range(len(sweep.index))
-    ]
-    return columns, rows, {"c": params["c"], "a_values": list(np.asarray(sweep.ac_quarter[:: params["states_per_point"]]) / params["c"] ** 0.25)}
+    rows = _sweep_rows(params, _hopping_from(params), params["states_per_point"])
+    c = params["c"]
+    a_values = [row[0] / c**0.25 for row in rows[:: params["states_per_point"]]]
+    return ["ac_quarter", "n", "e_over_sqrtc", "dashed_ref"], rows, {"c": c, "a_values": a_values}
 
 
 def _run_fig1(params):
-    quad = _sweep_rows(params, Hopping.quadratic(), params["states_per_point"])
     pair = sorted(params["nn_pair"])
+    quad = _sweep_rows(params, Hopping.quadratic(), params["states_per_point"])
     cos = _sweep_rows(params, Hopping.cosine(), max(pair) + 1)
+    rows = [["quadratic", *row] for row in quad]
+    rows.extend(["cosine", *row] for row in cos if row[1] in pair)
     columns = ["kinetic", "ac_quarter", "n", "e_over_sqrtc", "dashed_ref"]
-    rows = [
-        ["quadratic", quad.ac_quarter[i], int(quad.index[i]), quad.e_over_sqrt_c[i], quad.reference[i]]
-        for i in range(len(quad.index))
-    ]
-    rows.extend(
-        ["cosine", cos.ac_quarter[i], int(cos.index[i]), cos.e_over_sqrt_c[i], cos.reference[i]]
-        for i in range(len(cos.index))
-        if int(cos.index[i]) in pair
-    )
     return columns, rows, {"states_per_point": params["states_per_point"], "nn_pair": pair}
 
 
 def _run_fig2(params):
-    lat = params["lattice"]
-    spec = LatticeSpec(lat["M"], lat["a"])
-    hop = Hopping.quadratic()
-    columns = ["c", "n", "s_n"]
+    spec = _spec(params)
     rows = []
     for c in params["c_values"]:
-        ham = build_hamiltonian(spec, hop, Potential.harmonic(c))
-        sr = eigensolve(ham, tol=params["tolerances"]["eigensolve"])
-        for d in diagnose_states(sr, spec):
-            if d.parity == "even" and d.index <= params["n_cut"]:
-                rows.append([c, d.index, d.overlap])
-    return columns, rows, {"c_values": params["c_values"], "n_cut": params["n_cut"]}
+        sr = _solve(params, spec, Hopping.quadratic(), Potential.harmonic(c))
+        rows.extend(
+            [c, d.index, d.overlap]
+            for d in diagnose_states(sr, spec)
+            if d.parity == "even" and d.index <= params["n_cut"]
+        )
+    return ["c", "n", "s_n"], rows, {"c_values": params["c_values"], "n_cut": params["n_cut"]}
 
 
 def _run_fig3(params):
-    lat = params["lattice"]
-    spec = LatticeSpec(lat["M"], lat["a"])
-    force, curv, target = params["F"], params["c"], params["target_site"]
+    spec = _spec(params)
+    force, target = params["F"], params["target_site"]
     hop = Hopping.quadratic()
-    tol = params["tolerances"]["eigensolve"]
 
-    ws = eigensolve(build_hamiltonian(spec, hop, Potential.linear(force)), tol=tol)
+    ws = _solve(params, spec, hop, Potential.linear(force))
     centers = np.sum(spec.sites[:, None] * np.abs(ws.eigenvectors) ** 2, axis=0)
     ws_idx = int(np.argmin(np.abs(centers - target)))
     ladder = wannier_stark_analysis(ws, spec, force)
 
-    harm = eigensolve(build_hamiltonian(spec, hop, Potential.harmonic(curv)), tol=tol)
-    best, best_dist = None, np.inf
-    for d in diagnose_states(harm, spec):
-        if d.parity != "even":
-            continue
-        peak = spec.sites[int(np.argmax(np.abs(harm.eigenvectors[:, d.index])))]
-        dist = abs(peak - target)
-        if dist < best_dist:
-            best, best_dist = d.index, dist
+    # even states have mirror lobes at +-m, so match the lobe's distance from the centre
+    harm = _solve(params, spec, hop, Potential.harmonic(params["c"]))
+    even = [d.index for d in diagnose_states(harm, spec) if d.parity == "even"]
+    lobes = spec.sites[np.argmax(np.abs(harm.eigenvectors[:, even]), axis=0)]
+    best = even[int(np.argmin(np.abs(np.abs(lobes) - abs(target))))]
     columns = ["m", "ws_amp_sqrt2", "harmonic_amp"]
     rows = [
         [int(m), np.sqrt(2.0) * ws.eigenvectors[i, ws_idx].real, harm.eigenvectors[i, best].real]
@@ -522,7 +432,7 @@ def _run_fig3(params):
         "ws_state_index": ws_idx,
         "ws_center": float(centers[ws_idx]),
         "ws_energy": float(ws.eigenvalues[ws_idx]),
-        "harmonic_state_index": int(best),
+        "harmonic_state_index": best,
         "ladder_mean_spacing": ladder.mean_spacing,
         "ladder_max_spacing_deviation": ladder.max_spacing_deviation,
         "expected_spacing": spec.spacing * force,
@@ -531,133 +441,70 @@ def _run_fig3(params):
 
 
 def _run_fig4(params):
-    lat = params["lattice"]
-    spec = LatticeSpec(lat["M"], lat["a"])
-    force = params["F"]
-    hop = Hopping.quadratic()
+    spec = _spec(params)
+    force, bs = params["F"], params["b"]
+    packets = [GaussianPacket(params["n0"], b) for b in bs]
     pot = Potential.linear(force)
-    tgrid = np.arange(0.0, params["time"]["t_max"] + 1e-12, params["time"]["dt"])
-    tol = params["tolerances"]
-    sr = eigensolve(build_hamiltonian(spec, hop, pot), tol=tol["eigensolve"])
-    runs = {}
-    for b in params["b"]:
-        packet = GaussianPacket(params["n0"], b)
-        runs[b] = run_timeseries(
-            spec, hop, pot, packet, tgrid, model="linear", sr=sr,
-            leak_warn=tol["leak_warn"], leak_fail=tol["leak_fail"],
-        )
-    oracle = runs.get(params["oracle_b"]) or next(iter(runs.values()))
-    b_cols = [f"b{b:g}" for b in params["b"]]
-    columns = (
-        ["t"]
-        + [f"x_mean_{bc}" for bc in b_cols]
-        + ["x_ccr", "x_exact"]
-        + [f"s_abs_{bc}" for bc in b_cols]
-    )
-    rows = []
-    for i, t in enumerate(tgrid):
-        row = [t]
-        row.extend(runs[b].x_mean[i] for b in params["b"])
-        row.append(oracle.x_ccr[i])
-        row.append(oracle.x_exact_oracle[i])
-        row.extend(runs[b].s_abs[i] for b in params["b"])
-        rows.append(row)
+    tgrid, runs = _evolve(params, spec, Hopping.quadratic(), pot, packets, "linear")
+    oracle = runs[bs.index(params["oracle_b"])]
+    tags = [f"b{b:g}" for b in bs]
+    columns = ["t", *(f"x_mean_{tag}" for tag in tags), "x_ccr", "x_exact"]
+    columns += [f"s_abs_{tag}" for tag in tags]
+    series = [tgrid, *(r.x_mean for r in runs), oracle.x_ccr, oracle.x_exact_oracle]
+    series += [r.s_abs for r in runs]
     derived = {
         "bloch_period": 2 * np.pi / (spec.spacing * force),
         "oracle_b": params["oracle_b"],
-        "boundary_max": max(r.boundary_max for r in runs.values()),
+        "boundary_max": max(r.boundary_max for r in runs),
     }
-    return columns, rows, derived
+    return columns, np.column_stack(series).tolist(), derived
 
 
 def _run_fig5(params):
-    lat = params["lattice"]
-    spec = LatticeSpec(lat["M"], lat["a"])
-    curv, b = params["c"], params["b"]
+    spec = _spec(params)
+    curv, b, n0s, nn_n0 = params["c"], params["b"], params["n0"], params["nn_n0"]
     pot = Potential.harmonic(curv)
-    tgrid = np.arange(0.0, params["time"]["t_max"] + 1e-12, params["time"]["dt"])
-    tol = params["tolerances"]
-    sr_quad = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), pot), tol=tol["eigensolve"])
-    runs = {}
-    for n0 in params["n0"]:
-        packet = GaussianPacket(-n0, b)
-        runs[n0] = run_timeseries(
-            spec, Hopping.quadratic(), pot, packet, tgrid, model="harmonic", sr=sr_quad,
-            leak_warn=tol["leak_warn"], leak_fail=tol["leak_fail"],
-        )
-    nn = run_timeseries(
-        spec, Hopping.cosine(), pot, GaussianPacket(-params["nn_n0"], b), tgrid,
-        model="harmonic", leak_warn=tol["leak_warn"], leak_fail=tol["leak_fail"],
-    )
-    first = params["n0"][0]
-    columns = (
-        ["t", "sqrt_c_t"]
-        + [f"x_mean_n{n0}" for n0 in params["n0"]]
-        + [f"x_ccr_n{first}", f"x_mean_nn{params['nn_n0']}"]
-    )
+    packets = [GaussianPacket(-n0, b) for n0 in n0s]
+    tgrid, runs = _evolve(params, spec, Hopping.quadratic(), pot, packets, "harmonic")
+    _, (nn,) = _evolve(params, spec, Hopping.cosine(), pot, [GaussianPacket(-nn_n0, b)], "harmonic")
     root = np.sqrt(curv)
-    rows = []
-    for i, t in enumerate(tgrid):
-        row = [t, root * t]
-        row.extend(runs[n0].x_mean[i] for n0 in params["n0"])
-        row.append(runs[first].x_ccr[i])
-        row.append(nn.x_mean[i])
-        rows.append(row)
+    columns = ["t", "sqrt_c_t", *(f"x_mean_n{n0}" for n0 in n0s)]
+    columns += [f"x_ccr_n{n0s[0]}", f"x_mean_nn{nn_n0}"]
+    series = [tgrid, root * tgrid, *(r.x_mean for r in runs), runs[0].x_ccr, nn.x_mean]
     derived = {
         "threshold_estimate": threshold_estimate(spec.spacing, curv),
         "period": 2 * np.pi / root,
-        "boundary_max": max(r.boundary_max for r in list(runs.values()) + [nn]),
+        "boundary_max": max(r.boundary_max for r in [*runs, nn]),
     }
-    return columns, rows, derived
+    return columns, np.column_stack(series).tolist(), derived
 
 
 def _run_dynamics(params):
-    lat = params["lattice"]
-    spec = LatticeSpec(lat["M"], lat["a"])
-    hop = _hopping_from(params)
-    pot = _potential_from(params)
-    pk = params["packet"]
+    spec, pot, pk = _spec(params), _potential_from(params), params["packet"]
     packet = GaussianPacket(pk["n0"], pk["b"], pk["k0"])
-    tgrid = np.arange(0.0, params["time"]["t_max"] + 1e-12, params["time"]["dt"])
-    tol = params["tolerances"]
-    ts = run_timeseries(
-        spec, hop, pot, packet, tgrid, model=params["model"],
-        leak_warn=tol["leak_warn"], leak_fail=tol["leak_fail"],
-    )
+    tgrid, (ts,) = _evolve(params, spec, _hopping_from(params), pot, [packet], params["model"])
+    nan = np.full(len(tgrid), np.nan)
+    x_ccr = nan if ts.x_ccr is None else ts.x_ccr
+    x_exact = nan if ts.x_exact_oracle is None else ts.x_exact_oracle
     columns = ["t", "x_mean", "k_mean", "s_abs", "norm", "x_ccr", "x_exact"]
-    nan = float("nan")
-    rows = []
-    for i, t in enumerate(tgrid):
-        rows.append(
-            [
-                t,
-                ts.x_mean[i],
-                ts.k_mean[i],
-                ts.s_abs[i],
-                ts.norm[i],
-                ts.x_ccr[i] if ts.x_ccr is not None else nan,
-                ts.x_exact_oracle[i] if ts.x_exact_oracle is not None else nan,
-            ]
-        )
+    series = [tgrid, ts.x_mean, ts.k_mean, ts.s_abs, ts.norm, x_ccr, x_exact]
     derived = {"boundary_max": ts.boundary_max, "model": params["model"]}
     if pot.kind == "linear" and pot.force != 0:
         derived["bloch_period"] = 2 * np.pi / (spec.spacing * abs(pot.force))
     if pot.kind == "harmonic":
         derived["threshold_estimate"] = threshold_estimate(spec.spacing, pot.curvature)
-    return columns, rows, derived
+    return columns, np.column_stack(series).tolist(), derived
 
 
 def _run_ccr_check(params):
-    lat = params["lattice"]
-    spec = LatticeSpec(lat["M"], lat["a"])
-    pk = params["packet"]
+    spec, pk = _spec(params), params["packet"]
     psi = make_gaussian(spec, GaussianPacket(pk["n0"], pk["b"], pk["k0"]))
     result = ccr_defect(psi, spec, params["margin"])
     columns = ["m", "defect_re", "defect_im", "ratio_re", "ratio_im"]
     rows = []
-    for i, m in enumerate(result.sites):
-        ratio = result.profile[i] / (-1j * (-1.0) ** abs(int(m)))
-        rows.append([int(m), result.profile[i].real, result.profile[i].imag, ratio.real, ratio.imag])
+    for m, defect in zip(result.sites, result.profile):
+        ratio = defect / (-1j * (-1.0) ** abs(int(m)))
+        rows.append([int(m), defect.real, defect.imag, ratio.real, ratio.imag])
     derived = {
         "s_abs": abs(result.overlap),
         "max_defect": result.max_defect,
@@ -688,7 +535,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
     """
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     clock = time.perf_counter()
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
         columns, rows, derived = _RUNNERS[cfg.experiment](cfg.params)
@@ -705,9 +551,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
         derived=derived,
         dataset=out["path"],
     )
-    manifest_path = os.path.splitext(path)[0] + "_manifest.json"
-    tmp = manifest_path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as handle:
-        handle.write(manifest.to_json())
-    os.replace(tmp, manifest_path)
+    _write_atomic(os.path.splitext(path)[0] + "_manifest.json", manifest.to_json())
     return columns, rows, manifest

@@ -1,9 +1,7 @@
 """Dense eigensolves and spectral diagnostics for lattice Hamiltonians.
 
 eigensolve wraps LAPACK's Hermitian decomposition behind a contract
-(residual and orthonormality tolerances, deterministic eigenvector phases);
-jacobi_eigh is an independently coded cyclic-Jacobi solver kept solely as a
-cross-check oracle so the two routes never share code.
+(residual and orthonormality tolerances, deterministic eigenvector phases).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from .lattice import (
     Potential,
     StateVector,
     build_hamiltonian,
-    build_translation,
 )
 
 PARITY_TOL = 1e-8
@@ -113,53 +110,6 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residual_norm=residual)
 
 
-def jacobi_eigh(matrix: np.ndarray, sweep_tol: float = 1e-14, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    Deliberately independent of eigensolve: used as the brute-force oracle
-    for small matrices. Returns (eigenvalues ascending, eigenvector columns).
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("jacobi_eigh needs a square matrix")
-    if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
-        raise ValueError("jacobi_eigh needs a symmetric matrix")
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(1.0, np.abs(a).max())
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= sweep_tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= sweep_tol * scale / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p, rot_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                rot_p, rot_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                rot_p, rot_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * rot_p - s * rot_q
-                v[:, q] = s * rot_p + c * rot_q
-    else:
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off > sweep_tol * scale:
-            raise ToleranceError(f"jacobi_eigh did not converge in {max_sweeps} sweeps")
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], _fix_phases(v[:, order])
-
-
 def diagnose_states(
     sr: SpectrumResult,
     spec: LatticeSpec,
@@ -243,6 +193,7 @@ def harmonic_sweep(
     states_per_point: int = 20,
     half_width: int = 100,
     hopping: Hopping | None = None,
+    tol: float = 1e-10,
 ) -> SweepResult:
     """Lowest normalized eigenvalues E_n/sqrt(c) across lattice spacings.
 
@@ -257,7 +208,7 @@ def harmonic_sweep(
     for a in a_values:
         spec = LatticeSpec(half_width, float(a))
         ham = build_hamiltonian(spec, hop, Potential.harmonic(curvature))
-        vals = eigensolve(ham).eigenvalues[:states_per_point]
+        vals = eigensolve(ham, tol=tol).eigenvalues[:states_per_point]
         x = float(a) * curvature**0.25
         rows_x.extend([x] * len(vals))
         rows_n.extend(range(len(vals)))
@@ -323,11 +274,15 @@ def wannier_stark_analysis(
     spacings = np.diff(energies)
     expected = abs(spec.spacing * force)
     inner = spec.interior_sites(w)
+    n = spec.n_sites
     res_full, res_inner = [], []
-    # neighboring ladder rungs: each state translated onto the next one up
+    # neighboring ladder rungs: each state translated onto the next one up,
+    # amplitudes shifted past the window edge dropped
     for pos in range(len(selected) - 1):
         shift = int(round(cents[pos + 1] - cents[pos]))
-        translated = build_translation(spec, shift) @ sr.eigenvectors[:, selected[pos]]
+        vec = sr.eigenvectors[:, selected[pos]]
+        translated = np.zeros_like(vec)
+        translated[max(shift, 0) : n + min(shift, 0)] = vec[max(-shift, 0) : n - max(shift, 0)]
         target = sr.eigenvectors[:, selected[pos + 1]]
         overlap = np.vdot(target, translated)
         phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0

@@ -11,6 +11,7 @@ packet at n0 = 40 performs a local Bloch oscillation of amplitude ~12 sites.
 import numpy as np
 import pytest
 
+from jacobi import jacobi_eigh
 from latticeccr import (
     GaussianPacket,
     Hopping,
@@ -30,7 +31,6 @@ from latticeccr import (
     discrete_derivative,
     eigensolve,
     exact_position_linear,
-    jacobi_eigh,
     make_gaussian,
     propagate,
     run_timeseries,

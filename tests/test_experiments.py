@@ -131,6 +131,8 @@ def test_fig3_state_near_target(tmp_path):
     assert abs(manifest.derived["ws_center"] - (-41)) < 1.0
     assert manifest.derived["ladder_mean_spacing"] == pytest.approx(0.4, abs=1e-6)
     assert len(rows) == 121
+    lobe = max(rows, key=lambda row: abs(row[2]))[0]
+    assert abs(abs(lobe) - 41) <= 1
 
 
 def test_fig4_schema_and_oracle(tmp_path):
@@ -176,10 +178,35 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
     assert manifest["error"] is None
 
 
-def test_cli_config_error_exit_code(tmp_path, capsys):
-    code = main(["spectrum", "--out", str(tmp_path), "--set", "lattice.M=-3"])
+@pytest.mark.parametrize(
+    "experiment, assignments, key",
+    [
+        ("spectrum", ["lattice.M=-3"], "lattice.M"),
+        ("dynamics", ["potential.kind=linear", "potential.F=NaN"], "potential.F"),
+        ("dynamics", ["potential.c=Infinity"], "potential.c"),
+        ("sweep", ["c=Infinity"], "c"),
+        ("spectrum", ["potential.c=1" + "0" * 400], "potential.c"),
+        ("fig1", ["nn_pair=[-1,2]"], "nn_pair"),
+        ("fig4", ["b=[0.2]"], "oracle_b"),
+        ("spectrum", ["tolerances.leak_fail=1e-3"], "tolerances.leak_fail"),
+    ],
+    ids=[
+        "lattice.M",
+        "potential.F-nan",
+        "potential.c-inf",
+        "c-inf",
+        "potential.c-int-overflow",
+        "nn_pair",
+        "oracle_b",
+        "tolerances.leak_fail",
+    ],
+)
+def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
+    overrides = [arg for assignment in assignments for arg in ("--set", assignment)]
+    code = main([experiment, "--out", str(tmp_path), *overrides])
     assert code == 2
-    manifest = json.loads((tmp_path / "spectrum_manifest.json").read_text())
+    assert repr(key) in capsys.readouterr().err
+    manifest = json.loads((tmp_path / f"{experiment}_manifest.json").read_text())
     assert manifest["error"]["exit_code"] == 2
 
 
@@ -187,11 +214,19 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
     assert main(["fig1", "--out", str(tmp_path), "--set", "nope=1"]) == 2
 
 
-def test_cli_tolerance_exit_code(tmp_path, capsys):
-    code = main(
-        ["spectrum", "--out", str(tmp_path), "--set", "lattice.M=20", "--set", "tolerances.eigensolve=1e-18"]
-    )
-    assert code == 3
+@pytest.mark.parametrize(
+    "experiment, assignments",
+    [
+        ("spectrum", ["lattice.M=20", "tolerances.eigensolve=1e-18"]),
+        ("sweep", ["tolerances.eigensolve=1e-30"]),
+        ("fig1", ["tolerances.eigensolve=1e-30"]),
+        ("dynamics", ["tolerances.eigensolve=1e-30"]),
+    ],
+    ids=["spectrum", "sweep", "fig1", "dynamics"],
+)
+def test_cli_tolerance_exit_code(experiment, assignments, tmp_path, capsys):
+    overrides = [arg for assignment in assignments for arg in ("--set", assignment)]
+    assert main([experiment, "--out", str(tmp_path), *overrides]) == 3
 
 
 def test_cli_leakage_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jacobi import jacobi_eigh
 from latticeccr import (
     Hopping,
     LatticeSpec,
@@ -15,7 +16,6 @@ from latticeccr import (
     diagnose_states,
     eigensolve,
     harmonic_sweep,
-    jacobi_eigh,
     threshold_estimate,
     wannier_stark_analysis,
 )
