@@ -2,22 +2,28 @@
 
     latticeccr <experiment> [--config cfg.json] [--set key=value ...] [--out dir]
 
-Exit codes: 0 success, 2 config error, 3 numerical-tolerance failure,
-4 leakage failure. Every run (including failed ones) leaves a JSON manifest
-next to the dataset with a machine-readable outcome.
+The experiment comes from the subcommand only; a config file or --set
+that names another one is a config error. Exit codes: 0 success, 2 config
+error, 3 numerical-tolerance failure, 4 leakage failure. Every run, failed
+ones included, leaves <dataset stem>_manifest.json beside the configured
+output.path: a failed run's manifest carries the exit code and reason, and
+the resolved config once it has parsed (before that it is written as
+<experiment>_manifest.json with config null).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-import time
 
 from . import __version__
 from .errors import ConfigError, LeakageError, ToleranceError
-from .experiments import EXPERIMENTS, parse_config, run_experiment
+from .experiments import EXPERIMENTS, RunManifest, parse_config, run_experiment
+
+_FAILURES = {2: "config error", 3: "tolerance failure", 4: "leakage failure"}
 
 
 def _apply_override(raw: dict, assignment: str) -> None:
@@ -35,21 +41,6 @@ def _apply_override(raw: dict, assignment: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"--set path {dotted!r} crosses a non-object key")
     node[keys[-1]] = value
-
-
-def _error_manifest(out_dir: str, experiment: str, code: int, reason: str) -> None:
-    payload = {
-        "experiment": experiment,
-        "version": __version__,
-        "timestamp": {"started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())},
-        "error": {"exit_code": code, "reason": reason},
-    }
-    try:
-        path = os.path.join(out_dir, f"{experiment}_manifest.json")
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError:
-        pass  # manifest is best-effort once the run already failed
 
 
 def main(argv=None) -> int:
@@ -74,39 +65,35 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory (default: current)")
     args = parser.parse_args(argv)
 
-    out_dir = args.out
+    cfg = None
     try:
+        os.makedirs(args.out, exist_ok=True)
+        raw = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
             if not isinstance(raw, dict):
                 raise ConfigError("config must be a JSON object")
-        else:
-            raw = {}
-        raw["experiment"] = args.experiment
+        raw.setdefault("experiment", args.experiment)
         for assignment in args.overrides:
             _apply_override(raw, assignment)
+        if raw["experiment"] != args.experiment:
+            raise ConfigError(
+                f"config key 'experiment' is {raw['experiment']!r}; "
+                f"the subcommand {args.experiment!r} sets it"
+            )
         cfg = parse_config(json.dumps(raw))
-        os.makedirs(out_dir, exist_ok=True)
-        _, rows, manifest = run_experiment(cfg, out_dir=out_dir)
-    except json.JSONDecodeError as err:
-        print(f"config error: line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)
-        _error_manifest(out_dir, args.experiment, 2, str(err))
-        return 2
-    except ToleranceError as err:
-        print(f"tolerance failure: {err}", file=sys.stderr)
-        _error_manifest(out_dir, args.experiment, 3, str(err))
-        return 3
-    except LeakageError as err:
-        print(f"leakage failure: {err}", file=sys.stderr)
-        _error_manifest(out_dir, args.experiment, 4, str(err))
-        return 4
-    except (ValueError, OSError) as err:
-        # ConfigError subclasses ValueError; core parameter errors land here too
-        print(f"config error: {err}", file=sys.stderr)
-        _error_manifest(out_dir, args.experiment, 2, str(err))
-        return 2
-    dataset = os.path.join(out_dir, manifest.dataset)
+        _, rows, manifest = run_experiment(cfg, out_dir=args.out)
+    except (ValueError, OSError, ToleranceError, LeakageError) as err:
+        # ConfigError and json.JSONDecodeError are ValueErrors: exit code 2
+        code = getattr(err, "exit_code", 2)
+        print(f"{_FAILURES[code]}: {err}", file=sys.stderr)
+        config = None if cfg is None else {"experiment": cfg.experiment, **cfg.params}
+        error = {"exit_code": code, "reason": str(err)}
+        with contextlib.suppress(OSError):  # best effort once the run already failed
+            RunManifest(args.experiment, config, error=error).write(args.out)
+        return code
+    dataset = os.path.join(args.out, manifest.dataset)
     print(f"{args.experiment}: {len(rows)} rows -> {dataset}")
     for warning in manifest.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -14,17 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, ToleranceError
-from .ccr import alternating_overlap
-from .lattice import (
-    Hopping,
-    LatticeSpec,
-    Potential,
-    StateVector,
-    build_hamiltonian,
-    build_quasi_momentum,
-    expectation,
-)
-from .spectral import SpectrumResult, eigensolve
+from .lattice import Hopping, LatticeSpec, Potential, StateVector, build_quasi_momentum, expectation
+from .spectral import SpectrumResult
 
 LEAK_WARN = 1e-10
 LEAK_FAIL = 1e-6
@@ -51,10 +42,11 @@ class GaussianPacket:
 class TimeSeries:
     """Sampled observables of one propagation run.
 
-    x_ccr holds the selected model prediction (None if no model requested);
-    x_exact_oracle holds the closed-form Heisenberg solution, available for
-    linear potentials only. boundary_max records the largest boundary-site
-    amplitude seen, the truncation-honesty figure of merit.
+    x_ccr holds the CCR prediction for the Hamiltonian (None unless the
+    potential is harmonic or linear); x_exact_oracle holds the closed-form
+    Heisenberg solution, available for linear potentials only. boundary_max
+    records the largest boundary-site amplitude seen, the truncation-honesty
+    figure of merit.
     """
 
     times: np.ndarray
@@ -68,33 +60,29 @@ class TimeSeries:
 
 
 def make_gaussian(spec: LatticeSpec, packet: GaussianPacket) -> StateVector:
-    """Normalized Gaussian packet on the window.
-
-    The center must lie inside the window; if the normalized boundary-site
-    amplitude exceeds 1e-10 a leakage warning is issued (the window is then
-    too small to stand in for the infinite lattice)."""
+    """Normalized Gaussian packet on the window; the center must lie inside it."""
     m = spec.half_width
     if abs(packet.center_site) >= m:
         raise ValueError(f"packet center {packet.center_site} outside window |m| < {m}")
     sites = spec.sites
     amp = np.exp(-packet.falloff * (sites - packet.center_site) ** 2.0).astype(complex)
     amp *= np.exp(1j * packet.k0 * spec.spacing * sites)
-    state = StateVector(amp).normalize()
-    edge = max(abs(state.amplitudes[0]), abs(state.amplitudes[-1]))
-    if edge > LEAK_WARN:
-        warnings.warn(
-            f"initial packet has boundary amplitude {edge:.2e} > {LEAK_WARN:.0e}",
-            stacklevel=2,
-        )
-    return state
+    return StateVector(amp).normalize()
+
+
+def _evolution(psi0: StateVector, sr: SpectrumResult, times):
+    """Yield the amplitudes of psi0 at each time, expanding it in the
+    eigenbasis of its Hamiltonian once."""
+    if len(psi0.amplitudes) != sr.dimension:
+        raise ValueError("state dimension does not match the spectrum")
+    coeff = sr.eigenvectors.conj().T @ psi0.amplitudes
+    for t in times:
+        yield sr.eigenvectors @ (np.exp(-1j * sr.eigenvalues * t) * coeff)
 
 
 def propagate(psi0: StateVector, sr: SpectrumResult, t: float) -> StateVector:
     """Evolve a state to time t in the eigenbasis of its Hamiltonian."""
-    if len(psi0.amplitudes) != sr.dimension:
-        raise ValueError("state dimension does not match the spectrum")
-    coeff = sr.eigenvectors.conj().T @ psi0.amplitudes
-    amp = sr.eigenvectors @ (np.exp(-1j * sr.eigenvalues * t) * coeff)
+    (amp,) = _evolution(psi0, sr, [t])
     return StateVector(amp, normalized=psi0.normalized)
 
 
@@ -187,41 +175,35 @@ def run_timeseries(
     pot: Potential,
     packet: GaussianPacket,
     t_grid,
-    model: str = "auto",
-    sr: SpectrumResult | None = None,
+    sr: SpectrumResult,
     leak_warn: float = LEAK_WARN,
     leak_fail: float = LEAK_FAIL,
 ) -> TimeSeries:
-    """Propagate a Gaussian packet and record observables at each grid time.
+    """Propagate a Gaussian packet in the spectrum sr of the Hamiltonian
+    (hop, pot) and record observables at each grid time.
 
-    model selects the CCR prediction filled into x_ccr: "linear", "harmonic",
-    "periodic_kinetic", "none", or "auto" (matches the potential kind, using
-    the periodic-kinetic form for cosine hopping in a linear potential). For
-    linear potentials the closed-form Heisenberg oracle is always recorded.
-    Boundary amplitude above leak_warn issues a warning; above leak_fail the
-    run aborts with LeakageError.
+    x_ccr is the CCR prediction for that Hamiltonian: ccr_position_harmonic
+    for a harmonic potential, ccr_position_periodic_kinetic for a linear one
+    with cosine hopping, ccr_position_linear for any other linear one, and
+    None otherwise. For linear potentials the closed-form Heisenberg oracle
+    is recorded as well. Boundary amplitude above leak_warn, initially or
+    during the run, issues a warning; above leak_fail the run aborts with
+    LeakageError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise ValueError("t_grid must be a non-empty 1-D array")
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must ascend from t >= 0")
-    if model == "auto":
-        if pot.kind == "linear":
-            model = "periodic_kinetic" if hop.kind == "cosine" else "linear"
-        elif pot.kind == "harmonic":
-            model = "harmonic"
-        else:
-            model = "none"
-    if model not in ("linear", "harmonic", "periodic_kinetic", "none"):
-        raise ValueError(f"unknown model {model!r}")
 
-    if sr is None:
-        sr = eigensolve(build_hamiltonian(spec, hop, pot))
     psi0 = make_gaussian(spec, packet)
+    edge = max(abs(psi0.amplitudes[0]), abs(psi0.amplitudes[-1]))
+    if edge > leak_warn:
+        warnings.warn(
+            f"initial packet has boundary amplitude {edge:.2e} > {leak_warn:.0e}", stacklevel=2
+        )
     kop = build_quasi_momentum(spec).matrix
     x = spec.positions
-    coeff = sr.eigenvectors.conj().T @ psi0.amplitudes
 
     x_mean = np.empty(len(t_grid))
     k_mean = np.empty(len(t_grid))
@@ -230,8 +212,7 @@ def run_timeseries(
     boundary = 0.0
     half = spec.half_width
     signs = (-1.0) ** np.abs(spec.sites)
-    for i, t in enumerate(t_grid):
-        amp = sr.eigenvectors @ (np.exp(-1j * sr.eigenvalues * t) * coeff)
+    for i, (t, amp) in enumerate(zip(t_grid, _evolution(psi0, sr, t_grid))):
         x_mean[i] = np.real(np.vdot(amp, x * amp))
         k_mean[i] = np.real(np.vdot(amp, kop @ amp))
         s_abs[i] = abs(np.sum(signs * amp))
@@ -250,16 +231,14 @@ def run_timeseries(
             f"boundary amplitude reached {boundary:.2e} > {leak_warn:.0e}", stacklevel=2
         )
 
-    x_ccr = None
-    if model == "linear":
-        x_ccr = ccr_position_linear(psi0, spec, pot.force, t_grid)
-    elif model == "harmonic":
+    x_ccr = x_exact = None
+    if pot.kind == "harmonic":
         x_ccr = ccr_position_harmonic(psi0, spec, pot.curvature, t_grid)
-    elif model == "periodic_kinetic":
-        x_ccr = ccr_position_periodic_kinetic(psi0, spec, pot.force, t_grid)
-    x_exact = None
-    if pot.kind == "linear" and pot.force != 0:
-        x_exact = exact_position_linear(psi0, spec, hop, pot.force, t_grid)
+    elif pot.kind == "linear":
+        ccr = ccr_position_periodic_kinetic if hop.kind == "cosine" else ccr_position_linear
+        x_ccr = ccr(psi0, spec, pot.force, t_grid)
+        if pot.force != 0:
+            x_exact = exact_position_linear(psi0, spec, hop, pot.force, t_grid)
 
     return TimeSeries(
         times=t_grid,

@@ -11,7 +11,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,7 +108,6 @@ _SCHEMAS = {
         potential=_POTENTIAL,
         packet=_packet(20, 0.2),
         time=_TIME,
-        model=("auto", ("auto", "linear", "harmonic", "periodic_kinetic", "none")),
         tolerances=_LEAK,
     ),
     "ccr-check": _schema(100, packet=_packet(0, 50.0), margin=(None, "int+")),
@@ -156,21 +155,37 @@ class ExperimentConfig:
         return self.params[key]
 
 
+def _utc_now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
 @dataclass
 class RunManifest:
-    """Provenance sidecar accompanying every emitted dataset."""
+    """Provenance sidecar of every run, failed runs included.
+
+    config is the resolved config, or None if the run failed before it
+    parsed; error holds the exit code and reason of a failed run.
+    """
 
     experiment: str
-    config: dict
-    version: str
-    timestamp: dict
-    warnings: list
-    derived: dict
+    config: dict | None
+    version: str = __version__
+    timestamp: dict = field(default_factory=lambda: {"started_utc": _utc_now()})
+    warnings: list = field(default_factory=list)
+    derived: dict = field(default_factory=dict)
     dataset: str | None = None
     error: dict | None = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+
+    def write(self, out_dir: str) -> None:
+        """Write atomically to out_dir as <dataset stem>_manifest.json, the
+        dataset being the configured output.path (<experiment>.csv while the
+        config has not parsed)."""
+        dataset = self.config["output"]["path"] if self.config else f"{self.experiment}.csv"
+        path = os.path.splitext(os.path.join(out_dir, dataset))[0] + "_manifest.json"
+        _write_atomic(path, self.to_json())
 
 
 def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
@@ -342,16 +357,13 @@ def _solve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential):
     return eigensolve(build_hamiltonian(spec, hop, pot), tol=params["tolerances"]["eigensolve"])
 
 
-def _evolve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential, packets, model: str):
+def _evolve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential, packets):
     """The configured time grid and one TimeSeries per packet, from one eigensolve."""
     tgrid = np.arange(0.0, params["time"]["t_max"] + 1e-12, params["time"]["dt"])
     sr = _solve(params, spec, hop, pot)
     tol = params["tolerances"]
     runs = [
-        run_timeseries(
-            spec, hop, pot, packet, tgrid, model=model, sr=sr,
-            leak_warn=tol["leak_warn"], leak_fail=tol["leak_fail"],
-        )
+        run_timeseries(spec, hop, pot, packet, tgrid, sr, tol["leak_warn"], tol["leak_fail"])
         for packet in packets
     ]
     return tgrid, runs
@@ -445,7 +457,7 @@ def _run_fig4(params):
     force, bs = params["F"], params["b"]
     packets = [GaussianPacket(params["n0"], b) for b in bs]
     pot = Potential.linear(force)
-    tgrid, runs = _evolve(params, spec, Hopping.quadratic(), pot, packets, "linear")
+    tgrid, runs = _evolve(params, spec, Hopping.quadratic(), pot, packets)
     oracle = runs[bs.index(params["oracle_b"])]
     tags = [f"b{b:g}" for b in bs]
     columns = ["t", *(f"x_mean_{tag}" for tag in tags), "x_ccr", "x_exact"]
@@ -465,8 +477,8 @@ def _run_fig5(params):
     curv, b, n0s, nn_n0 = params["c"], params["b"], params["n0"], params["nn_n0"]
     pot = Potential.harmonic(curv)
     packets = [GaussianPacket(-n0, b) for n0 in n0s]
-    tgrid, runs = _evolve(params, spec, Hopping.quadratic(), pot, packets, "harmonic")
-    _, (nn,) = _evolve(params, spec, Hopping.cosine(), pot, [GaussianPacket(-nn_n0, b)], "harmonic")
+    tgrid, runs = _evolve(params, spec, Hopping.quadratic(), pot, packets)
+    _, (nn,) = _evolve(params, spec, Hopping.cosine(), pot, [GaussianPacket(-nn_n0, b)])
     root = np.sqrt(curv)
     columns = ["t", "sqrt_c_t", *(f"x_mean_n{n0}" for n0 in n0s)]
     columns += [f"x_ccr_n{n0s[0]}", f"x_mean_nn{nn_n0}"]
@@ -482,13 +494,13 @@ def _run_fig5(params):
 def _run_dynamics(params):
     spec, pot, pk = _spec(params), _potential_from(params), params["packet"]
     packet = GaussianPacket(pk["n0"], pk["b"], pk["k0"])
-    tgrid, (ts,) = _evolve(params, spec, _hopping_from(params), pot, [packet], params["model"])
+    tgrid, (ts,) = _evolve(params, spec, _hopping_from(params), pot, [packet])
     nan = np.full(len(tgrid), np.nan)
     x_ccr = nan if ts.x_ccr is None else ts.x_ccr
     x_exact = nan if ts.x_exact_oracle is None else ts.x_exact_oracle
     columns = ["t", "x_mean", "k_mean", "s_abs", "norm", "x_ccr", "x_exact"]
     series = [tgrid, ts.x_mean, ts.k_mean, ts.s_abs, ts.norm, x_ccr, x_exact]
-    derived = {"boundary_max": ts.boundary_max, "model": params["model"]}
+    derived = {"boundary_max": ts.boundary_max}
     if pot.kind == "linear" and pot.force != 0:
         derived["bloch_period"] = 2 * np.pi / (spec.spacing * abs(pot.force))
     if pot.kind == "harmonic":
@@ -529,11 +541,10 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
     """Execute the configured experiment and write dataset plus manifest.
 
-    Returns (columns, rows, manifest). The manifest always accompanies the
-    dataset; on failure the caller is expected to write an error manifest
-    (the CLI does this and maps exceptions to exit codes).
+    Returns (columns, rows, manifest). On failure the caller is expected to
+    write a RunManifest carrying the error (the CLI does).
     """
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    started = _utc_now()
     clock = time.perf_counter()
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
@@ -545,11 +556,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
     manifest = RunManifest(
         experiment=cfg.experiment,
         config={"experiment": cfg.experiment, **cfg.params},
-        version=__version__,
         timestamp={"started_utc": started, "wall_time_s": round(time.perf_counter() - clock, 3)},
         warnings=caught,
         derived=derived,
         dataset=out["path"],
     )
-    _write_atomic(os.path.splitext(path)[0] + "_manifest.json", manifest.to_json())
+    manifest.write(out_dir)
     return columns, rows, manifest

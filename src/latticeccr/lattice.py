@@ -67,12 +67,11 @@ class LatticeSpec:
 class OperatorMatrix:
     """Dense Hermitian operator in the site basis.
 
-    Construction verifies ||A - A^dagger||_max <= hermiticity_tol; matrices
+    Construction verifies ||A - A^dagger||_max <= HERMITICITY_TOL; matrices
     are treated as immutable afterwards and safe to share between threads.
     """
 
     matrix: np.ndarray
-    hermiticity_tol: float = HERMITICITY_TOL
 
     def __post_init__(self):
         mat = np.asarray(self.matrix)
@@ -80,10 +79,10 @@ class OperatorMatrix:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
         defect = np.abs(mat - mat.conj().T).max()
-        if defect > self.hermiticity_tol:
+        if defect > HERMITICITY_TOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |A - A^dagger| = {defect:.3e} "
-                f"exceeds {self.hermiticity_tol:.1e}"
+                f"exceeds {HERMITICITY_TOL:.1e}"
             )
 
     @property
@@ -93,11 +92,6 @@ class OperatorMatrix:
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.matrix) or np.abs(self.matrix.imag).max() == 0.0
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return self.matrix @ other.matrix
-        return self.matrix @ other
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Spectral propagation, Heisenberg oracles, and CCR trajectory models."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,17 @@ def test_packet_symmetric_expectations():
 
 def test_packet_leakage_warning():
     spec = LatticeSpec(12, 1.0)
-    with pytest.warns(UserWarning):
-        make_gaussian(spec, GaussianPacket(0, 0.01))
+    hop, pot = Hopping.quadratic(), Potential.constant(0.0)
+    sr = eigensolve(build_hamiltonian(spec, hop, pot))
+    with pytest.warns(UserWarning, match="initial packet has boundary amplitude"):
+        run_timeseries(spec, hop, pot, GaussianPacket(0, 0.01), [0.0], sr=sr, leak_fail=1.0)
+    # the check follows leak_warn, not the 1e-10 default
+    packet = GaussianPacket(0, 0.1)
+    edge = abs(make_gaussian(spec, packet).amplitudes[0])
+    assert 1e-10 < edge < 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_timeseries(spec, hop, pot, packet, [0.0], sr=sr, leak_warn=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -183,8 +194,6 @@ def test_run_timeseries_grid_validation(linear_system):
         run_timeseries(spec, hop, pot, packet, [], sr=sr)
     with pytest.raises(ValueError):
         run_timeseries(spec, hop, pot, packet, [0.0, 0.0, 1.0], sr=sr)
-    with pytest.raises(ValueError):
-        run_timeseries(spec, hop, pot, packet, [0.0, 1.0], model="bogus", sr=sr)
 
 
 def test_run_timeseries_linear_observables(linear_system):
@@ -220,25 +229,26 @@ def test_run_timeseries_zone_edge_overlap_peaks():
 def test_run_timeseries_leakage_error():
     spec = LatticeSpec(24, 1.0)
     hop, pot = Hopping.quadratic(), Potential.linear(0.4)
+    sr = eigensolve(build_hamiltonian(spec, hop, pot))
     with pytest.warns(UserWarning):
         with pytest.raises(LeakageError):
             run_timeseries(
-                spec, hop, pot, GaussianPacket(0, 0.005), np.arange(0.0, 8.0, 0.5)
+                spec, hop, pot, GaussianPacket(0, 0.005), np.arange(0.0, 8.0, 0.5), sr=sr
             )
 
 
 def test_run_timeseries_model_auto_selection():
     spec = LatticeSpec(48, 1.0)
     grid = np.arange(0.0, 5.0, 0.5)
-    harm = run_timeseries(
-        spec, Hopping.quadratic(), Potential.harmonic(0.01), GaussianPacket(5, 0.2), grid
-    )
-    cos = run_timeseries(
-        spec, Hopping.cosine(), Potential.linear(0.4), GaussianPacket(0, 0.2), grid
-    )
-    free = run_timeseries(
-        spec, Hopping.cosine(), Potential.constant(0.0), GaussianPacket(0, 0.2), grid
-    )
+
+    def run(hop, pot, packet):
+        return run_timeseries(
+            spec, hop, pot, packet, grid, sr=eigensolve(build_hamiltonian(spec, hop, pot))
+        )
+
+    harm = run(Hopping.quadratic(), Potential.harmonic(0.01), GaussianPacket(5, 0.2))
+    cos = run(Hopping.cosine(), Potential.linear(0.4), GaussianPacket(0, 0.2))
+    free = run(Hopping.cosine(), Potential.constant(0.0), GaussianPacket(0, 0.2))
     psi = make_gaussian(spec, GaussianPacket(5, 0.2))
     assert np.allclose(harm.x_ccr, ccr_position_harmonic(psi, spec, 0.01, grid))
     assert np.abs(cos.x_ccr - cos.x_mean).max() < 1e-10  # periodic-kinetic model

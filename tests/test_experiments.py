@@ -189,6 +189,7 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("fig1", ["nn_pair=[-1,2]"], "nn_pair"),
         ("fig4", ["b=[0.2]"], "oracle_b"),
         ("spectrum", ["tolerances.leak_fail=1e-3"], "tolerances.leak_fail"),
+        ("spectrum", ["experiment=ccr-check"], "experiment"),
     ],
     ids=[
         "lattice.M",
@@ -199,6 +200,7 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "nn_pair",
         "oracle_b",
         "tolerances.leak_fail",
+        "experiment",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
@@ -244,6 +246,18 @@ def test_cli_leakage_exit_code(tmp_path, capsys):
     assert code == 4
     manifest = json.loads((tmp_path / "dynamics_manifest.json").read_text())
     assert manifest["error"]["exit_code"] == 4
+
+
+def test_cli_failure_manifest_beside_configured_dataset(tmp_path, capsys):
+    args = ["dynamics", "--out", str(tmp_path), "--set", "output.path=foo.csv"]
+    assert main(args) == 0
+    assert main([*args, "--set", "lattice.M=24", "--set", "packet.b=0.005"]) == 4
+    manifest = json.loads((tmp_path / "foo_manifest.json").read_text())
+    assert manifest["error"]["exit_code"] == 4
+    assert manifest["config"]["lattice"]["M"] == 24
+    assert manifest["config"]["output"]["path"] == "foo.csv"
+    assert manifest["config"]["time"]["dt"] == pytest.approx(1.0)
+    assert not (tmp_path / "dynamics_manifest.json").exists()
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5", "dynamics", "ccr-check"])

@@ -34,7 +34,8 @@ GOLDEN = {
     "ccr-check_manifest.json": "71ac70ab7f8e0057715617b33db6ca81f751a62be3e0c6e57bc9636b9ed7e058",
     "dynamics.csv": "76342040cfefdb2bbef7d07e0ddcab07d567c9fd46051075b1110388da6657a9",
     "dynamics.json": "b613773bf0067d7ffbafd4f72bbfb30c316c508aa91269bddcdab11696edfd3f",
-    "dynamics_manifest.json": "168c8ed1501e16f244b0ccc14f14a7b5baaf1cb4d4181b3c45d66fe082954e1a",
+    # the CCR model follows from the Hamiltonian: no "model" in config or derived
+    "dynamics_manifest.json": "390c3b0028c0a513aae183dd0eb9e1507ae458ef095cb17c275fc081d606f723",
     "fig1.csv": "ec70fbd63b622037b58f5e9a0712161447ce10aed16993350da9c5e1fcfcb793",
     "fig1.json": "8974598f6268b5892878f1ccfae020bbc31eca9ed7d573e15c5329d841ddcd89",
     "fig1_manifest.json": "ae54cbc49370ac3e81b026c97bc08fd5ae31c9a0ae59a915348b29b0eb1fb3b2",
