@@ -29,7 +29,7 @@ grid = np.arange(0.0, 2 * period + 1e-9, period / 16)
 
 def evolve(hop):
     """x_ccr follows from the Hamiltonian: the parabola for the long-range
-    kinetic energy, the periodic-kinetic curve for nearest-neighbour hopping."""
+    kinetic energy, the exact Heisenberg curve for nearest-neighbour hopping."""
     pot = Potential.linear(force)
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
     return run_timeseries(spec, hop, pot, GaussianPacket(0, 0.02), grid, sr)

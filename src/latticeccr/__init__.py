@@ -49,10 +49,16 @@ from .dynamics import (
     exact_position_linear,
     ccr_position_linear,
     ccr_position_harmonic,
-    ccr_position_periodic_kinetic,
     run_timeseries,
 )
-from .experiments import ExperimentConfig, RunManifest, parse_config, serialize_config, run_experiment, emit_dataset
+from .experiments import (
+    ExperimentConfig,
+    RunManifest,
+    parse_config,
+    serialize_config,
+    run_experiment,
+    emit_dataset,
+)
 
 __all__ = [
     "ConfigError",
@@ -96,7 +102,6 @@ __all__ = [
     "exact_position_linear",
     "ccr_position_linear",
     "ccr_position_harmonic",
-    "ccr_position_periodic_kinetic",
     "run_timeseries",
     "ExperimentConfig",
     "RunManifest",

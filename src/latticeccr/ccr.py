@@ -46,7 +46,9 @@ class CcrDefect:
     tail: float
 
 
-def ccr_defect(psi: StateVector, spec: LatticeSpec, interior_margin: int | None = None) -> CcrDefect:
+def ccr_defect(
+    psi: StateVector, spec: LatticeSpec, interior_margin: int | None = None
+) -> CcrDefect:
     """Site-resolved commutator defect <m|([x,k] - i)|psi> on interior sites.
 
     The state must be supported (|amplitude| > 1e-12) only on sites

@@ -6,9 +6,10 @@ The experiment comes from the subcommand only; a config file or --set
 that names another one is a config error. Exit codes: 0 success, 2 config
 error, 3 numerical-tolerance failure, 4 leakage failure. Every run, failed
 ones included, leaves <dataset stem>_manifest.json beside the configured
-output.path: a failed run's manifest carries the exit code and reason, and
-the resolved config once it has parsed (before that it is written as
-<experiment>_manifest.json with config null).
+output.path: a failed run's manifest carries the exit code and reason, the
+warnings raised before the failure, and the resolved config once it has
+parsed (before that it is written as <experiment>_manifest.json with config
+null). Warnings are printed to stderr on failed runs as well.
 """
 
 from __future__ import annotations
@@ -89,15 +90,17 @@ def main(argv=None) -> int:
         code = getattr(err, "exit_code", 2)
         print(f"{_FAILURES[code]}: {err}", file=sys.stderr)
         config = None if cfg is None else {"experiment": cfg.experiment, **cfg.params}
+        caught = getattr(err, "run_warnings", [])
         error = {"exit_code": code, "reason": str(err)}
+        manifest = RunManifest(args.experiment, config, warnings=caught, error=error)
         with contextlib.suppress(OSError):  # best effort once the run already failed
-            RunManifest(args.experiment, config, error=error).write(args.out)
-        return code
-    dataset = os.path.join(args.out, manifest.dataset)
-    print(f"{args.experiment}: {len(rows)} rows -> {dataset}")
+            manifest.write(args.out)
+    else:
+        code = 0
+        print(f"{args.experiment}: {len(rows)} rows -> {os.path.join(args.out, manifest.dataset)}")
     for warning in manifest.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ class TimeSeries:
 
     x_ccr holds the CCR prediction for the Hamiltonian (None unless the
     potential is harmonic or linear); x_exact_oracle holds the closed-form
-    Heisenberg solution, available for linear potentials only. boundary_max
+    Heisenberg solution, recorded for every linear potential. boundary_max
     records the largest boundary-site amplitude seen, the truncation-honesty
     figure of merit.
     """
@@ -86,18 +86,6 @@ def propagate(psi0: StateVector, sr: SpectrumResult, t: float) -> StateVector:
     return StateVector(amp, normalized=psi0.normalized)
 
 
-def translation_expectation(psi: StateVector, shift: int) -> complex:
-    """<psi|T_shift|psi> computed from shifted amplitude overlaps."""
-    amp = psi.amplitudes
-    if shift == 0:
-        return complex(np.vdot(amp, amp))
-    if abs(shift) >= len(amp):
-        return 0.0 + 0.0j
-    if shift > 0:
-        return complex(np.vdot(amp[shift:], amp[:-shift]))
-    return complex(np.vdot(amp[:shift], amp[-shift:]))
-
-
 def exact_position_linear(
     psi0: StateVector,
     spec: LatticeSpec,
@@ -113,59 +101,42 @@ def exact_position_linear(
         x(t) = x - sum_{n>0} [ t_n T_n (e^{-i a n F t} - 1)/F + h.c. ],
 
     with t_n the hopping amplitudes (the coefficient of T_n in H is -t_n).
-    Manifestly periodic with the Bloch period 2 pi/(a F).
+    Manifestly periodic with the Bloch period 2 pi/(a F); at F = 0 the
+    bracket takes its limit -i a n t, which is free motion.
     """
-    if force == 0:
-        raise ValueError("force must be nonzero; use free evolution instead")
     a = spec.spacing
     _, amps = hop.terms(spec)
-    t_exp = np.array([translation_expectation(psi0, r) for r in range(1, len(amps) + 1)])
-    x0 = np.real(expectation(psi0, spec.positions))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    amp = psi0.amplitudes
     n = np.arange(1, len(amps) + 1)
-    phase = np.exp(-1j * a * force * np.outer(t_arr, n)) - 1.0
-    series = 2.0 * np.real(phase * (amps * t_exp)[None, :]).sum(axis=1) / force
-    out = x0 - series
+    t_exp = np.array([np.vdot(amp[r:], amp[:-r]) for r in n])  # <T_n>
+    x0 = np.real(expectation(psi0, spec.positions))
+    # -i a n F t, or at F = 0 the bracket's limit -i a n t; updated in place
+    bracket = -1j * a * (force or 1.0) * np.outer(np.asarray(t, dtype=float), n)
+    if force:
+        np.exp(bracket, out=bracket)
+        bracket -= 1.0
+    bracket *= amps * t_exp
+    series = 2.0 * np.real(bracket).sum(axis=1)
+    out = x0 - (series / force if force else series)
     return out if np.ndim(t) else float(out[0])
 
 
-def ccr_position_linear(psi0: StateVector, spec: LatticeSpec, force: float, t):
-    """Free-acceleration parabola <x> + <k> t + F t^2/2 implied by the CCR."""
-    x0 = np.real(expectation(psi0, spec.positions))
-    k0 = np.real(expectation(psi0, build_quasi_momentum(spec)))
+def ccr_position_linear(x0: float, k0: float, force: float, t):
+    """Free-acceleration parabola x0 + k0 t + F t^2/2 that the CCR implies
+    for the initial moments x0 = <x>, k0 = <k>."""
     t_arr = np.asarray(t, dtype=float)
     out = x0 + k0 * t_arr + force * t_arr**2 / 2
     return out if np.ndim(t) else float(out)
 
 
-def ccr_position_harmonic(psi0: StateVector, spec: LatticeSpec, curvature: float, t):
-    """Harmonic CCR trajectory <x> cos(sqrt(c) t) + (<k>/sqrt(c)) sin(sqrt(c) t)."""
+def ccr_position_harmonic(x0: float, k0: float, curvature: float, t):
+    """Harmonic CCR trajectory x0 cos(sqrt(c) t) + (k0/sqrt(c)) sin(sqrt(c) t)
+    for the initial moments x0 = <x>, k0 = <k>."""
     if curvature <= 0:
         raise ValueError("curvature must be positive")
-    x0 = np.real(expectation(psi0, spec.positions))
-    k0 = np.real(expectation(psi0, build_quasi_momentum(spec)))
     w = np.sqrt(curvature)
     t_arr = np.asarray(t, dtype=float)
     out = x0 * np.cos(w * t_arr) + (k0 / w) * np.sin(w * t_arr)
-    return out if np.ndim(t) else float(out)
-
-
-def ccr_position_periodic_kinetic(psi0: StateVector, spec: LatticeSpec, force: float, t):
-    """Semiclassical CCR trajectory for the nearest-neighbour kinetic energy.
-
-    Evaluates <x>_0 + <cos(a k) - cos(a k + a F t)>_0 / (a^2 F) using the
-    exact operator identities cos(a k) = (T_1 + T_-1)/2 and
-    cos(a k + a F t) = (e^{iaFt} T_-1 + e^{-iaFt} T_1)/2; for this
-    2pi-periodic dispersion the CCR result coincides with the exact
-    Heisenberg solution.
-    """
-    if force == 0:
-        raise ValueError("force must be nonzero")
-    a = spec.spacing
-    x0 = np.real(expectation(psi0, spec.positions))
-    t1 = translation_expectation(psi0, 1)
-    t_arr = np.asarray(t, dtype=float)
-    out = x0 + (np.real(t1) - np.real(np.exp(-1j * a * force * t_arr) * t1)) / (a**2 * force)
     return out if np.ndim(t) else float(out)
 
 
@@ -183,12 +154,11 @@ def run_timeseries(
     (hop, pot) and record observables at each grid time.
 
     x_ccr is the CCR prediction for that Hamiltonian: ccr_position_harmonic
-    for a harmonic potential, ccr_position_periodic_kinetic for a linear one
-    with cosine hopping, ccr_position_linear for any other linear one, and
-    None otherwise. For linear potentials the closed-form Heisenberg oracle
-    is recorded as well. Boundary amplitude above leak_warn, initially or
-    during the run, issues a warning; above leak_fail the run aborts with
-    LeakageError.
+    for a harmonic potential; for a linear one x_exact_oracle, the
+    closed-form Heisenberg solution, with cosine hopping (whose CCR
+    trajectory is exact) and ccr_position_linear with any other; None
+    otherwise. Boundary amplitude above leak_warn, initially or during the
+    run, issues a warning; above leak_fail the run aborts with LeakageError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -232,13 +202,12 @@ def run_timeseries(
         )
 
     x_ccr = x_exact = None
+    x0, k0 = expectation(psi0, x).real, expectation(psi0, kop).real
     if pot.kind == "harmonic":
-        x_ccr = ccr_position_harmonic(psi0, spec, pot.curvature, t_grid)
+        x_ccr = ccr_position_harmonic(x0, k0, pot.curvature, t_grid)
     elif pot.kind == "linear":
-        ccr = ccr_position_periodic_kinetic if hop.kind == "cosine" else ccr_position_linear
-        x_ccr = ccr(psi0, spec, pot.force, t_grid)
-        if pot.force != 0:
-            x_exact = exact_position_linear(psi0, spec, hop, pot.force, t_grid)
+        x_exact = exact_position_linear(psi0, spec, hop, pot.force, t_grid)
+        x_ccr = x_exact if hop.kind == "cosine" else ccr_position_linear(x0, k0, pot.force, t_grid)
 
     return TimeSeries(
         times=t_grid,

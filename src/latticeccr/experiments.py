@@ -257,7 +257,8 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ConfigError(f"config syntax error at line {err.lineno}, column {err.colno}: {err.msg}") from err
+        where = f"line {err.lineno}, column {err.colno}"
+        raise ConfigError(f"config syntax error at {where}: {err.msg}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "experiment" not in raw:
@@ -541,23 +542,26 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
     """Execute the configured experiment and write dataset plus manifest.
 
-    Returns (columns, rows, manifest). On failure the caller is expected to
-    write a RunManifest carrying the error (the CLI does).
+    Returns (columns, rows, manifest). On failure the exception carries the
+    warnings raised before it as run_warnings, and the caller is expected to
+    write a RunManifest carrying both (the CLI does).
     """
     started = _utc_now()
     clock = time.perf_counter()
+    out = cfg.params["output"]
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
-        columns, rows, derived = _RUNNERS[cfg.experiment](cfg.params)
-        caught = [str(w.message) for w in wrec]
-    out = cfg.params["output"]
-    path = os.path.join(out_dir, out["path"])
-    emit_dataset(rows, columns, path, out["format"])
+        try:
+            columns, rows, derived = _RUNNERS[cfg.experiment](cfg.params)
+            emit_dataset(rows, columns, os.path.join(out_dir, out["path"]), out["format"])
+        except Exception as err:
+            err.run_warnings = [str(w.message) for w in wrec]
+            raise
     manifest = RunManifest(
         experiment=cfg.experiment,
         config={"experiment": cfg.experiment, **cfg.params},
         timestamp={"started_utc": started, "wall_time_s": round(time.perf_counter() - clock, 3)},
-        warnings=caught,
+        warnings=[str(w.message) for w in wrec],
         derived=derived,
         dataset=out["path"],
     )

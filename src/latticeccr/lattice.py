@@ -162,17 +162,17 @@ class Hopping:
     def custom(cls, t0: float, amplitudes: Sequence[float]) -> "Hopping":
         return cls("custom", float(t0), tuple(float(t) for t in amplitudes))
 
-    def terms(self, spec: LatticeSpec, max_range: int | None = None):
+    def terms(self, spec: LatticeSpec, n_max: int | None = None):
         """Return (t0, t_n array for n=1..R) on the given window.
 
-        For the quadratic kind every hop with range <= 2*half_width is kept
-        (full dense band); max_range only trims further if smaller.
+        The quadratic kind's series is infinite: it returns n_max amplitudes,
+        by default one per hop that fits on the window (range <= 2*half_width,
+        the full dense band). The other kinds return all their amplitudes.
         """
         a = spec.spacing
         full = 2 * spec.half_width
         if self.kind == "quadratic":
-            r = full if max_range is None else min(max_range, full)
-            n = np.arange(1, r + 1)
+            n = np.arange(1, (full if n_max is None else n_max) + 1)
             return -np.pi**2 / (6 * a**2), (-1.0) ** (n + 1) / (a * n) ** 2
         if self.kind == "cosine":
             return -1.0 / a**2, np.array([1.0 / (2 * a**2)])

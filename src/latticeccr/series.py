@@ -79,11 +79,7 @@ def dispersion(
         raise ValueError(f"k = {k} outside the first Brillouin zone (-pi/a, pi/a]")
     if hop.kind == "quadratic" and n_max is None:
         raise ValueError("quadratic dispersion is an infinite series; supply n_max")
-    t0, amps = hop.terms(spec, max_range=n_max)
-    if hop.kind == "quadratic" and n_max is not None and n_max > len(amps):
-        # series evaluation may use more terms than fit on the window
-        n = np.arange(1, n_max + 1)
-        amps = (-1.0) ** (n + 1) / (spec.spacing * n) ** 2
+    t0, amps = hop.terms(spec, n_max)
     n = np.arange(1, len(amps) + 1)
     terms = -2.0 * amps * np.cos(spec.spacing * k * n)
     if accelerate and hop.kind == "quadratic":

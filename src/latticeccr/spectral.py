@@ -106,34 +106,30 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     if residual > tol * scale:
         raise ToleranceError(f"eigensolve residual {residual:.3e} exceeds {tol * scale:.3e}")
     if orth > tol * scale:
-        raise ToleranceError(f"eigenvector orthonormality defect {orth:.3e} exceeds {tol * scale:.3e}")
+        raise ToleranceError(
+            f"eigenvector orthonormality defect {orth:.3e} exceeds {tol * scale:.3e}"
+        )
     return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residual_norm=residual)
 
 
-def diagnose_states(
-    sr: SpectrumResult,
-    spec: LatticeSpec,
-    parity_tol: float = PARITY_TOL,
-    pair_gap_tol: float | None = None,
-) -> list[EigenstateDiagnostics]:
+def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDiagnostics]:
     """Parity, |S_n| and <x> for every eigenstate.
 
-    When an adjacent pair lies within pair_gap_tol and both members fail the
-    parity test, the pair is re-projected onto its even/odd combinations
-    before computing diagnostics (near-degenerate eigenvectors may come out
-    arbitrarily mixed).
+    When an adjacent pair lies within 1e-8 max(1, |E|_max) and both members
+    fail the parity test (tolerance PARITY_TOL), the pair is re-projected
+    onto its even/odd combinations before computing diagnostics
+    (near-degenerate eigenvectors may come out arbitrarily mixed).
     """
     vals, vecs = sr.eigenvalues, sr.eigenvectors
-    if pair_gap_tol is None:
-        pair_gap_tol = 1e-8 * max(1.0, float(np.abs(vals).max()))
+    pair_gap = 1e-8 * max(1.0, float(np.abs(vals).max()))
     vecs = vecs.copy()
     reflected = vecs[::-1, :]
     even_err = np.linalg.norm(vecs - reflected, axis=0)
     odd_err = np.linalg.norm(vecs + reflected, axis=0)
-    unclassified = (even_err >= parity_tol) & (odd_err >= parity_tol)
+    unclassified = (even_err >= PARITY_TOL) & (odd_err >= PARITY_TOL)
     j = 0
     while j < len(vals) - 1:
-        if unclassified[j] and unclassified[j + 1] and vals[j + 1] - vals[j] < pair_gap_tol:
+        if unclassified[j] and unclassified[j + 1] and vals[j + 1] - vals[j] < pair_gap:
             sym = vecs[:, j] + vecs[::-1, j]
             anti = vecs[:, j] - vecs[::-1, j]
             if np.linalg.norm(sym) < 1e-6 or np.linalg.norm(anti) < 1e-6:
@@ -151,9 +147,9 @@ def diagnose_states(
     x = spec.positions
     out = []
     for n in range(len(vals)):
-        if even_err[n] < parity_tol:
+        if even_err[n] < PARITY_TOL:
             parity = "even"
-        elif odd_err[n] < parity_tol:
+        elif odd_err[n] < PARITY_TOL:
             parity = "odd"
         else:
             parity = "none"
@@ -169,12 +165,12 @@ def diagnose_states(
     return out
 
 
-def threshold_estimate(spacing: float, curvature: float, threshold_b: float = 3.0) -> float:
+def threshold_estimate(spacing: float, curvature: float) -> float:
     """Largest quantum number with a continuum-like equidistant spectrum:
-    threshold_b / (spacing^2 sqrt(curvature))."""
+    3 / (spacing^2 sqrt(curvature))."""
     if not (spacing > 0 and curvature > 0):
         raise ValueError("spacing and curvature must be positive")
-    return threshold_b / (spacing**2 * np.sqrt(curvature))
+    return 3.0 / (spacing**2 * np.sqrt(curvature))
 
 
 @dataclass(frozen=True)
@@ -241,30 +237,24 @@ def degenerate_pairs(sr: SpectrumResult, spec: LatticeSpec, gap_tol: float) -> l
     return out
 
 
-def wannier_stark_analysis(
-    sr: SpectrumResult,
-    spec: LatticeSpec,
-    force: float,
-    interior_fraction: float = 0.25,
-    interior_margin: int | None = None,
-) -> LadderReport:
+def wannier_stark_analysis(sr: SpectrumResult, spec: LatticeSpec, force: float) -> LadderReport:
     """Ladder statistics for the spectrum of kinetic - force * position.
 
-    States whose position center lies within interior_fraction * half_width
-    of the middle enter the statistics (boundary-distorted states are
-    excluded); consecutive spacings of their eigenvalues are reported against
-    the expected a * force. Translation residuals compare each selected state
+    States whose position center lies within half_width/4 of the middle
+    enter the statistics (boundary-distorted states are excluded);
+    consecutive spacings of their eigenvalues are reported against the
+    expected a * force. Translation residuals compare each selected state
     to the most central one shifted by the appropriate number of sites,
     minimized over a global phase, both over the full window and restricted
-    to sites |m| <= half_width - interior_margin (default margin M/4), where
-    the infinite-lattice translation covariance is actually testable.
+    to sites |m| <= half_width - half_width // 4, where the infinite-lattice
+    translation covariance is actually testable.
     """
     if force == 0:
         raise ValueError("Wannier-Stark analysis needs a nonzero force")
     m = spec.sites
-    w = spec.half_width // 4 if interior_margin is None else int(interior_margin)
+    w = spec.half_width // 4
     centers = np.real(np.sum(m[:, None] * np.abs(sr.eigenvectors) ** 2, axis=0))
-    selected = np.where(np.abs(centers) <= interior_fraction * spec.half_width)[0]
+    selected = np.where(np.abs(centers) <= 0.25 * spec.half_width)[0]
     if len(selected) < 3:
         raise ValueError(f"only {len(selected)} interior states; need at least 3")
     order = np.argsort(sr.eigenvalues[selected], kind="stable")

@@ -15,7 +15,6 @@ from latticeccr import (
     build_quasi_momentum,
     ccr_position_harmonic,
     ccr_position_linear,
-    ccr_position_periodic_kinetic,
     eigensolve,
     exact_position_linear,
     expectation,
@@ -23,7 +22,12 @@ from latticeccr import (
     propagate,
     run_timeseries,
 )
-from latticeccr.dynamics import translation_expectation
+
+
+def moments(psi, spec):
+    """Initial <x> and <k>, on which the CCR models close."""
+    k = build_quasi_momentum(spec)
+    return expectation(psi, spec.positions).real, expectation(psi, k).real
 
 
 def test_packet_validation():
@@ -126,11 +130,18 @@ def test_exact_position_matches_propagation(linear_system):
         assert exact_position_linear(psi, spec, hop, 0.4, t) == pytest.approx(xm, abs=1e-6)
 
 
-def test_exact_position_requires_force(linear_system):
-    spec, hop, _, _ = linear_system
-    psi = make_gaussian(spec, GaussianPacket(0, 0.2))
-    with pytest.raises(ValueError):
-        exact_position_linear(psi, spec, hop, 0.0, 1.0)
+def test_exact_position_free_limit():
+    # at F = 0 the bracket (e^{-i a n F t} - 1)/F takes its limit -i a n t
+    spec = LatticeSpec(64, 1.0)
+    hop, pot = Hopping.cosine(), Potential.linear(0.0)
+    sr = eigensolve(build_hamiltonian(spec, hop, pot))
+    psi = make_gaussian(spec, GaussianPacket(0, 0.2, k0=0.3))
+    ts = np.array([0.0, 1.0, 5.0, 12.0])
+    free = exact_position_linear(psi, spec, hop, 0.0, ts)
+    want = [expectation(propagate(psi, sr, t), spec.positions).real for t in ts]
+    assert np.abs(free - want).max() < 1e-12
+    assert free[-1] - free[0] > 1.0  # the kicked packet moves
+    assert exact_position_linear(psi, spec, hop, 0.0, 5.0) == pytest.approx(free[2], abs=1e-15)
 
 
 def test_exact_position_cosine_amplitude_bound():
@@ -146,45 +157,46 @@ def test_exact_position_cosine_amplitude_bound():
 
 def test_ccr_linear_values(linear_system):
     spec, hop, pot, sr = linear_system
-    psi = make_gaussian(spec, GaussianPacket(0, 0.2))
-    assert ccr_position_linear(psi, spec, 0.4, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert ccr_position_linear(psi, spec, 0.4, 1.0) == pytest.approx(0.2, abs=1e-10)
+    x0, k0 = moments(make_gaussian(spec, GaussianPacket(0, 0.2)), spec)
+    assert ccr_position_linear(x0, k0, 0.4, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert ccr_position_linear(x0, k0, 0.4, 1.0) == pytest.approx(0.2, abs=1e-10)
     # unbounded growth, unlike the periodic exact solution
-    assert ccr_position_linear(psi, spec, 0.4, 100.0) > 100
+    assert ccr_position_linear(x0, k0, 0.4, 100.0) > 100
 
 
 def test_ccr_harmonic_values():
     spec = LatticeSpec(60, 1.0)
-    psi = make_gaussian(spec, GaussianPacket(-20, 0.2))
+    x0, k0 = moments(make_gaussian(spec, GaussianPacket(-20, 0.2)), spec)
     c = 0.01
-    assert ccr_position_harmonic(psi, spec, c, 0.0) == pytest.approx(-20.0, abs=1e-9)
+    assert ccr_position_harmonic(x0, k0, c, 0.0) == pytest.approx(-20.0, abs=1e-9)
     quarter = np.pi / (2 * np.sqrt(c))
-    assert ccr_position_harmonic(psi, spec, c, quarter) == pytest.approx(0.0, abs=1e-9)
+    assert ccr_position_harmonic(x0, k0, c, quarter) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
-        ccr_position_harmonic(psi, spec, -1.0, 1.0)
+        ccr_position_harmonic(x0, k0, -1.0, 1.0)
 
 
 def test_ccr_periodic_kinetic_period_and_slope():
+    # the CCR trajectory of the cosine kinetic energy is its Heisenberg solution
     spec = LatticeSpec(64, 1.0)
-    force = 0.4
+    force, hop = 0.4, Hopping.cosine()
     psi = make_gaussian(spec, GaussianPacket(0, 0.2, k0=0.3))
     x0 = expectation(psi, spec.positions).real
     period = 2 * np.pi / force
-    assert ccr_position_periodic_kinetic(psi, spec, force, period) == pytest.approx(x0, abs=1e-12)
+    assert exact_position_linear(psi, spec, hop, force, period) == pytest.approx(x0, abs=1e-12)
     # short-time slope equals <sin(a k)>/a = Im<T_1>
     h = 1e-6
-    slope = (ccr_position_periodic_kinetic(psi, spec, force, h) - x0) / h
-    want = -np.imag(translation_expectation(psi, 1))  # <sin(a k)> = -Im<T_1>
+    slope = (exact_position_linear(psi, spec, hop, force, h) - x0) / h
+    amp = psi.amplitudes
+    want = -np.imag(np.vdot(amp[1:], amp[:-1]))  # <sin(a k)> = -Im<T_1>
     assert slope == pytest.approx(want, abs=1e-5)
 
 
 def test_ccr_periodic_kinetic_equals_exact_cosine_solution():
     spec = LatticeSpec(64, 1.0)
-    psi = make_gaussian(spec, GaussianPacket(0, 0.05))
-    ts = np.linspace(0.0, 30.0, 121)
-    a = ccr_position_periodic_kinetic(psi, spec, 0.4, ts)
-    b = exact_position_linear(psi, spec, Hopping.cosine(), 0.4, ts)
-    assert np.abs(a - b).max() < 1e-10
+    hop, pot = Hopping.cosine(), Potential.linear(0.4)
+    sr = eigensolve(build_hamiltonian(spec, hop, pot))
+    ts = run_timeseries(spec, hop, pot, GaussianPacket(0, 0.05), np.linspace(0.0, 30.0, 121), sr)
+    assert ts.x_ccr is ts.x_exact_oracle
 
 
 def test_run_timeseries_grid_validation(linear_system):
@@ -249,7 +261,7 @@ def test_run_timeseries_model_auto_selection():
     harm = run(Hopping.quadratic(), Potential.harmonic(0.01), GaussianPacket(5, 0.2))
     cos = run(Hopping.cosine(), Potential.linear(0.4), GaussianPacket(0, 0.2))
     free = run(Hopping.cosine(), Potential.constant(0.0), GaussianPacket(0, 0.2))
-    psi = make_gaussian(spec, GaussianPacket(5, 0.2))
-    assert np.allclose(harm.x_ccr, ccr_position_harmonic(psi, spec, 0.01, grid))
-    assert np.abs(cos.x_ccr - cos.x_mean).max() < 1e-10  # periodic-kinetic model
+    x0, k0 = moments(make_gaussian(spec, GaussianPacket(5, 0.2)), spec)
+    assert np.allclose(harm.x_ccr, ccr_position_harmonic(x0, k0, 0.01, grid))
+    assert np.abs(cos.x_ccr - cos.x_mean).max() < 1e-10  # the cosine Heisenberg oracle
     assert free.x_ccr is None and free.x_exact_oracle is None

@@ -246,6 +246,18 @@ def test_cli_leakage_exit_code(tmp_path, capsys):
     assert code == 4
     manifest = json.loads((tmp_path / "dynamics_manifest.json").read_text())
     assert manifest["error"]["exit_code"] == 4
+    # the warning raised before the failure survives it
+    raised = "initial packet has boundary amplitude"
+    assert any(w.startswith(raised) for w in manifest["warnings"])
+    assert f"warning: {raised}" in capsys.readouterr().err
+
+
+def test_cli_free_cosine_run(tmp_path, capsys):
+    args = ["--set", "potential.kind=linear", "--set", "potential.F=0", "--set", "hopping.kind=cosine"]
+    assert main(["dynamics", "--out", str(tmp_path), *args]) == 0
+    data = np.genfromtxt(tmp_path / "dynamics.csv", delimiter=",", names=True)
+    assert np.all(np.isfinite(data["x_exact"]))
+    assert np.array_equal(data["x_exact"], data["x_ccr"])
 
 
 def test_cli_failure_manifest_beside_configured_dataset(tmp_path, capsys):

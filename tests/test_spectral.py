@@ -197,5 +197,9 @@ def test_wannier_stark_needs_force_and_states():
     sr = eigensolve(ham)
     with pytest.raises(ValueError):
         wannier_stark_analysis(sr, spec, force=0.0)
-    with pytest.raises(ValueError):
-        wannier_stark_analysis(sr, spec, force=0.4, interior_fraction=0.001)
+    # two states at the window edges: none lies in the interior
+    edges = np.zeros((spec.n_sites, 2))
+    edges[0, 0] = edges[-1, 1] = 1.0
+    two = SpectrumResult(np.array([-4.0, 4.0]), edges, 0.0)
+    with pytest.raises(ValueError, match="need at least 3"):
+        wannier_stark_analysis(two, spec, force=0.4)
