@@ -19,6 +19,7 @@ from .spectral import SpectrumResult
 
 LEAK_WARN = 1e-10
 LEAK_FAIL = 1e-6
+CHUNK = 128  # grid times per evolution block: memory O(N * CHUNK), not O(N * len(grid))
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,32 @@ def make_gaussian(spec: LatticeSpec, packet: GaussianPacket) -> StateVector:
     return StateVector(amp).normalize()
 
 
-def _evolution(psi0: StateVector, sr: SpectrumResult, times):
-    """Yield the amplitudes of psi0 at each time, expanding it in the
-    eigenbasis of its Hamiltonian once."""
+def _evolve(psi0: StateVector, sr: SpectrumResult, times: np.ndarray):
+    """Yield (start, block) over chunks of at most CHUNK times, where
+    block[:, j] holds the amplitudes of psi0 at times[start + j].
+
+    psi0 is expanded in the eigenbasis of its Hamiltonian once; each block is
+    then one GEMM V @ (exp(-i E t) * coeff), a real one on the interleaved
+    real and imaginary parts when the eigenvectors V are real.
+    """
     if len(psi0.amplitudes) != sr.dimension:
         raise ValueError("state dimension does not match the spectrum")
-    coeff = sr.eigenvectors.conj().T @ psi0.amplitudes
-    for t in times:
-        yield sr.eigenvectors @ (np.exp(-1j * sr.eigenvalues * t) * coeff)
+    vecs = sr.eigenvectors
+    coeff = vecs.conj().T @ psi0.amplitudes
+    for start in range(0, len(times), CHUNK):
+        phased = -1j * np.outer(sr.eigenvalues, times[start : start + CHUNK])
+        np.exp(phased, out=phased)
+        phased *= coeff[:, None]
+        if np.iscomplexobj(vecs):
+            yield start, vecs @ phased
+        else:
+            yield start, (vecs @ phased.view(np.float64)).view(complex)
 
 
 def propagate(psi0: StateVector, sr: SpectrumResult, t: float) -> StateVector:
     """Evolve a state to time t in the eigenbasis of its Hamiltonian."""
-    (amp,) = _evolution(psi0, sr, [t])
-    return StateVector(amp, normalized=psi0.normalized)
+    ((_, block),) = _evolve(psi0, sr, np.array([t], dtype=float))
+    return StateVector(block[:, 0], normalized=psi0.normalized)
 
 
 def exact_position_linear(
@@ -172,8 +185,12 @@ def run_timeseries(
         warnings.warn(
             f"initial packet has boundary amplitude {edge:.2e} > {leak_warn:.0e}", stacklevel=2
         )
-    kop = build_quasi_momentum(spec).matrix
     x = spec.positions
+    kop = build_quasi_momentum(spec).matrix
+    x0, k0 = expectation(psi0, x).real, expectation(psi0, kop).real
+    # kop = i S with S real antisymmetric, so <k> = -2 u.(S v) for amplitudes u + i v
+    s_mat = np.ascontiguousarray(kop.imag)
+    del kop
 
     x_mean = np.empty(len(t_grid))
     k_mean = np.empty(len(t_grid))
@@ -182,27 +199,35 @@ def run_timeseries(
     boundary = 0.0
     half = spec.half_width
     signs = (-1.0) ** np.abs(spec.sites)
-    for i, (t, amp) in enumerate(zip(t_grid, _evolution(psi0, sr, t_grid))):
-        x_mean[i] = np.real(np.vdot(amp, x * amp))
-        k_mean[i] = np.real(np.vdot(amp, kop @ amp))
-        s_abs[i] = abs(np.sum(signs * amp))
-        norm[i] = np.linalg.norm(amp)
-        if abs(norm[i] - 1.0) > 1e-10:
-            raise ToleranceError(f"norm drifted to {norm[i]:.12f} at t = {t:g}")
-        edge = max(abs(amp[0]), abs(amp[-1]))
-        boundary = max(boundary, edge)
-        if edge > leak_fail:
+    for start, block in _evolve(psi0, sr, t_grid):
+        stop = start + block.shape[1]
+        parts = block.view(np.float64)
+        u, v = parts[:, 0::2], np.ascontiguousarray(parts[:, 1::2])  # BLAS needs unit stride
+        prob = u * u + v * v
+        x_mean[start:stop] = x @ prob
+        k_mean[start:stop] = -2.0 * (u * (s_mat @ v)).sum(axis=0)
+        s_abs[start:stop] = np.abs((signs @ parts).view(complex))
+        norm[start:stop] = np.sqrt(prob.sum(axis=0))
+        edge = np.maximum(np.abs(block[0]), np.abs(block[-1]))
+        drift = np.abs(norm[start:stop] - 1.0) > 1e-10
+        leak = edge > leak_fail
+        bad = np.flatnonzero(drift | leak)
+        if len(bad):
+            i = bad[0]
+            t = t_grid[start + i]
+            if drift[i]:
+                raise ToleranceError(f"norm drifted to {norm[start + i]:.12f} at t = {t:g}")
             raise LeakageError(
-                f"boundary amplitude {edge:.2e} at t = {t:g} exceeds {leak_fail:.0e} "
+                f"boundary amplitude {edge[i]:.2e} at t = {t:g} exceeds {leak_fail:.0e} "
                 f"(window half_width {half} too small)"
             )
+        boundary = max(boundary, edge.max())
     if boundary > leak_warn:
         warnings.warn(
             f"boundary amplitude reached {boundary:.2e} > {leak_warn:.0e}", stacklevel=2
         )
 
     x_ccr = x_exact = None
-    x0, k0 = expectation(psi0, x).real, expectation(psi0, kop).real
     if pot.kind == "harmonic":
         x_ccr = ccr_position_harmonic(x0, k0, pot.curvature, t_grid)
     elif pot.kind == "linear":

@@ -244,13 +244,29 @@ class Potential:
 
 
 def _site_differences(spec: LatticeSpec) -> np.ndarray:
-    m = spec.sites
-    return m[:, None] - m[None, :]
+    """Every site difference d = m - n on the window, ascending: the index of a
+    Toeplitz kernel, whose N x N matrix _toeplitz builds."""
+    return np.arange(-2 * spec.half_width, 2 * spec.half_width + 1)
+
+
+def _toeplitz(kernel: np.ndarray) -> np.ndarray:
+    """N x N matrix with elements kernel[m - n + N - 1], from a kernel of length 2N - 1."""
+    n = (len(kernel) + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(kernel[::-1], n)[::-1].copy()
 
 
 def build_position(spec: LatticeSpec) -> OperatorMatrix:
     """Position operator: diagonal matrix with entries spacing * m."""
     return OperatorMatrix(np.diag(spec.positions.astype(float)))
+
+
+def _phase_kernel(spec: LatticeSpec) -> np.ndarray:
+    """(-1)^d / (i d) over the site differences d, zero at d = 0."""
+    d = _site_differences(spec)
+    safe = np.where(d == 0, 1, d)
+    kernel = (-1.0) ** np.abs(d) / (1j * safe)
+    kernel[d == 0] = 0.0
+    return kernel
 
 
 def build_phase_operator(spec: LatticeSpec) -> OperatorMatrix:
@@ -260,16 +276,12 @@ def build_phase_operator(spec: LatticeSpec) -> OperatorMatrix:
     operator, truncated to the window; the quasi-momentum operator is this
     matrix divided by the lattice spacing.
     """
-    d = _site_differences(spec)
-    safe = np.where(d == 0, 1, d)
-    theta = (-1.0) ** np.abs(d) / (1j * safe)
-    theta[d == 0] = 0.0
-    return OperatorMatrix(theta)
+    return OperatorMatrix(_toeplitz(_phase_kernel(spec)))
 
 
 def build_quasi_momentum(spec: LatticeSpec) -> OperatorMatrix:
     """Quasi-momentum operator: phase operator divided by the spacing."""
-    return OperatorMatrix(build_phase_operator(spec).matrix / spec.spacing)
+    return OperatorMatrix(_toeplitz(_phase_kernel(spec) / spec.spacing))
 
 
 def build_k_squared(spec: LatticeSpec) -> OperatorMatrix:
@@ -279,7 +291,7 @@ def build_k_squared(spec: LatticeSpec) -> OperatorMatrix:
     safe = np.where(d == 0, 1, d)
     k2 = 2.0 * (-1.0) ** np.abs(d) / safe.astype(float) ** 2
     k2[d == 0] = np.pi**2 / 3
-    return OperatorMatrix(k2 / spec.spacing**2)
+    return OperatorMatrix(_toeplitz(k2 / spec.spacing**2))
 
 
 def build_translation(spec: LatticeSpec, shift: int) -> np.ndarray:

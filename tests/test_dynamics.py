@@ -11,6 +11,9 @@ from latticeccr import (
     LatticeSpec,
     LeakageError,
     Potential,
+    SpectrumResult,
+    ToleranceError,
+    alternating_overlap,
     build_hamiltonian,
     build_quasi_momentum,
     ccr_position_harmonic,
@@ -22,6 +25,7 @@ from latticeccr import (
     propagate,
     run_timeseries,
 )
+from latticeccr.dynamics import CHUNK
 
 
 def moments(psi, spec):
@@ -265,3 +269,81 @@ def test_run_timeseries_model_auto_selection():
     assert np.allclose(harm.x_ccr, ccr_position_harmonic(x0, k0, 0.01, grid))
     assert np.abs(cos.x_ccr - cos.x_mean).max() < 1e-10  # the cosine Heisenberg oracle
     assert free.x_ccr is None and free.x_exact_oracle is None
+
+
+def test_run_timeseries_blocks_match_per_time_propagation(linear_system):
+    # a grid over three blocks, the last one partial, with uneven steps
+    spec, hop, pot, sr = linear_system
+    packet = GaussianPacket(3, 0.1, k0=0.4)
+    rng = np.random.default_rng(5)
+    grid = np.cumsum(rng.uniform(0.01, 0.2, 2 * CHUNK + 5))
+    ts = run_timeseries(spec, hop, pot, packet, grid, sr, leak_fail=1.0)
+    psi0 = make_gaussian(spec, packet)
+    kop = build_quasi_momentum(spec)
+    states = [propagate(psi0, sr, t) for t in grid]
+    want = {
+        "x_mean": [expectation(s, spec.positions).real for s in states],
+        "k_mean": [expectation(s, kop).real for s in states],
+        "s_abs": [abs(alternating_overlap(s)) for s in states],
+        "norm": [s.norm for s in states],
+    }
+    for name, values in want.items():
+        assert np.abs(getattr(ts, name) - values).max() < 1e-12, name
+    edges = [max(abs(s.amplitudes[0]), abs(s.amplitudes[-1])) for s in states]
+    assert abs(ts.boundary_max - max(edges)) < 1e-12
+
+
+def test_complex_eigenvectors_give_the_same_evolution(linear_system):
+    # a unit phase on each eigenvector leaves the propagator unchanged
+    spec, hop, pot, sr = linear_system
+    phases = np.exp(1j * np.linspace(0.0, 3.0, sr.dimension))
+    rotated = SpectrumResult(sr.eigenvalues, sr.eigenvectors * phases, sr.residual_norm)
+    grid = np.linspace(0.0, 12.0, CHUNK + 7)
+    real, cplx = (
+        run_timeseries(spec, hop, pot, GaussianPacket(0, 0.2), grid, s, leak_fail=1.0)
+        for s in (sr, rotated)
+    )
+    for name in ("x_mean", "k_mean", "s_abs", "norm"):
+        assert np.abs(getattr(real, name) - getattr(cplx, name)).max() < 1e-12, name
+    psi = make_gaussian(spec, GaussianPacket(0, 0.2))
+    diff = propagate(psi, sr, 5.0).amplitudes - propagate(psi, rotated, 5.0).amplitudes
+    assert np.abs(diff).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def leaky_system():
+    spec = LatticeSpec(24, 1.0)
+    hop, pot = Hopping.quadratic(), Potential.linear(0.4)
+    return spec, hop, pot, eigensolve(build_hamiltonian(spec, hop, pot))
+
+
+def test_leakage_error_names_first_time_in_a_later_block(leaky_system):
+    spec, hop, pot, sr = leaky_system
+    grid = np.arange(2 * CHUNK + 5) * 0.03
+    assert CHUNK <= np.flatnonzero(np.isclose(grid, 5.61))[0] < 2 * CHUNK
+    message = (
+        "boundary amplitude 1.01e-03 at t = 5.61 exceeds 1e-03 (window half_width 24 too small)"
+    )
+    with pytest.warns(UserWarning):
+        with pytest.raises(LeakageError) as err:
+            run_timeseries(spec, hop, pot, GaussianPacket(0, 0.02), grid, sr, leak_fail=1e-3)
+    assert str(err.value) == message
+
+
+def test_tolerance_error_names_first_time(leaky_system):
+    # eigenvectors scaled by 1.001 scale every amplitude by 1.001^2
+    spec, hop, pot, sr = leaky_system
+    bad = SpectrumResult(sr.eigenvalues, 1.001 * sr.eigenvectors, sr.residual_norm)
+    grid = 0.15 + np.arange(2 * CHUNK + 5) * 0.05
+    message = "norm drifted to 1.002001000000 at t = 0.15"
+    with pytest.raises(ToleranceError) as err:
+        run_timeseries(spec, hop, pot, GaussianPacket(0, 0.2), grid, bad)
+    assert str(err.value) == message
+    # a packet that also leaks from the first time on: the norm check wins the tie
+    wide = GaussianPacket(0, 0.005)
+    with pytest.warns(UserWarning, match="initial packet"):
+        with pytest.raises(LeakageError, match="at t = 0.15 exceeds"):
+            run_timeseries(spec, hop, pot, wide, grid, sr)
+        with pytest.raises(ToleranceError) as err:
+            run_timeseries(spec, hop, pot, wide, grid, bad)
+    assert str(err.value) == message
