@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, StateVector, build_position, build_quasi_momentum, commutator
+from .lattice import LatticeSpec, StateVector, build_quasi_momentum
 
 SUPPORT_TOL = 1e-12
 
@@ -67,7 +67,10 @@ def ccr_defect(
             f"state has support outside |m| <= {m - w}; "
             "the defect would be dominated by the truncation boundary"
         )
-    defect_op = commutator(build_position(spec), build_quasi_momentum(spec))
+    # x is diagonal, so [x, k]_mn = (x_m - x_n) k_mn: no matrix product needed
+    x = spec.positions
+    defect_op = build_quasi_momentum(spec).matrix
+    defect_op *= x[:, None] - x[None, :]
     defect_op[np.diag_indices_from(defect_op)] -= 1j
     profile = (defect_op @ psi.amplitudes)[interior]
     sites = spec.sites[interior]

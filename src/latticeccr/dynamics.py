@@ -123,13 +123,22 @@ def exact_position_linear(
     n = np.arange(1, len(amps) + 1)
     t_exp = np.array([np.vdot(amp[r:], amp[:-r]) for r in n])  # <T_n>
     x0 = np.real(expectation(psi0, spec.positions))
-    # -i a n F t, or at F = 0 the bracket's limit -i a n t; updated in place
-    bracket = -1j * a * (force or 1.0) * np.outer(np.asarray(t, dtype=float), n)
-    if force:
-        np.exp(bracket, out=bracket)
-        bracket -= 1.0
-    bracket *= amps * t_exp
-    series = 2.0 * np.real(bracket).sum(axis=1)
+    weights = amps * t_exp
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    series = np.empty(len(times))
+    # The len(t) x R bracket is built in blocks of CHUNK rows, memory O(CHUNK * R).
+    # A last block under CHUNK/2 rows joins the one before it: with R = 1 numpy
+    # multiplies very short arrays in a scalar loop that rounds differently, and
+    # the series stays bit-identical to the bracket built in one piece.
+    edges = [*range(0, max(len(times) - CHUNK // 2, 1), CHUNK), len(times)]
+    for start, stop in zip(edges, edges[1:]):
+        # -i a n F t, or at F = 0 the bracket's limit -i a n t; updated in place
+        bracket = -1j * a * (force or 1.0) * np.outer(times[start:stop], n)
+        if force:
+            np.exp(bracket, out=bracket)
+            bracket -= 1.0
+        bracket *= weights
+        series[start:stop] = 2.0 * np.real(bracket).sum(axis=1)
     out = x0 - (series / force if force else series)
     return out if np.ndim(t) else float(out[0])
 

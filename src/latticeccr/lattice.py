@@ -20,6 +20,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
+HERMITICITY_BLOCK = 128  # columns per slice of the Hermiticity check: memory O(N * 128)
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,16 @@ class LatticeSpec:
         return np.abs(self.sites) <= self.half_width - margin
 
 
+def _hermiticity_defect(mat: np.ndarray) -> float:
+    """max |A - A^dagger| over column slices of HERMITICITY_BLOCK, so no N x N
+    temporary is made; equal to the whole-matrix maximum, NaN included."""
+    n = mat.shape[0]
+    return np.max([
+        np.abs(mat[:, s : s + HERMITICITY_BLOCK] - mat[s : s + HERMITICITY_BLOCK].conj().T).max()
+        for s in range(0, n, HERMITICITY_BLOCK)
+    ])
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense Hermitian operator in the site basis.
@@ -78,7 +89,7 @@ class OperatorMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
-        defect = np.abs(mat - mat.conj().T).max()
+        defect = _hermiticity_defect(mat)
         if defect > HERMITICITY_TOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |A - A^dagger| = {defect:.3e} "
@@ -284,14 +295,20 @@ def build_quasi_momentum(spec: LatticeSpec) -> OperatorMatrix:
     return OperatorMatrix(_toeplitz(_phase_kernel(spec) / spec.spacing))
 
 
-def build_k_squared(spec: LatticeSpec) -> OperatorMatrix:
-    """Squared quasi-momentum: a^2 <m|k^2|n> = pi^2/3 on the diagonal and
-    2 (-1)^(m-n)/(m-n)^2 off it. Real symmetric."""
+def _k_squared_kernel(spec: LatticeSpec) -> np.ndarray:
+    """<m|k^2|n> over the site differences d = m - n: pi^2/(3 a^2) at d = 0,
+    2 (-1)^d/(a d)^2 elsewhere."""
     d = _site_differences(spec)
     safe = np.where(d == 0, 1, d)
     k2 = 2.0 * (-1.0) ** np.abs(d) / safe.astype(float) ** 2
     k2[d == 0] = np.pi**2 / 3
-    return OperatorMatrix(_toeplitz(k2 / spec.spacing**2))
+    return k2 / spec.spacing**2
+
+
+def build_k_squared(spec: LatticeSpec) -> OperatorMatrix:
+    """Squared quasi-momentum: a^2 <m|k^2|n> = pi^2/3 on the diagonal and
+    2 (-1)^(m-n)/(m-n)^2 off it. Real symmetric."""
+    return OperatorMatrix(_toeplitz(_k_squared_kernel(spec)))
 
 
 def build_translation(spec: LatticeSpec, shift: int) -> np.ndarray:
@@ -327,20 +344,25 @@ def build_kinetic(spec: LatticeSpec, hop: Hopping) -> OperatorMatrix:
     nearest-neighbour form (I - (T_1 + T_-1)/2)/a^2; custom -> assembled
     band matrix -t0*I - sum t_n (T_n + T_n^dagger).
     """
+    return OperatorMatrix(_kinetic_matrix(spec, hop))
+
+
+def _kinetic_matrix(spec: LatticeSpec, hop: Hopping) -> np.ndarray:
+    """The kinetic matrix of build_kinetic, unchecked."""
     if hop.kind == "quadratic":
-        return OperatorMatrix(build_k_squared(spec).matrix / 2)
+        return _toeplitz(_k_squared_kernel(spec) / 2)
     t0, amps = hop.terms(spec)
     n = spec.n_sites
     mat = -t0 * np.eye(n)
     for r, t in enumerate(amps, start=1):
         if t != 0.0:
             mat -= t * (np.eye(n, k=-r) + np.eye(n, k=r))
-    return OperatorMatrix(mat)
+    return mat
 
 
 def build_hamiltonian(spec: LatticeSpec, hop: Hopping, pot: Potential) -> OperatorMatrix:
-    """Hamiltonian: kinetic term plus diagonal potential."""
-    h = build_kinetic(spec, hop).matrix.copy()
+    """Hamiltonian: kinetic term plus diagonal potential, checked once."""
+    h = _kinetic_matrix(spec, hop)
     h[np.diag_indices_from(h)] += pot.values(spec)
     return OperatorMatrix(h)
 

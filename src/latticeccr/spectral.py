@@ -1,7 +1,8 @@
 """Dense eigensolves and spectral diagnostics for lattice Hamiltonians.
 
 eigensolve wraps LAPACK's Hermitian decomposition behind a contract
-(residual and orthonormality tolerances, deterministic eigenvector phases).
+(residual and orthonormality tolerances, deterministic eigenvector phases),
+solving reflection-symmetric Hamiltonians as two parity blocks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
-from .ccr import alternating_overlap
 from .lattice import (
     Hopping,
     LatticeSpec,
@@ -86,6 +86,55 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.sign(lead)[None, :]
 
 
+def _check_contract(mat, vals, vecs, bound: float) -> float:
+    """Residual max |H V - V diag(E)| of an eigendecomposition, after checking
+    it and the orthonormality defect max |V^dagger V - I| against bound."""
+    residual = float(np.abs(mat @ vecs - vecs * vals[None, :]).max())
+    orth = float(np.abs(vecs.conj().T @ vecs - np.eye(len(vals))).max())
+    if residual > bound:
+        raise ToleranceError(f"eigensolve residual {residual:.3e} exceeds {bound:.3e}")
+    if orth > bound:
+        raise ToleranceError(f"eigenvector orthonormality defect {orth:.3e} exceeds {bound:.3e}")
+    return residual
+
+
+def _parity_blocks(mat: np.ndarray, bound: float):
+    """Eigenvalues, eigenvectors and residual of a reflection-symmetric real
+    matrix of odd size N, from its even and odd blocks, with the contract
+    checked per block.
+
+    With c = N // 2, A = mat[c:, c:] and B = mat[c:, c::-1], the even block in
+    the basis e_c, (e_{c+j} + e_{c-j})/sqrt(2) is A + B with its first row and
+    column scaled by 1/sqrt(2) (so its corner is H_cc); the odd block in the basis
+    (e_{c+j} - e_{c-j})/sqrt(2) is (A - B)[1:, 1:].
+    """
+    n = mat.shape[0]
+    c = n // 2
+    a, b = mat[c:, c:], mat[c:, c::-1]
+    even = a + b
+    even[0, 1:] /= np.sqrt(2.0)
+    even[1:, 0] /= np.sqrt(2.0)
+    even[0, 0] = a[0, 0]  # 2 H_cc / sqrt(2)^2, without the rounding
+    odd = (a - b)[1:, 1:]
+    vals_e, vecs_e = np.linalg.eigh(even)
+    vals_o, vecs_o = np.linalg.eigh(odd)
+    residual = max(
+        _check_contract(even, vals_e, vecs_e, bound), _check_contract(odd, vals_o, vecs_o, bound)
+    )
+    vals = np.concatenate([vals_e, vals_o])
+    order = np.argsort(vals, kind="stable")
+    slot = np.empty(n, dtype=int)
+    slot[order] = np.arange(n)
+    se, so = slot[: c + 1], slot[c + 1 :]
+    vecs = np.zeros((n, n))
+    vecs[c, se] = vecs_e[0]
+    vecs[c + 1 :, se] = vecs_e[1:] / np.sqrt(2.0)
+    vecs[c - 1 :: -1, se] = vecs[c + 1 :, se]
+    vecs[c + 1 :, so] = vecs_o / np.sqrt(2.0)
+    vecs[c - 1 :: -1, so] = -vecs[c + 1 :, so]
+    return vals[order], vecs, residual
+
+
 def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     """Full Hermitian eigendecomposition meeting the package contract.
 
@@ -93,76 +142,50 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     made real positive so repeated runs and downstream diagnostics are
     reproducible. Raises ToleranceError if the residual or orthonormality
     check exceeds tol * max(1, |H|_max) * N.
+
+    A real Hamiltonian of odd size that equals its site reflection exactly
+    (harmonic, constant and mirror-symmetric custom potentials) is solved as
+    its even and odd parity blocks, each held to the same bound; the
+    returned vectors then satisfy v == +-v[::-1] exactly, and where an even
+    and an odd eigenvalue are exactly equal the even state comes first.
+    Every other matrix is decomposed whole.
     """
-    mat = ham.matrix
-    if ham.is_real:
-        vals, vecs = np.linalg.eigh(mat.real if np.iscomplexobj(mat) else mat)
+    n = ham.dimension
+    bound = tol * (max(1.0, float(np.abs(ham.matrix).max())) * n)
+    real = ham.is_real
+    mat = ham.matrix.real if real else ham.matrix
+    if real and n % 2 == 1 and n > 1 and np.array_equal(mat, mat[::-1, ::-1]):
+        vals, vecs, residual = _parity_blocks(mat, bound)
+        vecs = _fix_phases(vecs)  # after the return, once the blocks are freed
     else:
         vals, vecs = np.linalg.eigh(mat)
-    vecs = _fix_phases(vecs)
-    scale = max(1.0, float(np.abs(mat).max())) * ham.dimension
-    residual = float(np.abs(mat @ vecs - vecs * vals[None, :]).max())
-    orth = float(np.abs(vecs.conj().T @ vecs - np.eye(ham.dimension)).max())
-    if residual > tol * scale:
-        raise ToleranceError(f"eigensolve residual {residual:.3e} exceeds {tol * scale:.3e}")
-    if orth > tol * scale:
-        raise ToleranceError(
-            f"eigenvector orthonormality defect {orth:.3e} exceeds {tol * scale:.3e}"
-        )
+        vecs = _fix_phases(vecs)
+        residual = _check_contract(ham.matrix, vals, vecs, bound)
     return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residual_norm=residual)
 
 
 def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDiagnostics]:
     """Parity, |S_n| and <x> for every eigenstate.
 
-    When an adjacent pair lies within 1e-8 max(1, |E|_max) and both members
-    fail the parity test (tolerance PARITY_TOL), the pair is re-projected
-    onto its even/odd combinations before computing diagnostics
-    (near-degenerate eigenvectors may come out arbitrarily mixed).
+    A state is even (odd) when ||v - Rv|| (||v + Rv||) is below PARITY_TOL,
+    R the site reflection, and "none" otherwise. eigensolve returns exact
+    parity states for reflection-symmetric Hamiltonians, so nothing is
+    re-projected here and a state of an asymmetric potential keeps "none".
     """
-    vals, vecs = sr.eigenvalues, sr.eigenvectors
-    pair_gap = 1e-8 * max(1.0, float(np.abs(vals).max()))
-    vecs = vecs.copy()
+    vecs = sr.eigenvectors
     reflected = vecs[::-1, :]
     even_err = np.linalg.norm(vecs - reflected, axis=0)
     odd_err = np.linalg.norm(vecs + reflected, axis=0)
-    unclassified = (even_err >= PARITY_TOL) & (odd_err >= PARITY_TOL)
-    j = 0
-    while j < len(vals) - 1:
-        if unclassified[j] and unclassified[j + 1] and vals[j + 1] - vals[j] < pair_gap:
-            sym = vecs[:, j] + vecs[::-1, j]
-            anti = vecs[:, j] - vecs[::-1, j]
-            if np.linalg.norm(sym) < 1e-6 or np.linalg.norm(anti) < 1e-6:
-                sym = vecs[:, j + 1] + vecs[::-1, j + 1]
-                anti = vecs[:, j + 1] - vecs[::-1, j + 1]
-            vecs[:, j] = sym / np.linalg.norm(sym)
-            vecs[:, j + 1] = anti / np.linalg.norm(anti)
-            even_err[j] = np.linalg.norm(vecs[:, j] - vecs[::-1, j])
-            odd_err[j] = np.linalg.norm(vecs[:, j] + vecs[::-1, j])
-            even_err[j + 1] = np.linalg.norm(vecs[:, j + 1] - vecs[::-1, j + 1])
-            odd_err[j + 1] = np.linalg.norm(vecs[:, j + 1] + vecs[::-1, j + 1])
-            j += 2
-        else:
-            j += 1
-    x = spec.positions
-    out = []
-    for n in range(len(vals)):
-        if even_err[n] < PARITY_TOL:
-            parity = "even"
-        elif odd_err[n] < PARITY_TOL:
-            parity = "odd"
-        else:
-            parity = "none"
-        state = StateVector(vecs[:, n])
-        out.append(
-            EigenstateDiagnostics(
-                index=n,
-                parity=parity,
-                overlap=abs(alternating_overlap(state)),
-                center=float(np.real(np.sum(x * np.abs(vecs[:, n]) ** 2))),
-            )
-        )
-    return out
+    parity = np.where(even_err < PARITY_TOL, "even", np.where(odd_err < PARITY_TOL, "odd", "none"))
+    signs = (-1.0) ** np.abs(spec.sites)
+    overlap = np.abs(signs @ vecs)
+    prob = np.abs(vecs)
+    prob *= prob
+    center = spec.positions @ prob
+    return [
+        EigenstateDiagnostics(index=n, parity=str(p), overlap=float(s), center=float(x))
+        for n, (p, s, x) in enumerate(zip(parity, overlap, center))
+    ]
 
 
 def threshold_estimate(spacing: float, curvature: float) -> float:

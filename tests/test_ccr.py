@@ -9,7 +9,10 @@ from latticeccr import (
     LatticeSpec,
     StateVector,
     alternating_overlap,
+    build_position,
+    build_quasi_momentum,
     ccr_defect,
+    commutator,
     make_gaussian,
 )
 
@@ -59,6 +62,16 @@ def test_defect_profile_of_delta_state():
     assert np.abs(result.profile - want).max() < 1e-14
     assert result.max_defect == pytest.approx(1.0, abs=1e-14)
     assert result.overlap == 1.0 + 0.0j
+
+
+def test_defect_matches_dense_commutator():
+    # ccr_defect scales k by x_m - x_n; the two-GEMM commutator is the reference
+    for half, a in ((60, 1.0), (48, 0.7)):
+        spec = LatticeSpec(half, a)
+        psi = make_gaussian(spec, GaussianPacket(5, 0.05, k0=2.9 / a))
+        dense = commutator(build_position(spec), build_quasi_momentum(spec)) - 1j * np.eye(spec.n_sites)
+        want = (dense @ psi.amplitudes)[spec.interior_sites(half // 4)]
+        assert np.abs(ccr_defect(psi, spec).profile - want).max() <= 1e-14
 
 
 def test_defect_vanishes_on_cancelling_state():

@@ -134,6 +134,26 @@ def test_exact_position_matches_propagation(linear_system):
         assert exact_position_linear(psi, spec, hop, 0.4, t) == pytest.approx(xm, abs=1e-6)
 
 
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=["R1", "R64"])
+@pytest.mark.parametrize("steps", [1, 3, CHUNK + 1, CHUNK + CHUNK // 2 + 1, 5 * CHUNK + 2])
+def test_exact_position_blocks_match_one_piece(hop, steps):
+    # the bracket is built in blocks of rows; the series is bit-identical to
+    # the bracket built whole (with one-row blocks it is not at this a and F)
+    spec, force = LatticeSpec(32, 0.7), -0.55
+    psi = make_gaussian(spec, GaussianPacket(3, 0.05, k0=0.4))
+    ts = np.linspace(0.0, 30.0, steps)
+    _, amps = hop.terms(spec)
+    n = np.arange(1, len(amps) + 1)
+    amp = psi.amplitudes
+    t_exp = np.array([np.vdot(amp[r:], amp[:-r]) for r in n])
+    bracket = -1j * spec.spacing * force * np.outer(ts, n)
+    np.exp(bracket, out=bracket)
+    bracket -= 1.0
+    bracket *= amps * t_exp
+    want = expectation(psi, spec.positions).real - 2.0 * np.real(bracket).sum(axis=1) / force
+    assert np.array_equal(exact_position_linear(psi, spec, hop, force, ts), want)
+
+
 def test_exact_position_free_limit():
     # at F = 0 the bracket (e^{-i a n F t} - 1)/F takes its limit -i a n t
     spec = LatticeSpec(64, 1.0)

@@ -34,30 +34,47 @@ GOLDEN = {
     "ccr-check_manifest.json": "71ac70ab7f8e0057715617b33db6ca81f751a62be3e0c6e57bc9636b9ed7e058",
     # block propagation with a real GEMM: the propagated datasets move in the 12th
     # printed digit, boundary_max in the 16th (dynamics, fig4, fig5)
-    "dynamics.csv": "038dbb2fea5c785e1af3aa5d70edfa97636ba807fbeb7bbb1ed086fd3934bb56",
-    "dynamics.json": "a58097ae539109a75e8521fa87a56231f87fdbe16874214b82e0f5fc9da7d41c",
+    # The parity-block eigensolve of reflection-symmetric Hamiltonians (harmonic
+    # and constant potentials) moved the entries commented below, at the
+    # rounding level; ccr-check, fig4 and the other manifests did not move.
+    # dynamics (harmonic default): 93 cells, 86 of them |S| values below 1e-3
+    # moving by at most 1.6e-14, 7 <x>/<k> cells by one unit in the 12th
+    # digit; boundary_max (1.9e-9) by 5.2e-17.
+    "dynamics.csv": "b048a5bc080a3fa2af2aabcdd427fd3834ebb02fd72a42ec75254c80e604939b",
+    "dynamics.json": "fcf6ef8512956d852a0bf20285b277ee586225446553d7af830f1246a9ad1d52",
     # the CCR model follows from the Hamiltonian: no "model" in config or derived
-    "dynamics_manifest.json": "79f3e2cd89b3fcdb349391783f29c1489f547d7c296b87eda711655cb791c314",
-    "fig1.csv": "ec70fbd63b622037b58f5e9a0712161447ce10aed16993350da9c5e1fcfcb793",
-    "fig1.json": "8974598f6268b5892878f1ccfae020bbc31eca9ed7d573e15c5329d841ddcd89",
+    "dynamics_manifest.json": "f7c09f4e5342be12f061ddbaeca0e45c05ba74207bb10b728e7d2f51b48dbdd3",
+    # fig1 and sweep: 17 cells each, at most 1.6e-11 relative
+    "fig1.csv": "cc46b3ee6c4e0a02544fc0b30ff3bee0f14344c20602ae7a83636874e997635a",
+    "fig1.json": "6fb563728ad28a1f9d38332b41a7eee0aa1da74467b2d08ea1f925adb9a18761",
     "fig1_manifest.json": "ae54cbc49370ac3e81b026c97bc08fd5ae31c9a0ae59a915348b29b0eb1fb3b2",
-    "fig2.csv": "8424fbed39649c4a65d5fea5b565bf3eae008e5c6cbf0f0258a62382b0d061a6",
-    "fig2.json": "f0bffb85eafd04445c6f4b411f6b2322e022b9cdb5c02551ab71f9298e95b1ef",
+    # fig2: 20 cells; one by one unit in the 12th digit (0.404), 19 values below
+    # 1e-2 by at most 4.9e-14 absolute
+    "fig2.csv": "9dfabe59ec7d45f0714d0e47b85893849afefaf922c4584c7aae17b85c3b8165",
+    "fig2.json": "e062996354461e4f8a9c711a90e09a59b0c098438d8103c544fd04f7aa4f85b8",
     "fig2_manifest.json": "271f2429741c56d5a9732dec9f64e641fa814f0d4edd73353e7767ce5344b5a9",
-    "fig3.csv": "3ce8db4541ec2ba674b99dec2b7a6a91219fa6a3df22f16a4b4211c9810bfc08",
-    "fig3.json": "0be17bca72e3af455a3d56b988094826eb1183eacfb521fc84202a7e6dfcb3a9",
+    # fig3: 165 cells of harmonic_amp, at most 2.3e-11 relative (2e-12 absolute)
+    "fig3.csv": "c1c0b3e79e49dcf57f193d34ab4c909f597bfb50657a86bd69570e1c01851971",
+    "fig3.json": "c825055a78ebee5ee0689a0488f59401c58dbb0e92ca13077984e2c316132f52",
     "fig3_manifest.json": "218179ad3d1291f4434b1fd33ca583b4cea119031e78ec9b1110fcb66573ec78",
     "fig4.csv": "63395f81cca59790e686d9360ae8d242dd1257f496a91ccf0e0f1c774748bffc",
     "fig4.json": "957380d7b7cdfe6478049be3f5eadbfa85e14df9f55e00636e5a8aef2906e474",
     "fig4_manifest.json": "3791c11626773af41abfefd5334f5ec3e5d89c071f1983359dab3e7b9b382456",
-    "fig5.csv": "63a99462e84521dc8b7fac2ee493c1ea1b7baab399828405f90107f781e9d789",
-    "fig5.json": "7f8ab28993f3a1ad6a99d5cf3d234601dce37a97059f494205cbc37bf015c01d",
-    "fig5_manifest.json": "5938d39226283c547281c172fafa49f387db128881df2f251d13649cdb9b72cf",
-    "spectrum.csv": "6bea02d0fe9a0cb82fc7949e4ae36640dec42502c353c0b2a82eac8d67689302",
-    "spectrum.json": "75d51eb9a26999bddfbe0feec7044b01b0a4e43e19fd7b556d16322dc7b44c0d",
-    "spectrum_manifest.json": "10806db27881b10b88407bb23daf6ae037959c2279042119690dde2e9dce0490",
-    "sweep.csv": "cc3e468f08e4dc4f950f8cf121e3a2e6d2226a326ea7a61c48031e2d92f7c5e3",
-    "sweep.json": "658db782cf581fb772cb1768f95cd68bb7d0701c7b7bfbb2d44a9ed78f650500",
+    # fig5: 171 cells, at most 1e-10 absolute on <x> values up to 40, one unit
+    # in the 12th digit; boundary_max by 1.3e-11 relative
+    "fig5.csv": "aa0edfa3a0e34f9c1081623d5804f217dd5b0c073659b4e49261986d99678eea",
+    "fig5.json": "86e9ea5f5b26ea3a84393d6170c6e9fee23437a173301fc220fba676c8446ed4",
+    "fig5_manifest.json": "eb9fda12eb2c62743234d65d7c3f413f5ac2fec7376427c951b46f019abd05b7",
+    # spectrum: 317 cells. With exact parity the 100 odd states' s_n fall from
+    # up to 3.9e-10 to at most 5.3e-16 and all 201 centers from up to 5.1e-8 to
+    # at most 3.6e-14 (the whole-matrix solve left mixed pairs, which
+    # diagnose_states re-projected); 15 even s_n move by at most 4.9e-15 and
+    # one energy by 1.2e-12 relative; residual_norm is the larger block residual
+    "spectrum.csv": "3c52e3102b00f8952088ea2d53590aa9e57f62b200b111cc8c6ac8748dfa7c6e",
+    "spectrum.json": "3429efb0146b26fdaea42178bf4309054bb9e4e0401c7708be6483c28080f4b2",
+    "spectrum_manifest.json": "dbee46703f04650270826dfdb65b7c4a06533592458e2a3dbb09b4baf977007f",
+    "sweep.csv": "5259997a443ebbc46c6066e33f52f8749d34de4f05b8cf270dffb2af53da19a0",
+    "sweep.json": "b567964c283dae3af5b911b1684a651cb9e627e961666601165a514517345ba9",
     "sweep_manifest.json": "32dc1814c50ee19daaedbdd7e692fcf4126b36b419009bbf92bb92a0b32b0968",
 }
 

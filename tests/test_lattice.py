@@ -24,6 +24,8 @@ from latticeccr import (
     make_gaussian,
     GaussianPacket,
 )
+from latticeccr import lattice
+from latticeccr.lattice import HERMITICITY_BLOCK, _hermiticity_defect
 
 
 def test_lattice_spec_validation():
@@ -244,6 +246,36 @@ def test_operator_matrix_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         OperatorMatrix(bad)
+
+
+def test_blocked_hermiticity_check_sees_the_last_partial_block():
+    n = 2 * HERMITICITY_BLOCK + 45  # three column blocks, the last one partial
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    base = base + base.conj().T
+    assert _hermiticity_defect(base) == np.abs(base - base.conj().T).max()
+    for row, col in ((3, n - 2), (n - 2, 3), (n - 1, n - 2)):
+        bad = base.copy()
+        bad[row, col] += 2e-12
+        assert _hermiticity_defect(bad) == np.abs(bad - bad.conj().T).max()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            OperatorMatrix(bad)
+
+
+def test_hamiltonian_checked_once(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return _hermiticity_defect(mat)
+
+    monkeypatch.setattr(lattice, "_hermiticity_defect", counting)
+    spec = LatticeSpec(12, 0.9)
+    ham = build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.2))
+    assert len(calls) == 1
+    want = build_kinetic(spec, Hopping.quadratic()).matrix.copy()
+    want[np.diag_indices_from(want)] += Potential.harmonic(0.2).values(spec)
+    assert np.array_equal(ham.matrix, want)
 
 
 def test_state_vector_invariants():

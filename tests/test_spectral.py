@@ -10,6 +10,8 @@ from latticeccr import (
     OperatorMatrix,
     Potential,
     SpectrumResult,
+    StateVector,
+    alternating_overlap,
     build_hamiltonian,
     build_k_squared,
     degenerate_pairs,
@@ -19,6 +21,7 @@ from latticeccr import (
     threshold_estimate,
     wannier_stark_analysis,
 )
+from latticeccr.spectral import PARITY_TOL, _fix_phases
 
 
 def harmonic_spectrum(half_width, a, c, hop=None):
@@ -62,6 +65,79 @@ def test_free_particle_band_range():
     assert sr.eigenvalues.max() < np.pi**2 / 2 + 1e-12
 
 
+@pytest.fixture(scope="module", params=[288, 800], ids=["N577", "N1601"])
+def parity_solve(request):
+    spec = LatticeSpec(request.param, 1.0)
+    ham = build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.01))
+    return ham, eigensolve(ham)
+
+
+def test_parity_blocks_meet_full_matrix_contract(parity_solve):
+    ham, sr = parity_solve
+    mat, vals, vecs = ham.matrix, sr.eigenvalues, sr.eigenvectors
+    n = ham.dimension
+    bound = 1e-10 * max(1.0, np.abs(mat).max()) * n
+    assert np.abs(mat @ vecs - vecs * vals[None, :]).max() <= bound
+    assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= bound
+
+
+def test_parity_blocks_match_eigvalsh(parity_solve):
+    ham, sr = parity_solve
+    ref = np.linalg.eigvalsh(ham.matrix)
+    assert np.all(np.diff(sr.eigenvalues) >= 0)
+    assert np.abs(sr.eigenvalues - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_parity_blocks_give_exact_parity(parity_solve):
+    _, sr = parity_solve
+    vecs = sr.eigenvectors
+    even = np.all(vecs == vecs[::-1], axis=0)
+    odd = np.all(vecs == -vecs[::-1], axis=0)
+    assert np.all(even | odd)
+    assert even.sum() == (vecs.shape[0] + 1) // 2
+
+
+def test_parity_blocks_tie_puts_even_first():
+    # diag(2, 5, 2): the even block holds 2 and 5, the odd block 2
+    sr = eigensolve(OperatorMatrix(np.diag([2.0, 5.0, 2.0])))
+    assert np.array_equal(sr.eigenvalues, [2.0, 2.0, 5.0])
+    r = 1 / np.sqrt(2.0)
+    assert np.array_equal(sr.eigenvectors, [[r, r, 0.0], [0.0, 0.0, 1.0], [r, -r, 0.0]])
+
+
+def _mirror_symmetric_complex(spec):
+    # harmonic H plus i(E - E^T), where E = e_0 e_1^T + e_-1 e_-2^T equals its reflection
+    ham = build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.05)).matrix
+    skew = np.zeros_like(ham)
+    skew[0, 1] = skew[-1, -2] = 0.1
+    return ham + 1j * (skew - skew.T)
+
+
+_SPEC = LatticeSpec(30, 1.0)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        build_hamiltonian(_SPEC, Hopping.quadratic(), Potential.linear(0.4)).matrix,
+        build_hamiltonian(
+            _SPEC, Hopping.cosine(), Potential.custom(0.01 * np.arange(61.0) ** 2)
+        ).matrix,
+        build_k_squared(_SPEC).matrix[1:, 1:],
+        _mirror_symmetric_complex(_SPEC),
+    ],
+    ids=["linear", "asymmetric-custom", "even-N", "complex"],
+)
+def test_other_matrices_keep_the_whole_solve(mat):
+    # the even-N and complex matrices equal their reflection: only their size
+    # or their complex entries keep them off the parity-block path
+    assert np.array_equal(mat, mat[::-1, ::-1]) == (mat.shape[0] % 2 == 0 or np.iscomplexobj(mat))
+    sr = eigensolve(OperatorMatrix(mat))
+    vals, vecs = np.linalg.eigh(mat)
+    assert np.array_equal(sr.eigenvalues, vals)
+    assert np.array_equal(sr.eigenvectors, _fix_phases(vecs))
+
+
 def test_jacobi_against_lapack():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -98,6 +174,31 @@ def test_diagnose_centers_vanish_for_parity_states():
     spec, sr = harmonic_spectrum(40, 1.0, 0.5)
     for d in diagnose_states(sr, spec)[:20]:
         assert abs(d.center) < 1e-8
+
+
+def test_diagnose_states_column_reductions_match_per_state_forms():
+    spec, sr = harmonic_spectrum(40, 0.8, 0.3)
+    x = spec.positions
+    for d in diagnose_states(sr, spec):
+        v = sr.eigenvectors[:, d.index]
+        assert d.overlap == pytest.approx(abs(alternating_overlap(StateVector(v))), abs=1e-15)
+        assert d.center == pytest.approx(float(np.sum(x * v**2)), abs=1e-13)
+
+
+def test_diagnose_asymmetric_potential_labels_match_the_vectors():
+    # a tilt of 1e-9 per site mixes the near-degenerate high pairs of a coarse
+    # harmonic lattice, so those states have no parity and must say so
+    spec = LatticeSpec(100, 3.0)
+    values = Potential.harmonic(1.0).values(spec) + 1e-9 * spec.sites
+    sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.custom(values)))
+    diags = diagnose_states(sr, spec)
+    vecs = sr.eigenvectors
+    even_err = np.linalg.norm(vecs - vecs[::-1], axis=0)
+    odd_err = np.linalg.norm(vecs + vecs[::-1], axis=0)
+    for d in diags:
+        assert (d.parity == "even") == (even_err[d.index] < PARITY_TOL)
+        assert (d.parity == "odd") == (even_err[d.index] >= PARITY_TOL > odd_err[d.index])
+    assert sum(d.parity == "none" for d in diags) > 0
 
 
 def test_threshold_estimate_values():
