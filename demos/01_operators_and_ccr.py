@@ -19,7 +19,6 @@ from latticeccr import (
     build_position,
     build_translation,
     ccr_defect,
-    commutator,
     discrete_derivative,
     dispersion,
     make_gaussian,
@@ -39,9 +38,9 @@ print(f"k^2 diagonal = {k2[mid, mid]:.7f} (pi^2/3 = {np.pi**2 / 3:.7f})")
 
 print()
 print("== translation covariance, exact on the window ==")
-x = build_position(spec)
+x = build_position(spec).matrix
 t3 = build_translation(spec, 3)
-dev = np.abs(commutator(x, t3) - 3.0 * t3).max()
+dev = np.abs(x @ t3 - t3 @ x - 3.0 * t3).max()
 print(f"max |[x, T_3] - 3 T_3| = {dev:.1e}")
 
 print()

@@ -21,10 +21,7 @@ from .lattice import (
     build_quasi_momentum,
     build_k_squared,
     build_translation,
-    build_bloch_state,
-    build_kinetic,
     build_hamiltonian,
-    commutator,
     expectation,
 )
 from .series import euler_accelerate, discrete_derivative, dispersion
@@ -55,7 +52,6 @@ from .experiments import (
     ExperimentConfig,
     RunManifest,
     parse_config,
-    serialize_config,
     run_experiment,
     emit_dataset,
 )
@@ -74,10 +70,7 @@ __all__ = [
     "build_quasi_momentum",
     "build_k_squared",
     "build_translation",
-    "build_bloch_state",
-    "build_kinetic",
     "build_hamiltonian",
-    "commutator",
     "expectation",
     "euler_accelerate",
     "discrete_derivative",
@@ -106,7 +99,6 @@ __all__ = [
     "ExperimentConfig",
     "RunManifest",
     "parse_config",
-    "serialize_config",
     "run_experiment",
     "emit_dataset",
 ]

@@ -272,10 +272,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, params=params)
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps({"experiment": cfg.experiment, **cfg.params}, indent=2, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # dataset emission
 

@@ -39,6 +39,11 @@ class LatticeSpec:
             raise ValueError(f"half_width must be >= 1, got {self.half_width}")
         if not (self.spacing > 0):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
+        square = float(self.spacing) * float(self.spacing)  # a float's ** 2 raises on overflow
+        if not (0 < square < np.inf and 0 < 1 / square < np.inf):
+            raise ValueError(
+                f"spacing {self.spacing} is out of range: a^2 and 1/a^2 must be finite and nonzero"
+            )
 
     @property
     def n_sites(self) -> int:
@@ -90,7 +95,9 @@ class OperatorMatrix:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
         defect = _hermiticity_defect(mat)
-        if defect > HERMITICITY_TOL:
+        if np.isnan(defect):  # only a non-finite entry makes A - A^dagger NaN
+            raise ValueError("operator matrix has non-finite entries")
+        if not defect <= HERMITICITY_TOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |A - A^dagger| = {defect:.3e} "
                 f"exceeds {HERMITICITY_TOL:.1e}"
@@ -184,7 +191,7 @@ class Hopping:
         full = 2 * spec.half_width
         if self.kind == "quadratic":
             n = np.arange(1, (full if n_max is None else n_max) + 1)
-            return -np.pi**2 / (6 * a**2), (-1.0) ** (n + 1) / (a * n) ** 2
+            return -(np.pi**2 / 6) / a**2, (-1.0) ** (n + 1) / n.astype(float) ** 2 / a**2
         if self.kind == "cosine":
             return -1.0 / a**2, np.array([1.0 / (2 * a**2)])
         t = np.asarray(self.amplitudes, dtype=float)
@@ -295,20 +302,24 @@ def build_quasi_momentum(spec: LatticeSpec) -> OperatorMatrix:
     return OperatorMatrix(_toeplitz(_phase_kernel(spec) / spec.spacing))
 
 
-def _k_squared_kernel(spec: LatticeSpec) -> np.ndarray:
-    """<m|k^2|n> over the site differences d = m - n: pi^2/(3 a^2) at d = 0,
-    2 (-1)^d/(a d)^2 elsewhere."""
-    d = _site_differences(spec)
-    safe = np.where(d == 0, 1, d)
-    k2 = 2.0 * (-1.0) ** np.abs(d) / safe.astype(float) ** 2
-    k2[d == 0] = np.pi**2 / 3
-    return k2 / spec.spacing**2
+def _kinetic_matrix(spec: LatticeSpec, hop: Hopping) -> np.ndarray:
+    """Kinetic matrix -t0 * I - sum_n t_n (T_n + T_n^dagger), unchecked: one Toeplitz
+    kernel over the site differences d = m - n, -t0 at d = 0, -t_|d| up to the
+    hopping range and 0 beyond it."""
+    t0, amps = hop.terms(spec)
+    half = np.zeros(2 * spec.half_width + 1)
+    half[0] = -t0
+    half[1 : len(amps) + 1] = -amps
+    return _toeplitz(np.concatenate([half[:0:-1], half]))
 
 
 def build_k_squared(spec: LatticeSpec) -> OperatorMatrix:
     """Squared quasi-momentum: a^2 <m|k^2|n> = pi^2/3 on the diagonal and
-    2 (-1)^(m-n)/(m-n)^2 off it. Real symmetric."""
-    return OperatorMatrix(_toeplitz(_k_squared_kernel(spec)))
+    2 (-1)^(m-n)/(m-n)^2 off it, exactly twice the quadratic kinetic matrix.
+    Real symmetric."""
+    k2 = _kinetic_matrix(spec, Hopping.quadratic())
+    k2 *= 2
+    return OperatorMatrix(k2)
 
 
 def build_translation(spec: LatticeSpec, shift: int) -> np.ndarray:
@@ -324,56 +335,11 @@ def build_translation(spec: LatticeSpec, shift: int) -> np.ndarray:
     return np.eye(n, k=-shift)
 
 
-def build_bloch_state(spec: LatticeSpec, k: float) -> StateVector:
-    """Improper Bloch state, amplitudes sqrt(a/2pi) exp(i a k m) on the window.
-
-    Not normalized to one: its norm grows with the window size, mirroring the
-    delta-function normalization on the infinite lattice.
-    """
-    edge = spec.brillouin_edge
-    if not (-edge < k <= edge):
-        raise ValueError(f"k = {k} outside the first Brillouin zone (-pi/a, pi/a]")
-    amp = np.sqrt(spec.spacing / (2 * np.pi)) * np.exp(1j * spec.spacing * k * spec.sites)
-    return StateVector(amp, normalized=False)
-
-
-def build_kinetic(spec: LatticeSpec, hop: Hopping) -> OperatorMatrix:
-    """Kinetic operator for the chosen hopping.
-
-    quadratic -> build_k_squared(spec)/2 exactly; cosine -> the
-    nearest-neighbour form (I - (T_1 + T_-1)/2)/a^2; custom -> assembled
-    band matrix -t0*I - sum t_n (T_n + T_n^dagger).
-    """
-    return OperatorMatrix(_kinetic_matrix(spec, hop))
-
-
-def _kinetic_matrix(spec: LatticeSpec, hop: Hopping) -> np.ndarray:
-    """The kinetic matrix of build_kinetic, unchecked."""
-    if hop.kind == "quadratic":
-        return _toeplitz(_k_squared_kernel(spec) / 2)
-    t0, amps = hop.terms(spec)
-    n = spec.n_sites
-    mat = -t0 * np.eye(n)
-    for r, t in enumerate(amps, start=1):
-        if t != 0.0:
-            mat -= t * (np.eye(n, k=-r) + np.eye(n, k=r))
-    return mat
-
-
 def build_hamiltonian(spec: LatticeSpec, hop: Hopping, pot: Potential) -> OperatorMatrix:
     """Hamiltonian: kinetic term plus diagonal potential, checked once."""
     h = _kinetic_matrix(spec, hop)
     h[np.diag_indices_from(h)] += pot.values(spec)
     return OperatorMatrix(h)
-
-
-def commutator(a, b) -> np.ndarray:
-    """Matrix commutator AB - BA; accepts OperatorMatrix or ndarray."""
-    am = a.matrix if isinstance(a, OperatorMatrix) else np.asarray(a)
-    bm = b.matrix if isinstance(b, OperatorMatrix) else np.asarray(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return am @ bm - bm @ am
 
 
 def expectation(psi: StateVector, op) -> complex:

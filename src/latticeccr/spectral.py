@@ -17,7 +17,6 @@ from .lattice import (
     LatticeSpec,
     OperatorMatrix,
     Potential,
-    StateVector,
     build_hamiltonian,
 )
 
@@ -35,9 +34,6 @@ class SpectrumResult:
     @property
     def dimension(self) -> int:
         return len(self.eigenvalues)
-
-    def state(self, index: int) -> StateVector:
-        return StateVector(self.eigenvectors[:, index], normalized=True)
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,9 @@ def _check_contract(mat, vals, vecs, bound: float) -> float:
     it and the orthonormality defect max |V^dagger V - I| against bound."""
     residual = float(np.abs(mat @ vecs - vecs * vals[None, :]).max())
     orth = float(np.abs(vecs.conj().T @ vecs - np.eye(len(vals))).max())
-    if residual > bound:
+    if not residual <= bound:
         raise ToleranceError(f"eigensolve residual {residual:.3e} exceeds {bound:.3e}")
-    if orth > bound:
+    if not orth <= bound:
         raise ToleranceError(f"eigenvector orthonormality defect {orth:.3e} exceeds {bound:.3e}")
     return residual
 

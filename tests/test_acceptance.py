@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from jacobi import jacobi_eigh
+from reference import commutator
 from latticeccr import (
     GaussianPacket,
     Hopping,
@@ -25,7 +26,6 @@ from latticeccr import (
     build_quasi_momentum,
     build_translation,
     ccr_defect,
-    commutator,
     degenerate_pairs,
     diagnose_states,
     discrete_derivative,

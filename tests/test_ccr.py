@@ -12,9 +12,9 @@ from latticeccr import (
     build_position,
     build_quasi_momentum,
     ccr_defect,
-    commutator,
     make_gaussian,
 )
+from reference import commutator
 
 
 def delta_state(spec, site):

@@ -12,6 +12,7 @@ from latticeccr import (
     LeakageError,
     Potential,
     SpectrumResult,
+    StateVector,
     ToleranceError,
     alternating_overlap,
     build_hamiltonian,
@@ -92,7 +93,7 @@ def test_propagate_identity_at_zero(linear_system):
 
 def test_propagate_eigenstate_is_stationary(linear_system):
     spec, hop, pot, sr = linear_system
-    out = propagate(sr.state(40), sr, 3.7)
+    out = propagate(StateVector(sr.eigenvectors[:, 40], normalized=True), sr, 3.7)
     phase = np.exp(-1j * sr.eigenvalues[40] * 3.7)
     assert np.abs(out.amplitudes - phase * sr.eigenvectors[:, 40]).max() < 1e-12
 

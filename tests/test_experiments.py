@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from latticeccr import ConfigError, emit_dataset, parse_config, run_experiment, serialize_config
+from latticeccr import ConfigError, emit_dataset, parse_config, run_experiment
 from latticeccr.cli import main
 
 
@@ -64,7 +64,7 @@ def test_config_round_trip():
         '{"experiment": "ccr-check", "packet": {"n0": 3}}',
     ):
         cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(json.dumps({"experiment": cfg.experiment, **cfg.params})) == cfg
 
 
 def test_emit_dataset_header_only(tmp_path):
@@ -210,6 +210,26 @@ def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, caps
     assert repr(key) in capsys.readouterr().err
     manifest = json.loads((tmp_path / f"{experiment}_manifest.json").read_text())
     assert manifest["error"]["exit_code"] == 2
+
+
+@pytest.mark.parametrize(
+    "experiment, assignments",
+    [
+        ("spectrum", ["hopping.kind=cosine", "lattice.a=1e-200", "lattice.M=3"]),
+        ("dynamics", ["hopping.kind=cosine", "lattice.a=1e-170", "lattice.M=24"]),
+        ("spectrum", ["lattice.a=1e200", "lattice.M=3"]),
+        ("spectrum", ["lattice.a=1e-200", "lattice.M=3"]),
+    ],
+    ids=["cosine-tiny", "cosine-dynamics", "quadratic-huge", "quadratic-tiny"],
+)
+def test_cli_extreme_spacing_exit_code(experiment, assignments, tmp_path, capsys):
+    # a^2 or 1/a^2 under- or overflows: a clean exit 2, not an arithmetic traceback
+    overrides = [arg for assignment in assignments for arg in ("--set", assignment)]
+    assert main([experiment, "--out", str(tmp_path), *overrides]) == 2
+    assert "spacing" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / f"{experiment}_manifest.json").read_text())
+    assert manifest["error"]["exit_code"] == 2
+    assert "spacing" in manifest["error"]["reason"]
 
 
 def test_cli_unknown_key_exit_code(tmp_path, capsys):

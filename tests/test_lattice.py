@@ -9,15 +9,12 @@ from latticeccr import (
     OperatorMatrix,
     Potential,
     StateVector,
-    build_bloch_state,
     build_hamiltonian,
     build_k_squared,
-    build_kinetic,
     build_phase_operator,
     build_position,
     build_quasi_momentum,
     build_translation,
-    commutator,
     expectation,
     alternating_overlap,
     eigensolve,
@@ -25,7 +22,8 @@ from latticeccr import (
     GaussianPacket,
 )
 from latticeccr import lattice
-from latticeccr.lattice import HERMITICITY_BLOCK, _hermiticity_defect
+from latticeccr.lattice import HERMITICITY_BLOCK, _hermiticity_defect, _kinetic_matrix
+from reference import commutator
 
 
 def test_lattice_spec_validation():
@@ -33,6 +31,11 @@ def test_lattice_spec_validation():
         LatticeSpec(0, 1.0)
     with pytest.raises(ValueError):
         LatticeSpec(4, -0.5)
+    for a in (1e-200, 1e-160, 1e200, np.inf):  # a^2 or 1/a^2 under- or overflows
+        with pytest.raises(ValueError, match="spacing"):
+            LatticeSpec(3, a)
+    LatticeSpec(3, 1e-150)
+    LatticeSpec(3, 1e150)
     spec = LatticeSpec(3, 0.5)
     assert spec.n_sites == 7
     assert spec.sites[0] == -3 and spec.sites[-1] == 3
@@ -107,44 +110,70 @@ def test_translation_basics():
         build_translation(spec, 7)
 
 
-def test_bloch_state_values():
-    spec = LatticeSpec(4, 1.0)
-    flat = build_bloch_state(spec, 0.0).amplitudes
-    assert np.allclose(flat, np.sqrt(1 / (2 * np.pi)))
-    edge = build_bloch_state(spec, np.pi).amplitudes
-    assert np.allclose(edge, np.sqrt(1 / (2 * np.pi)) * (-1.0) ** np.abs(spec.sites))
-
-
 def test_bloch_state_zone_edge_projection_is_alternating_overlap():
     spec = LatticeSpec(12, 0.5)
-    edge = build_bloch_state(spec, spec.brillouin_edge)
+    k = spec.brillouin_edge  # Bloch amplitudes sqrt(a/2pi) exp(i a k m) at the zone edge
+    edge = np.sqrt(spec.spacing / (2 * np.pi)) * np.exp(1j * spec.spacing * k * spec.sites)
     rng = np.random.default_rng(3)
     psi = StateVector(rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites))
-    lhs = np.vdot(edge.amplitudes, psi.amplitudes)
+    lhs = np.vdot(edge, psi.amplitudes)
     rhs = np.sqrt(spec.spacing / (2 * np.pi)) * alternating_overlap(psi)
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_bloch_state_range():
-    spec = LatticeSpec(4, 1.0)
-    build_bloch_state(spec, np.pi)  # inclusive upper edge
-    with pytest.raises(ValueError):
-        build_bloch_state(spec, -np.pi)
-    with pytest.raises(ValueError):
-        build_bloch_state(spec, 1.5 * np.pi)
-
-
 def test_kinetic_quadratic_is_half_k_squared():
     spec = LatticeSpec(7, 0.8)
-    assert np.array_equal(
-        build_kinetic(spec, Hopping.quadratic()).matrix, build_k_squared(spec).matrix / 2
-    )
-    assert np.isclose(build_kinetic(LatticeSpec(7, 1.0), Hopping.quadratic()).matrix[3, 3], np.pi**2 / 6)
+    kin = _kinetic_matrix(spec, Hopping.quadratic())
+    assert np.array_equal(kin, build_k_squared(spec).matrix / 2)
+    assert np.array_equal(build_k_squared(spec).matrix, 2 * kin)
+    assert np.isclose(_kinetic_matrix(LatticeSpec(7, 1.0), Hopping.quadratic())[3, 3], np.pi**2 / 6)
+
+
+def _same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _banded_reference(spec, t0, amps):
+    # -t0 I - sum_n t_n (T_n + T_n^dagger), assembled band by band
+    n = spec.n_sites
+    mat = -t0 * np.eye(n)
+    for r, t in enumerate(amps, start=1):
+        mat -= t * (np.eye(n, k=-r) + np.eye(n, k=r))
+    return mat
+
+
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.custom(0.3, [0.5, -0.2, 0.0, 0.05])])
+@pytest.mark.parametrize("a", [1.0, 0.7, 2.5])
+def test_kinetic_matches_banded_reference(hop, a):
+    spec = LatticeSpec(9, a)
+    want = _banded_reference(spec, *hop.terms(spec))
+    got = _kinetic_matrix(spec, hop)
+    assert np.array_equal(got, want)  # for t0 > 0 the reference's -t0 * I is -0.0 off the band
+    if hop.kind == "cosine":
+        assert _same_bits(got, want)
+
+
+def test_kinetic_quadratic_matches_entry_formula_bit_for_bit():
+    a = 0.7
+    spec = LatticeSpec(6, a)
+    d = spec.sites[:, None] - spec.sites[None, :]
+    want = np.empty(d.shape)
+    for (i, j), dij in np.ndenumerate(d):
+        want[i, j] = (np.pi**2 / 6) / a**2 if dij == 0 else (-1.0) ** dij / float(dij) ** 2 / a**2
+    assert _same_bits(_kinetic_matrix(spec, Hopping.quadratic()), want)
+
+
+def test_kinetic_full_range_custom_hopping():
+    spec = LatticeSpec(100, 1.0)
+    amps = np.linspace(0.5, 0.01, 2 * spec.half_width)  # R = 2M: every band of the window
+    ham = build_hamiltonian(spec, Hopping.custom(-1.0, amps), Potential.constant())
+    assert np.array_equal(ham.matrix, _banded_reference(spec, -1.0, amps))
+    assert ham.matrix[-1, 0] == -amps[-1]
 
 
 def test_kinetic_cosine_structure():
     spec = LatticeSpec(4, 1.0)
-    kin = build_kinetic(spec, Hopping.cosine()).matrix
+    kin = _kinetic_matrix(spec, Hopping.cosine())
     assert np.allclose(np.diag(kin), 1.0)
     assert np.allclose(np.diag(kin, 1), -0.5)
     assert np.abs(np.triu(kin, 2)).max() == 0.0
@@ -156,8 +185,8 @@ def test_kinetic_quadratic_equals_equivalent_custom():
     n = np.arange(1, 13)
     custom = Hopping.custom(-np.pi**2 / (6 * a**2), (-1.0) ** (n + 1) / (a * n) ** 2)
     assert np.allclose(
-        build_kinetic(spec, custom).matrix,
-        build_kinetic(spec, Hopping.quadratic()).matrix,
+        _kinetic_matrix(spec, custom),
+        _kinetic_matrix(spec, Hopping.quadratic()),
         atol=1e-15,
     )
 
@@ -165,7 +194,7 @@ def test_kinetic_quadratic_equals_equivalent_custom():
 def test_custom_hopping_range_check():
     spec = LatticeSpec(3, 1.0)
     with pytest.raises(ValueError):
-        build_kinetic(spec, Hopping.custom(0.0, np.ones(7)))
+        build_hamiltonian(spec, Hopping.custom(0.0, np.ones(7)), Potential.constant())
 
 
 def test_hamiltonian_harmonic_diagonal():
@@ -196,23 +225,12 @@ def test_builders_are_hermitian():
         build_phase_operator(spec),
         build_quasi_momentum(spec),
         build_k_squared(spec),
-        build_kinetic(spec, Hopping.quadratic()),
-        build_kinetic(spec, Hopping.cosine()),
+        build_hamiltonian(spec, Hopping.quadratic(), Potential.constant()),
+        build_hamiltonian(spec, Hopping.cosine(), Potential.constant()),
         build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.3)),
     ):
         mat = op.matrix
         assert np.abs(mat - mat.conj().T).max() <= 1e-12
-
-
-def test_commutator_self_is_zero():
-    spec = LatticeSpec(5, 1.0)
-    k2 = build_k_squared(spec)
-    assert np.abs(commutator(k2, k2)).max() == 0.0
-
-
-def test_commutator_dimension_mismatch():
-    with pytest.raises(ValueError):
-        commutator(np.eye(3), np.eye(4))
 
 
 def test_position_translation_commutator_exact():
@@ -248,6 +266,14 @@ def test_operator_matrix_rejects_non_hermitian():
         OperatorMatrix(bad)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_operator_matrix_rejects_non_finite(entry):
+    # NaN compares false against any tolerance: the check must not read it as a pass
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(np.array([[1.0, entry], [entry, 1.0]]))
+
+
 def test_blocked_hermiticity_check_sees_the_last_partial_block():
     n = 2 * HERMITICITY_BLOCK + 45  # three column blocks, the last one partial
     rng = np.random.default_rng(3)
@@ -273,7 +299,7 @@ def test_hamiltonian_checked_once(monkeypatch):
     spec = LatticeSpec(12, 0.9)
     ham = build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.2))
     assert len(calls) == 1
-    want = build_kinetic(spec, Hopping.quadratic()).matrix.copy()
+    want = _kinetic_matrix(spec, Hopping.quadratic())
     want[np.diag_indices_from(want)] += Potential.harmonic(0.2).values(spec)
     assert np.array_equal(ham.matrix, want)
 

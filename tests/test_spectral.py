@@ -11,6 +11,7 @@ from latticeccr import (
     Potential,
     SpectrumResult,
     StateVector,
+    ToleranceError,
     alternating_overlap,
     build_hamiltonian,
     build_k_squared,
@@ -21,7 +22,7 @@ from latticeccr import (
     threshold_estimate,
     wannier_stark_analysis,
 )
-from latticeccr.spectral import PARITY_TOL, _fix_phases
+from latticeccr.spectral import PARITY_TOL, _check_contract, _fix_phases
 
 
 def harmonic_spectrum(half_width, a, c, hop=None):
@@ -54,6 +55,12 @@ def test_eigensolve_orthonormality_and_residual():
     n = spec.n_sites
     assert np.abs(sr.eigenvectors.T @ sr.eigenvectors - np.eye(n)).max() < 1e-12 * n
     assert sr.residual_norm < 1e-12 * n
+
+
+def test_contract_rejects_nan_residual():
+    # NaN compares false against any bound: it must fail the contract, not pass it
+    with pytest.raises(ToleranceError, match="residual nan"):
+        _check_contract(np.diag([1.0, 2.0]), np.array([1.0, np.nan]), np.eye(2), 1e-10)
 
 
 def test_free_particle_band_range():
