@@ -34,7 +34,7 @@ def _apply_override(raw: dict, assignment: str) -> None:
     keys = dotted.split(".")
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer literal past Python's digit limit
         value = text
     node = raw
     for key in keys[:-1]:

@@ -207,18 +207,102 @@ def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
     return out
 
 
-def _time_defaults(time: dict, a: float, kind: str, force: float, curvature: float) -> None:
+_MAX_FLOATS = np.iinfo(np.intp).max // 8  # the most float64 values one numpy array can hold
+
+
+def _time_points(time: dict) -> float:
+    """Length of the time grid k * dt, k = 0, 1, ..., up to t_max (and 1e-12
+    past it, against rounding): the length of np.arange(0, t_max + 1e-12, dt),
+    as a float that is inf when it overflows."""
+    return np.ceil((time["t_max"] + 1e-12) / time["dt"])
+
+
+def _resolve_time(experiment: str, params: dict) -> None:
     """Fill unset time keys: two periods of the motion, in about 126 (Bloch)
     or 63 (harmonic) steps per period; 10 time units in steps of 0.1 when
-    the potential sets no period."""
+    the potential sets no period. A force whose Bloch period 2 pi / (a |F|) is
+    not finite, or a grid longer than one array can hold, is a ConfigError
+    naming the keys that set it: the given time keys and the force or
+    curvature key behind a default."""
+    time, a = params["time"], params["lattice"]["a"]
+    given = [f"time.{name}" for name in ("t_max", "dt") if time[name] is not None]
+    if experiment == "fig4":
+        kind, force, curvature, key = "linear", params["F"], 0.0, "F"
+    elif experiment == "fig5":  # the one exception: 25/sqrt(c), about four periods
+        kind, force, curvature, key = "harmonic", 0.0, params["c"], "c"
+        time["t_max"] = time["t_max"] or 25.0 / np.sqrt(curvature)
+    else:
+        pot = params["potential"]
+        kind, force, curvature = pot["kind"], pot["F"], pot["c"]
+        key = "potential.F" if kind == "linear" else "potential.c"
     if kind == "linear" and force != 0:
-        dt, period = 0.05 / (a * abs(force)), 2 * np.pi / (a * abs(force))
+        rate = a * abs(force)
+        period = 2 * np.pi / rate if rate > 0 else np.inf
+        if not np.isfinite(2 * period):  # the period also enters the derived values
+            raise ConfigError(
+                f"config key {key!r}: F = {force!r} at 'lattice.a' = {a!r} gives a Bloch period "
+                f"2 pi / (a |F|) of {period:.3g}, beyond the float range"
+            )
+        dt = 0.05 / rate
     elif kind == "harmonic" and curvature > 0:
         dt, period = 0.1 / np.sqrt(curvature), 2 * np.pi / np.sqrt(curvature)
     else:
-        dt, period = 0.1, 5.0
+        dt, period, key = 0.1, 5.0, None
     time["dt"] = time["dt"] or dt
     time["t_max"] = time["t_max"] or 2 * period
+    points = _time_points(time)
+    if not points <= _MAX_FLOATS:
+        keys = given if len(given) == 2 or key is None else [*given, key]
+        raise ConfigError(
+            f"config key{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}: "
+            f"a time grid of {points:.3g} points is longer than any array"
+        )
+
+
+_POTENTIAL_KEYS = {"linear": "F", "harmonic": "c"}
+
+
+def _check_window(params: dict) -> None:
+    """Range checks before anything is built, each naming its config key: the
+    dense N x N complex operator must fit one numpy array, every spacing must
+    pass LatticeSpec, and every linear or harmonic potential must stay finite
+    at the window edge x = a M, where it peaks (|F| x or c x^2 / 2, in the
+    arithmetic of Potential.values)."""
+    half_width = params["lattice"]["M"]
+    if 2 * (2 * half_width + 1) ** 2 > _MAX_FLOATS:
+        raise ConfigError(
+            f"config key 'lattice.M': a window of {2 * half_width + 1} sites needs an "
+            "N x N matrix larger than any array"
+        )
+    if "grid" in params:  # sweep and fig1: the spacing a = x / c^(1/4) runs over the grid
+        c, grid = params["c"], params["grid"]
+        spacings = {f"grid.{end}": grid[end] / c**0.25 for end in ("x_min", "x_max")}
+        potentials = [("grid.x_max", spacings["grid.x_max"], "harmonic", c)]
+    else:
+        a = params["lattice"]["a"]
+        spacings = {"lattice.a": a}
+        potentials = [  # fig3, fig4, fig5
+            (key, a, kind, params[key]) for kind, key in _POTENTIAL_KEYS.items() if key in params
+        ]
+        potentials += [("c_values", a, "harmonic", c) for c in params.get("c_values", [])]  # fig2
+        pot = params.get("potential", {})
+        if pot.get("kind") in _POTENTIAL_KEYS:  # spectrum, dynamics
+            name = _POTENTIAL_KEYS[pot["kind"]]
+            potentials.append((f"potential.{name}", a, pot["kind"], pot[name]))
+    for key, a in spacings.items():
+        try:
+            LatticeSpec(half_width, a)
+        except ValueError as err:
+            raise ConfigError(f"config key {key!r}: {err}") from err
+    for key, a, kind, strength in potentials:
+        with np.errstate(over="ignore"):
+            edge = np.float64(a) * half_width
+            peak = abs(strength * edge) if kind == "linear" else strength * edge**2 / 2
+        if not np.isfinite(peak):
+            raise ConfigError(
+                f"config key {key!r}: the {kind} potential of strength {strength!r} overflows "
+                f"at the window edge a M = {edge:.3g}"
+            )
 
 
 def _resolve(experiment: str, params: dict) -> None:
@@ -235,14 +319,9 @@ def _resolve(experiment: str, params: dict) -> None:
         raise ConfigError(
             f"config key 'oracle_b' must be one of 'b' {params['b']}, got {params['oracle_b']!r}"
         )
-    a = params["lattice"]["a"]
-    if experiment == "fig4":
-        _time_defaults(params["time"], a, "linear", params["F"], 0.0)
-    elif experiment == "fig5":  # the one exception: 25/sqrt(c), about four periods
-        params["time"]["t_max"] = params["time"]["t_max"] or 25.0 / np.sqrt(params["c"])
-        _time_defaults(params["time"], a, "harmonic", 0.0, params["c"])
-    elif experiment == "dynamics":
-        _time_defaults(params["time"], a, pot["kind"], pot["F"], pot["c"])
+    _check_window(params)
+    if "time" in params:
+        _resolve_time(experiment, params)
     if params["output"]["path"] is None:
         params["output"]["path"] = f"{experiment}.csv"
 
@@ -259,6 +338,8 @@ def parse_config(text: str) -> ExperimentConfig:
     except json.JSONDecodeError as err:
         where = f"line {err.lineno}, column {err.colno}"
         raise ConfigError(f"config syntax error at {where}: {err.msg}") from err
+    except ValueError as err:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config value error: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "experiment" not in raw:
@@ -356,7 +437,7 @@ def _solve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential):
 
 def _evolve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential, packets):
     """The configured time grid and one TimeSeries per packet, from one eigensolve."""
-    tgrid = np.arange(0.0, params["time"]["t_max"] + 1e-12, params["time"]["dt"])
+    tgrid = np.arange(int(_time_points(params["time"]))) * params["time"]["dt"]
     sr = _solve(params, spec, hop, pot)
     tol = params["tolerances"]
     runs = [

@@ -2,11 +2,14 @@
 
 eigensolve wraps LAPACK's Hermitian decomposition behind a contract
 (residual and orthonormality tolerances, deterministic eigenvector phases),
-solving reflection-symmetric Hamiltonians as two parity blocks.
+solving reflection-symmetric Hamiltonians as two parity blocks; eigenvalues
+solves the same blocks for their eigenvalues alone, held to the trace and
+Frobenius identities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,24 +97,40 @@ def _check_contract(mat, vals, vecs, bound: float) -> float:
     return residual
 
 
-def _parity_blocks(mat: np.ndarray, bound: float):
-    """Eigenvalues, eigenvectors and residual of a reflection-symmetric real
-    matrix of odd size N, from its even and odd blocks, with the contract
-    checked per block.
+def _has_parity(ham: OperatorMatrix) -> bool:
+    """True for a real matrix of odd size N > 1 that equals its site reflection
+    exactly (harmonic, constant and mirror-symmetric custom potentials)."""
+    n = ham.dimension
+    if not (ham.is_real and n % 2 == 1 and n > 1):
+        return False
+    mat = ham.matrix.real
+    return np.array_equal(mat, mat[::-1, ::-1])
+
+
+def _parity_blocks(mat: np.ndarray):
+    """Even and odd blocks of a reflection-symmetric real matrix of odd size N.
 
     With c = N // 2, A = mat[c:, c:] and B = mat[c:, c::-1], the even block in
     the basis e_c, (e_{c+j} + e_{c-j})/sqrt(2) is A + B with its first row and
     column scaled by 1/sqrt(2) (so its corner is H_cc); the odd block in the basis
     (e_{c+j} - e_{c-j})/sqrt(2) is (A - B)[1:, 1:].
     """
-    n = mat.shape[0]
-    c = n // 2
+    c = mat.shape[0] // 2
     a, b = mat[c:, c:], mat[c:, c::-1]
     even = a + b
     even[0, 1:] /= np.sqrt(2.0)
     even[1:, 0] /= np.sqrt(2.0)
     even[0, 0] = a[0, 0]  # 2 H_cc / sqrt(2)^2, without the rounding
-    odd = (a - b)[1:, 1:]
+    return even, (a - b)[1:, 1:]
+
+
+def _parity_eigh(mat: np.ndarray, bound: float):
+    """Eigenvalues, eigenvectors and residual of a reflection-symmetric real
+    matrix of odd size N, from its parity blocks, with the contract checked
+    per block; on an exact tie the even state comes first."""
+    n = mat.shape[0]
+    c = n // 2
+    even, odd = _parity_blocks(mat)
     vals_e, vecs_e = np.linalg.eigh(even)
     vals_o, vecs_o = np.linalg.eigh(odd)
     residual = max(
@@ -131,6 +150,10 @@ def _parity_blocks(mat: np.ndarray, bound: float):
     return vals[order], vecs, residual
 
 
+def _contract_bound(ham: OperatorMatrix, tol: float) -> float:
+    return tol * (max(1.0, float(np.abs(ham.matrix).max())) * ham.dimension)
+
+
 def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     """Full Hermitian eigendecomposition meeting the package contract.
 
@@ -146,18 +169,58 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     and an odd eigenvalue are exactly equal the even state comes first.
     Every other matrix is decomposed whole.
     """
-    n = ham.dimension
-    bound = tol * (max(1.0, float(np.abs(ham.matrix).max())) * n)
-    real = ham.is_real
-    mat = ham.matrix.real if real else ham.matrix
-    if real and n % 2 == 1 and n > 1 and np.array_equal(mat, mat[::-1, ::-1]):
-        vals, vecs, residual = _parity_blocks(mat, bound)
+    bound = _contract_bound(ham, tol)
+    if _has_parity(ham):
+        vals, vecs, residual = _parity_eigh(ham.matrix.real, bound)
         vecs = _fix_phases(vecs)  # after the return, once the blocks are freed
     else:
+        mat = ham.matrix.real if ham.is_real else ham.matrix
         vals, vecs = np.linalg.eigh(mat)
         vecs = _fix_phases(vecs)
         residual = _check_contract(ham.matrix, vals, vecs, bound)
     return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residual_norm=residual)
+
+
+def eigenvalues(ham: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues alone, as eigensolve(ham, tol).eigenvalues would
+    give them up to rounding, without computing a single eigenvector.
+
+    A matrix that eigensolve splits into parity blocks is split the same way,
+    and the two eigenvalue lists merge with the even value first on an exact
+    tie; every other matrix is solved whole. With no vectors there is no residual,
+    so the contract is the two exact identities sum(E) = tr H and
+    sum(E^2) = ||H||_F^2: raises ToleranceError, naming the identity, if
+    |sum(E) - tr H| exceeds bound = tol * max(1, |H|_max) * N or
+    |sum(E^2) - ||H||_F^2| exceeds bound * max(1, max |E|).
+    """
+    if _has_parity(ham):
+        blocks = _parity_blocks(ham.matrix.real)
+        vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), kind="stable")
+    else:
+        vals = np.linalg.eigvalsh(ham.matrix.real if ham.is_real else ham.matrix)
+    _check_sums(ham.matrix, vals, _contract_bound(ham, tol))
+    return vals
+
+
+def _check_sums(mat: np.ndarray, vals: np.ndarray, bound: float) -> None:
+    """Check the trace and Frobenius identities of an eigenvalue list against
+    bound (see eigenvalues). Both sides and the bounds are compared scaled by
+    the power of two s <= 1 / max(1, |H|_max), which changes no digit but keeps
+    the squares of entries near the float range finite."""
+    s = math.ldexp(1.0, -math.frexp(max(1.0, float(np.abs(mat).max())))[1])
+    scaled, svals = mat * s, vals * s
+    trace = abs(float(np.sum(svals)) - float(np.trace(scaled).real))
+    if not trace <= bound * s:
+        raise ToleranceError(
+            f"eigenvalue trace identity: |sum(E) - tr H| = {trace / s:.3e} exceeds {bound:.3e}"
+        )
+    frobenius = abs(float(svals @ svals) - float(np.vdot(scaled, scaled).real))
+    top = max(1.0, float(np.abs(vals).max()))
+    if not frobenius <= (bound * s) * (top * s):
+        raise ToleranceError(
+            f"eigenvalue Frobenius identity: |sum(E^2) - ||H||_F^2| = {frobenius / s / s:.3e} "
+            f"exceeds {bound * top:.3e}"
+        )
 
 
 def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDiagnostics]:
@@ -212,7 +275,8 @@ def harmonic_sweep(
 ) -> SweepResult:
     """Lowest normalized eigenvalues E_n/sqrt(c) across lattice spacings.
 
-    Each spacing is an independent dense solve of the harmonic Hamiltonian;
+    Each spacing is an independent eigenvalues-only solve of the harmonic
+    Hamiltonian, held to the trace and Frobenius identities (see eigenvalues);
     the reference column is the dashed boundary 3/(a c^(1/4))^2 below which
     the continuum ladder n + 1/2 is expected to survive.
     """
@@ -223,7 +287,7 @@ def harmonic_sweep(
     for a in a_values:
         spec = LatticeSpec(half_width, float(a))
         ham = build_hamiltonian(spec, hop, Potential.harmonic(curvature))
-        vals = eigensolve(ham, tol=tol).eigenvalues[:states_per_point]
+        vals = eigenvalues(ham, tol=tol)[:states_per_point]
         x = float(a) * curvature**0.25
         rows_x.extend([x] * len(vals))
         rows_n.extend(range(len(vals)))

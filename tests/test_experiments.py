@@ -8,6 +8,7 @@ import pytest
 
 from latticeccr import ConfigError, emit_dataset, parse_config, run_experiment
 from latticeccr.cli import main
+from latticeccr.experiments import _time_points
 
 
 def test_minimal_fig4_defaults():
@@ -54,6 +55,19 @@ def test_fig1_default_grid():
 def test_grid_sanity_check():
     with pytest.raises(ConfigError, match="x_max"):
         parse_config('{"experiment": "sweep", "grid": {"x_min": 2.0, "x_max": 1.0}}')
+
+
+def test_time_grid_matches_arange_bit_for_bit():
+    # the integer grid k * dt against the float-stepped arange it replaced, on
+    # random pairs and on t_max = n * dt, where the 1e-12 slack decides the length
+    rng = np.random.default_rng(11)
+    dts = 10.0 ** rng.uniform(-4, 1, 2000)
+    counts = np.round(10.0 ** rng.uniform(0, 3.5, 2000))
+    t_maxs = np.where(np.arange(2000) % 2, counts * dts, counts * dts * rng.uniform(0.5, 1.5, 2000))
+    for t_max, dt in zip(t_maxs.tolist(), dts.tolist()):
+        ref = np.arange(0.0, t_max + 1e-12, dt)
+        points = _time_points({"t_max": t_max, "dt": dt})
+        assert np.array_equal(np.arange(int(points)) * dt, ref)
 
 
 def test_config_round_trip():
@@ -190,6 +204,18 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("fig4", ["b=[0.2]"], "oracle_b"),
         ("spectrum", ["tolerances.leak_fail=1e-3"], "tolerances.leak_fail"),
         ("spectrum", ["experiment=ccr-check"], "experiment"),
+        ("spectrum", ["potential.c=1e305"], "potential.c"),
+        ("dynamics", ["potential.kind=linear", "potential.F=1e305"], "potential.F"),
+        ("fig3", ["c=1e305"], "c"),
+        ("fig2", ["c_values=[0.01,1e305]"], "c_values"),
+        ("sweep", ["grid.x_max=1e200"], "grid.x_max"),
+        ("fig1", ["grid.x_min=1e-200"], "grid.x_min"),
+        ("spectrum", ["lattice.M=1000000000000"], "lattice.M"),
+        ("fig4", ["lattice.a=1e-200", "F=1e-200"], "lattice.a"),
+        ("fig4", ["lattice.a=1e-150", "F=1e-200"], "F"),
+        ("dynamics", ["potential.kind=linear", "potential.F=1e-320"], "potential.F"),
+        ("dynamics", ["time.dt=1e-300"], "time.dt"),
+        ("fig5", ["time.t_max=1e300"], "time.t_max"),
     ],
     ids=[
         "lattice.M",
@@ -201,6 +227,18 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "oracle_b",
         "tolerances.leak_fail",
         "experiment",
+        "potential.c-overflow",
+        "potential.F-time-grid",
+        "fig3-c-overflow",
+        "c_values-overflow",
+        "grid.x_max-spacing",
+        "grid.x_min-spacing",
+        "lattice.M-too-large",
+        "fig4-spacing",
+        "fig4-force-underflow",
+        "potential.F-period-overflow",
+        "time.dt-grid",
+        "time.t_max-grid",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):

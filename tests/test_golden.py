@@ -44,9 +44,12 @@ GOLDEN = {
     "dynamics.json": "fcf6ef8512956d852a0bf20285b277ee586225446553d7af830f1246a9ad1d52",
     # the CCR model follows from the Hamiltonian: no "model" in config or derived
     "dynamics_manifest.json": "f7c09f4e5342be12f061ddbaeca0e45c05ba74207bb10b728e7d2f51b48dbdd3",
-    # fig1 and sweep: 17 cells each, at most 1.6e-11 relative
-    "fig1.csv": "cc46b3ee6c4e0a02544fc0b30ff3bee0f14344c20602ae7a83636874e997635a",
-    "fig1.json": "6fb563728ad28a1f9d38332b41a7eee0aa1da74467b2d08ea1f925adb9a18761",
+    # fig1 and sweep: 17 cells each, at most 1.6e-11 relative. The eigenvalues-only
+    # solve of harmonic_sweep (eigvalsh on the parity blocks) then moved 2 more
+    # e_over_sqrtc cells in each (quadratic n = 9 at ac^(1/4) = 0.4625 and n = 5 at
+    # 2.5167) by one unit in the 12th printed digit, at most 3.5e-12 relative
+    "fig1.csv": "1cb60618a8e71a80237ee9ee5a3ea933635669fe9c368d1bab867c6e0124cfc1",
+    "fig1.json": "86a81ebefb27ded18e7f5ae02314a890a1a4d3be7b1a813c1beb1ee9cf641560",
     "fig1_manifest.json": "ae54cbc49370ac3e81b026c97bc08fd5ae31c9a0ae59a915348b29b0eb1fb3b2",
     # fig2: 20 cells; one by one unit in the 12th digit (0.404), 19 values below
     # 1e-2 by at most 4.9e-14 absolute
@@ -73,8 +76,9 @@ GOLDEN = {
     "spectrum.csv": "3c52e3102b00f8952088ea2d53590aa9e57f62b200b111cc8c6ac8748dfa7c6e",
     "spectrum.json": "3429efb0146b26fdaea42178bf4309054bb9e4e0401c7708be6483c28080f4b2",
     "spectrum_manifest.json": "dbee46703f04650270826dfdb65b7c4a06533592458e2a3dbb09b4baf977007f",
-    "sweep.csv": "5259997a443ebbc46c6066e33f52f8749d34de4f05b8cf270dffb2af53da19a0",
-    "sweep.json": "b567964c283dae3af5b911b1684a651cb9e627e961666601165a514517345ba9",
+    # sweep: the same 2 cells as fig1's quadratic rows
+    "sweep.csv": "45cabcd05e1d87c57b1f6214ea19946b0c501e41c31f48f8fe8191bb36f327e5",
+    "sweep.json": "0a6d84963788c7c7b43c03d4013a616e90ec65379cce2616a251bebeb3b4277b",
     "sweep_manifest.json": "32dc1814c50ee19daaedbdd7e692fcf4126b36b419009bbf92bb92a0b32b0968",
 }
 

@@ -22,7 +22,7 @@ from latticeccr import (
     threshold_estimate,
     wannier_stark_analysis,
 )
-from latticeccr.spectral import PARITY_TOL, _check_contract, _fix_phases
+from latticeccr.spectral import PARITY_TOL, _check_contract, _fix_phases, eigenvalues
 
 
 def harmonic_spectrum(half_width, a, c, hop=None):
@@ -143,6 +143,111 @@ def test_other_matrices_keep_the_whole_solve(mat):
     vals, vecs = np.linalg.eigh(mat)
     assert np.array_equal(sr.eigenvalues, vals)
     assert np.array_equal(sr.eigenvectors, _fix_phases(vecs))
+
+
+# the 25 spacings of the default sweep and fig1 grid (c = 0.01, x = 0.1 .. 3.0)
+_SWEEP_SPACINGS = np.linspace(0.1, 3.0, 25) / 0.01**0.25
+
+
+@pytest.mark.parametrize(
+    "hop", [Hopping.quadratic(), Hopping.cosine()], ids=["quadratic", "cosine"]
+)
+def test_eigenvalues_match_eigensolve_at_sweep_spacings(hop):
+    for a in _SWEEP_SPACINGS:
+        ham = build_hamiltonian(LatticeSpec(100, float(a)), hop, Potential.harmonic(0.01))
+        vals, ref = eigenvalues(ham), eigensolve(ham).eigenvalues
+        assert np.all(np.diff(vals) >= 0)
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
+
+
+def _record_eigvalsh(monkeypatch, shift=None):
+    """Record the shape of every eigvalsh call; shift(vals) may alter its result."""
+    shapes, original = [], np.linalg.eigvalsh
+
+    def fake(mat):
+        shapes.append(mat.shape)
+        vals = original(mat)
+        return vals if shift is None else shift(vals)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+    return shapes
+
+
+def test_eigenvalues_solve_the_parity_blocks(monkeypatch):
+    shapes = _record_eigvalsh(monkeypatch)
+    ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
+    eigenvalues(ham)
+    assert shapes == [(101, 101), (100, 100)]
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        build_hamiltonian(_SPEC, Hopping.quadratic(), Potential.linear(0.4)).matrix,
+        _mirror_symmetric_complex(_SPEC),
+    ],
+    ids=["linear", "complex"],
+)
+def test_eigenvalues_of_other_matrices_are_the_whole_solve(mat, monkeypatch):
+    ref = np.linalg.eigvalsh(mat)
+    shapes = _record_eigvalsh(monkeypatch)
+    vals = eigenvalues(OperatorMatrix(mat))
+    assert shapes == [mat.shape]
+    assert np.array_equal(vals, ref)
+    whole = eigensolve(OperatorMatrix(mat)).eigenvalues
+    assert np.abs(vals - whole).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_eigenvalues_tie_puts_even_first():
+    # diag(2, 5, 2): the even block holds 2 and 5, the odd block 2
+    assert np.array_equal(eigenvalues(OperatorMatrix(np.diag([2.0, 5.0, 2.0]))), [2.0, 2.0, 5.0])
+
+
+def _shift_one(delta):
+    def shift(vals):
+        vals = vals.copy()
+        vals[0] += delta
+        return vals
+    return shift
+
+
+def _shift_pair(delta):
+    # the sum stays, the sum of squares moves by 2 delta (vals[-1] - vals[0]) + 2 delta^2
+    def shift(vals):
+        vals = vals.copy()
+        vals[0] -= delta
+        vals[-1] += delta
+        return vals
+    return shift
+
+
+@pytest.mark.parametrize(
+    "shift, identity",
+    [
+        (_shift_one(1e-4), "trace identity"),
+        (_shift_one(np.nan), "trace identity"),
+        (_shift_pair(1e-4), "Frobenius identity"),
+    ],
+    ids=["shifted", "nan", "trace-preserving"],
+)
+def test_eigenvalues_contract_rejects_a_wrong_block_eigenvalue(shift, identity, monkeypatch):
+    # bound = 1e-10 * |H|_max * N, about 1.04e-6 here: a shift of 1e-4 is 96 times it
+    ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
+    assert 1e-4 > 50 * 1e-10 * np.abs(ham.matrix).max() * ham.dimension
+    eigenvalues(ham)
+    _record_eigvalsh(monkeypatch, shift)
+    with pytest.raises(ToleranceError, match=identity):
+        eigenvalues(ham)
+
+
+def test_eigenvalues_contract_near_the_float_range():
+    # entries near 1e160 square past the float range; the scaled check must still pass
+    ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
+    big = OperatorMatrix(ham.matrix * 2.0**530)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(big.matrix**2))
+    ref = eigenvalues(ham) * 2.0**530
+    assert np.all(np.abs(eigenvalues(big) - ref) <= 1e-12 * ref)
 
 
 def test_jacobi_against_lapack():
