@@ -121,7 +121,7 @@ def exact_position_linear(
     _, amps = hop.terms(spec)
     amp = psi0.amplitudes
     n = np.arange(1, len(amps) + 1)
-    t_exp = np.array([np.vdot(amp[r:], amp[:-r]) for r in n])  # <T_n>
+    t_exp = np.correlate(amp, amp, "full")[len(amp) - 1 - n]  # <T_n> = sum_m conj(psi_{m+n}) psi_m
     x0 = np.real(expectation(psi0, spec.positions))
     weights = amps * t_exp
     times = np.atleast_1d(np.asarray(t, dtype=float))

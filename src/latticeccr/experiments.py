@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .ccr import ccr_defect
+from .ccr import SUPPORT_TOL, ccr_defect
 from .dynamics import GaussianPacket, make_gaussian, run_timeseries
 from .lattice import Hopping, LatticeSpec, Potential, build_hamiltonian
 from .spectral import (
@@ -151,9 +151,6 @@ class ExperimentConfig:
     experiment: str
     params: dict
 
-    def __getitem__(self, key):
-        return self.params[key]
-
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -176,16 +173,13 @@ class RunManifest:
     dataset: str | None = None
     error: dict | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
     def write(self, out_dir: str) -> None:
         """Write atomically to out_dir as <dataset stem>_manifest.json, the
         dataset being the configured output.path (<experiment>.csv while the
         config has not parsed)."""
         dataset = self.config["output"]["path"] if self.config else f"{self.experiment}.csv"
         path = os.path.splitext(os.path.join(out_dir, dataset))[0] + "_manifest.json"
-        _write_atomic(path, self.to_json())
+        _write_atomic(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
@@ -217,37 +211,47 @@ def _time_points(time: dict) -> float:
     return np.ceil((time["t_max"] + 1e-12) / time["dt"])
 
 
+_POTENTIAL_KEYS = {"linear": "F", "harmonic": "c"}
+
+
+def _potentials(params: dict) -> list:
+    """(config key, kind, strength) of each linear or harmonic potential the experiment
+    builds: potential.F or potential.c as potential.kind selects, else F, c, c_values."""
+    pot = params.get("potential")
+    if pot:
+        name = _POTENTIAL_KEYS.get(pot["kind"])
+        return [(f"potential.{name}", pot["kind"], pot[name])] if name else []
+    found = [(key, kind, params[key]) for kind, key in _POTENTIAL_KEYS.items() if key in params]
+    return found + [("c_values", "harmonic", c) for c in params.get("c_values", [])]
+
+
+def _motion(params: dict):
+    """(config key, default dt, period) of the motion the first potential drives, None
+    without one or at F = 0: frequency w = a |F| (Bloch) or sqrt(c), period 2 pi / w, dt
+    0.05 / w or 0.1 / w (about 126 or 63 steps a period); an infinite period is an error."""
+    key, kind, strength = (_potentials(params) or [(None, None, 0.0)])[0]
+    if not strength:
+        return None
+    a = params["lattice"]["a"]
+    rate = a * abs(strength) if kind == "linear" else np.sqrt(strength)
+    period = 2 * np.pi / rate if rate > 0 else np.inf
+    if not np.isfinite(2 * period):  # the default t_max; only F can: sqrt(c) > 1e-162
+        raise ConfigError(
+            f"config key {key!r}: F = {strength!r} at 'lattice.a' = {a!r} gives a Bloch period "
+            f"2 pi / (a |F|) of {period:.3g}, beyond the float range"
+        )
+    return key, (0.05 if kind == "linear" else 0.1) / rate, period
+
+
 def _resolve_time(experiment: str, params: dict) -> None:
-    """Fill unset time keys: two periods of the motion, in about 126 (Bloch)
-    or 63 (harmonic) steps per period; 10 time units in steps of 0.1 when
-    the potential sets no period. A force whose Bloch period 2 pi / (a |F|) is
-    not finite, or a grid longer than one array can hold, is a ConfigError
-    naming the keys that set it: the given time keys and the force or
-    curvature key behind a default."""
-    time, a = params["time"], params["lattice"]["a"]
+    """Fill unset time keys: two periods of _motion in its steps, else 10 time units in
+    steps of 0.1. A grid longer than any array is a ConfigError naming the given time
+    keys and the force or curvature key behind a default."""
+    time = params["time"]
     given = [f"time.{name}" for name in ("t_max", "dt") if time[name] is not None]
-    if experiment == "fig4":
-        kind, force, curvature, key = "linear", params["F"], 0.0, "F"
-    elif experiment == "fig5":  # the one exception: 25/sqrt(c), about four periods
-        kind, force, curvature, key = "harmonic", 0.0, params["c"], "c"
-        time["t_max"] = time["t_max"] or 25.0 / np.sqrt(curvature)
-    else:
-        pot = params["potential"]
-        kind, force, curvature = pot["kind"], pot["F"], pot["c"]
-        key = "potential.F" if kind == "linear" else "potential.c"
-    if kind == "linear" and force != 0:
-        rate = a * abs(force)
-        period = 2 * np.pi / rate if rate > 0 else np.inf
-        if not np.isfinite(2 * period):  # the period also enters the derived values
-            raise ConfigError(
-                f"config key {key!r}: F = {force!r} at 'lattice.a' = {a!r} gives a Bloch period "
-                f"2 pi / (a |F|) of {period:.3g}, beyond the float range"
-            )
-        dt = 0.05 / rate
-    elif kind == "harmonic" and curvature > 0:
-        dt, period = 0.1 / np.sqrt(curvature), 2 * np.pi / np.sqrt(curvature)
-    else:
-        dt, period, key = 0.1, 5.0, None
+    if experiment == "fig5":  # the one exception: 25/sqrt(c), about four periods
+        time["t_max"] = time["t_max"] or 25.0 / np.sqrt(params["c"])
+    key, dt, period = _motion(params) or (None, 0.1, 5.0)
     time["dt"] = time["dt"] or dt
     time["t_max"] = time["t_max"] or 2 * period
     points = _time_points(time)
@@ -259,44 +263,37 @@ def _resolve_time(experiment: str, params: dict) -> None:
         )
 
 
-_POTENTIAL_KEYS = {"linear": "F", "harmonic": "c"}
+def _sweep_spacings(params: dict, points: int | None = None) -> np.ndarray:
+    """Spacings x / c^(1/4) for grid.points (or points) x from grid.x_min to grid.x_max."""
+    grid = params["grid"]
+    return np.linspace(grid["x_min"], grid["x_max"], points or grid["points"]) / params["c"] ** 0.25
 
 
 def _check_window(params: dict) -> None:
     """Range checks before anything is built, each naming its config key: the
     dense N x N complex operator must fit one numpy array, every spacing must
-    pass LatticeSpec, and every linear or harmonic potential must stay finite
-    at the window edge x = a M, where it peaks (|F| x or c x^2 / 2, in the
-    arithmetic of Potential.values)."""
+    pass LatticeSpec, and every linear or harmonic (c > 0) potential must stay
+    finite at the window edge x = a M, where it peaks (|F| x or c x^2 / 2, in
+    the arithmetic of Potential.values)."""
     half_width = params["lattice"]["M"]
     if 2 * (2 * half_width + 1) ** 2 > _MAX_FLOATS:
         raise ConfigError(
             f"config key 'lattice.M': a window of {2 * half_width + 1} sites needs an "
             "N x N matrix larger than any array"
         )
-    if "grid" in params:  # sweep and fig1: the spacing a = x / c^(1/4) runs over the grid
-        c, grid = params["c"], params["grid"]
-        spacings = {f"grid.{end}": grid[end] / c**0.25 for end in ("x_min", "x_max")}
-        potentials = [("grid.x_max", spacings["grid.x_max"], "harmonic", c)]
-    else:
-        a = params["lattice"]["a"]
-        spacings = {"lattice.a": a}
-        potentials = [  # fig3, fig4, fig5
-            (key, a, kind, params[key]) for kind, key in _POTENTIAL_KEYS.items() if key in params
-        ]
-        potentials += [("c_values", a, "harmonic", c) for c in params.get("c_values", [])]  # fig2
-        pot = params.get("potential", {})
-        if pot.get("kind") in _POTENTIAL_KEYS:  # spectrum, dynamics
-            name = _POTENTIAL_KEYS[pot["kind"]]
-            potentials.append((f"potential.{name}", a, pot["kind"], pot[name]))
+    spacings = {"lattice.a": params["lattice"]["a"]}
+    if "grid" in params:  # sweep and fig1: both ends of the grid of spacings
+        spacings = dict(zip(("grid.x_min", "grid.x_max"), _sweep_spacings(params, 2)))
     for key, a in spacings.items():
         try:
             LatticeSpec(half_width, a)
         except ValueError as err:
             raise ConfigError(f"config key {key!r}: {err}") from err
-    for key, a, kind, strength in potentials:
+    edge = np.float64(max(spacings.values())) * half_width
+    for key, kind, strength in _potentials(params):
+        if kind == "harmonic" and not strength > 0:
+            raise ConfigError(f"config key {key!r} must be positive")
         with np.errstate(over="ignore"):
-            edge = np.float64(a) * half_width
             peak = abs(strength * edge) if kind == "linear" else strength * edge**2 / 2
         if not np.isfinite(peak):
             raise ConfigError(
@@ -305,21 +302,78 @@ def _check_window(params: dict) -> None:
             )
 
 
+def _check_sites(params: dict) -> None:
+    """Checks in whole sites, before anything is built, each naming its config
+    key: every packet center lies inside the window (|n0| < M, as make_gaussian
+    needs), custom hopping reaches at most across it (2 M sites), a custom
+    potential has one value per site, and for ccr-check the margin lies in
+    1..M and the normalized packet keeps every amplitude outside the interior
+    |m| <= M - margin within SUPPORT_TOL (as ccr_defect needs)."""
+    half = params["lattice"]["M"]
+    centers = [("packet.n0", params["packet"]["n0"])] if "packet" in params else []
+    for key in ("n0", "nn_n0"):  # fig4, fig5
+        value = params.get(key, [])
+        centers += [(key, n0) for n0 in (value if isinstance(value, list) else [value])]
+    for key, n0 in centers:
+        if not abs(n0) < half:
+            raise ConfigError(
+                f"config key {key!r} = {n0} puts a packet center outside the window |m| < {half}"
+            )
+    hop, pot = params.get("hopping"), params.get("potential")
+    if hop and hop["kind"] == "custom" and len(hop["t_n"]) > 2 * half:
+        raise ConfigError(
+            f"config key 'hopping.t_n': custom hopping range {len(hop['t_n'])} exceeds "
+            f"window diameter {2 * half}"
+        )
+    if pot and pot["kind"] == "custom" and len(pot["values"]) != 2 * half + 1:
+        raise ConfigError(
+            f"config key 'potential.values': custom potential has {len(pot['values'])} values "
+            f"for {2 * half + 1} sites"
+        )
+    if "margin" in params:  # ccr-check
+        margin = half // 4 if params["margin"] is None else params["margin"]
+        if not 0 < margin <= half:
+            key = "lattice.M" if params["margin"] is None else "margin"
+            raise ConfigError(f"config key {key!r}: interior margin {margin} outside 1..{half}")
+        n0, b = abs(params["packet"]["n0"]), params["packet"]["b"]
+        # the largest amplitude outside the interior sits on the outside site nearest the
+        # center. The norm sums the packet out to where its squares underflow to zero, or
+        # to 2^20 sites, past which no dense window fits in memory and a cut sum can only
+        # overstate the amplitude.
+        gap = max(half - margin + 1 - n0, 0)
+        reach = int(min(2 * half, 2**20, np.sqrt(400 / b))) + 1
+        k = np.arange(max(-half - n0, -reach), min(half - n0, reach) + 1)
+        norm = np.sqrt(np.sum(np.exp(-b * k**2.0) ** 2))
+        peak = np.exp(-b * gap**2.0) / norm
+        if peak > SUPPORT_TOL:
+            raise ConfigError(
+                "config keys 'packet.n0', 'packet.b' and 'margin': the packet has amplitude "
+                f"{peak:.2e} > {SUPPORT_TOL:.0e} outside |m| <= {half - margin}, so the defect "
+                "would be dominated by the truncation boundary"
+            )
+
+
 def _resolve(experiment: str, params: dict) -> None:
     """Cross-key checks, then the defaults that depend on other keys."""
-    pot = params.get("potential")
-    if pot and pot["kind"] == "harmonic" and not pot["c"] > 0:
-        raise ConfigError("config key 'potential.c' must be positive")
     grid = params.get("grid")
     if grid and grid["x_max"] <= grid["x_min"]:
         raise ConfigError("config key 'grid.x_max' must exceed 'grid.x_min'")
-    if experiment == "fig1" and min(params["nn_pair"]) < 0:
-        raise ConfigError(f"config key 'nn_pair' must hold indices >= 0, got {params['nn_pair']}")
+    if grid and grid["points"] > _MAX_FLOATS:
+        raise ConfigError(
+            f"config key 'grid.points': a grid of {grid['points']} points is longer than any array"
+        )
+    states = 2 * params["lattice"]["M"] + 1
+    if experiment == "fig1" and not all(0 <= n < states for n in params["nn_pair"]):
+        raise ConfigError(
+            f"config key 'nn_pair' must hold state indices 0..{states - 1} of the "
+            f"{states}-site window, got {params['nn_pair']}"
+        )
     if experiment == "fig4" and params["oracle_b"] not in params["b"]:
         raise ConfigError(
             f"config key 'oracle_b' must be one of 'b' {params['b']}, got {params['oracle_b']!r}"
         )
     _check_window(params)
+    _check_sites(params)
     if "time" in params:
         _resolve_time(experiment, params)
     if params["output"]["path"] is None:
@@ -459,8 +513,7 @@ def _run_spectrum(params):
 
 
 def _sweep_rows(params, hopping, states):
-    c, grid = params["c"], params["grid"]
-    a_values = np.linspace(grid["x_min"], grid["x_max"], grid["points"]) / c**0.25
+    c, a_values = params["c"], _sweep_spacings(params)
     sweep = harmonic_sweep(
         c, a_values, states, params["lattice"]["M"], hopping, tol=params["tolerances"]["eigensolve"]
     )
@@ -470,9 +523,8 @@ def _sweep_rows(params, hopping, states):
 
 def _run_sweep(params):
     rows = _sweep_rows(params, _hopping_from(params), params["states_per_point"])
-    c = params["c"]
-    a_values = [row[0] / c**0.25 for row in rows[:: params["states_per_point"]]]
-    return ["ac_quarter", "n", "e_over_sqrtc", "dashed_ref"], rows, {"c": c, "a_values": a_values}
+    derived = {"c": params["c"], "a_values": _sweep_spacings(params).tolist()}
+    return ["ac_quarter", "n", "e_over_sqrtc", "dashed_ref"], rows, derived
 
 
 def _run_fig1(params):
@@ -543,7 +595,7 @@ def _run_fig4(params):
     series = [tgrid, *(r.x_mean for r in runs), oracle.x_ccr, oracle.x_exact_oracle]
     series += [r.s_abs for r in runs]
     derived = {
-        "bloch_period": 2 * np.pi / (spec.spacing * force),
+        "bloch_period": _motion(params)[2],
         "oracle_b": params["oracle_b"],
         "boundary_max": max(r.boundary_max for r in runs),
     }
@@ -563,7 +615,7 @@ def _run_fig5(params):
     series = [tgrid, root * tgrid, *(r.x_mean for r in runs), runs[0].x_ccr, nn.x_mean]
     derived = {
         "threshold_estimate": threshold_estimate(spec.spacing, curv),
-        "period": 2 * np.pi / root,
+        "period": _motion(params)[2],
         "boundary_max": max(r.boundary_max for r in [*runs, nn]),
     }
     return columns, np.column_stack(series).tolist(), derived
@@ -580,7 +632,7 @@ def _run_dynamics(params):
     series = [tgrid, ts.x_mean, ts.k_mean, ts.s_abs, ts.norm, x_ccr, x_exact]
     derived = {"boundary_max": ts.boundary_max}
     if pot.kind == "linear" and pot.force != 0:
-        derived["bloch_period"] = 2 * np.pi / (spec.spacing * abs(pot.force))
+        derived["bloch_period"] = _motion(params)[2]
     if pot.kind == "harmonic":
         derived["threshold_estimate"] = threshold_estimate(spec.spacing, pot.curvature)
     return columns, np.column_stack(series).tolist(), derived

@@ -79,10 +79,7 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     Ties resolve to the first index, so output is deterministic."""
     idx = np.argmax(np.abs(vecs), axis=0)
     lead = vecs[idx, np.arange(vecs.shape[1])]
-    if np.iscomplexobj(vecs):
-        phases = lead / np.abs(lead)
-        return vecs * phases.conj()[None, :]
-    return vecs * np.sign(lead)[None, :]
+    return vecs * (lead / np.abs(lead)).conj()[None, :]  # exactly +-1 for real vectors
 
 
 def _check_contract(mat, vals, vecs, bound: float) -> float:
@@ -340,8 +337,6 @@ def wannier_stark_analysis(sr: SpectrumResult, spec: LatticeSpec, force: float) 
     selected = np.where(np.abs(centers) <= 0.25 * spec.half_width)[0]
     if len(selected) < 3:
         raise ValueError(f"only {len(selected)} interior states; need at least 3")
-    order = np.argsort(sr.eigenvalues[selected], kind="stable")
-    selected = selected[order]
     energies = sr.eigenvalues[selected]
     cents = centers[selected]
     spacings = np.diff(energies)

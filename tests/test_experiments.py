@@ -6,7 +6,16 @@ import os
 import numpy as np
 import pytest
 
-from latticeccr import ConfigError, emit_dataset, parse_config, run_experiment
+from latticeccr import (
+    ConfigError,
+    GaussianPacket,
+    LatticeSpec,
+    ccr_defect,
+    emit_dataset,
+    make_gaussian,
+    parse_config,
+    run_experiment,
+)
 from latticeccr.cli import main
 from latticeccr.experiments import _time_points
 
@@ -216,6 +225,18 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("dynamics", ["potential.kind=linear", "potential.F=1e-320"], "potential.F"),
         ("dynamics", ["time.dt=1e-300"], "time.dt"),
         ("fig5", ["time.t_max=1e300"], "time.t_max"),
+        ("ccr-check", ["margin=500"], "margin"),
+        ("ccr-check", ["lattice.M=3"], "lattice.M"),
+        ("ccr-check", ["packet.n0=90"], "packet.n0"),
+        ("ccr-check", ["packet.n0=100"], "packet.n0"),
+        ("dynamics", ["packet.n0=200"], "packet.n0"),
+        ("fig4", ["n0=400"], "n0"),
+        ("fig5", ["n0=[20,300]"], "n0"),
+        ("fig5", ["nn_n0=300"], "nn_n0"),
+        ("spectrum", ["potential.kind=custom", "potential.values=[1,2]"], "potential.values"),
+        ("sweep", ["hopping.kind=custom", "hopping.t_n=[1,2,3,4,5]", "lattice.M=2"], "hopping.t_n"),
+        ("fig1", ["nn_pair=[1,500]"], "nn_pair"),
+        ("sweep", ["grid.points=10000000000000000000"], "grid.points"),
     ],
     ids=[
         "lattice.M",
@@ -239,6 +260,18 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "potential.F-period-overflow",
         "time.dt-grid",
         "time.t_max-grid",
+        "margin-too-large",
+        "default-margin-zero",
+        "ccr-check-support",
+        "ccr-check-center",
+        "dynamics-center",
+        "fig4-center",
+        "fig5-center",
+        "fig5-nn-center",
+        "potential.values-length",
+        "hopping.t_n-range",
+        "nn_pair-past-window",
+        "grid.points-too-many",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
@@ -248,6 +281,37 @@ def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, caps
     assert repr(key) in capsys.readouterr().err
     manifest = json.loads((tmp_path / f"{experiment}_manifest.json").read_text())
     assert manifest["error"]["exit_code"] == 2
+    assert manifest["config"] is None  # refused while parsing, before anything is built
+
+
+def test_ccr_check_support_check_matches_ccr_defect():
+    # the parse-time support check accepts exactly the packets ccr_defect accepts
+    for half, margin, b, k0 in [(8, None, 0.05, 0.0), (40, 10, 0.5, 1.3), (101, 5, 5.0, -0.4)]:
+        spec = LatticeSpec(half, 1.0)
+        for n0 in range(-half + 1, half):
+            packet = {"n0": n0, "b": b, "k0": k0}
+            cfg = {"experiment": "ccr-check", "lattice": {"M": half}, "packet": packet}
+            try:
+                parse_config(json.dumps({**cfg, "margin": margin}))
+                parsed = True
+            except ConfigError:
+                parsed = False
+            try:
+                ccr_defect(make_gaussian(spec, GaussianPacket(n0, b, k0)), spec, margin)
+                measured = True
+            except ValueError:
+                measured = False
+            assert parsed == measured, (half, margin, b, n0)
+
+
+def test_sweep_manifest_lists_every_spacing(tmp_path, capsys):
+    # a 3-site window has 3 states per point, fewer than states_per_point = 20
+    args = ["sweep", "--out", str(tmp_path), "--set", "lattice.M=1", "--set", "grid.points=5"]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
+    assert manifest["derived"]["a_values"] == (np.linspace(0.1, 3.0, 5) / 0.01**0.25).tolist()
+    rows = np.genfromtxt(tmp_path / "sweep.csv", delimiter=",", names=True)
+    assert len(rows) == 5 * 3
 
 
 @pytest.mark.parametrize(
