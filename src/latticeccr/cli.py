@@ -4,12 +4,13 @@
 
 The experiment comes from the subcommand only; a config file or --set
 that names another one is a config error. Exit codes: 0 success, 2 config
-error, 3 numerical-tolerance failure, 4 leakage failure. Every run, failed
-ones included, leaves <dataset stem>_manifest.json beside the configured
-output.path: a failed run's manifest carries the exit code and reason, the
-warnings raised before the failure, and the resolved config once it has
-parsed (before that it is written as <experiment>_manifest.json with config
-null). Warnings are printed to stderr on failed runs as well.
+error (running out of memory included), 3 numerical-tolerance failure, 4
+leakage failure. Every run, failed ones included, leaves
+<dataset stem>_manifest.json beside the configured output.path: a failed
+run's manifest carries the exit code and reason, the warnings raised before
+the failure, and the resolved config once it has parsed (before that it is
+written as <experiment>_manifest.json with config null). Warnings are
+printed to stderr on failed runs as well.
 """
 
 from __future__ import annotations
@@ -85,13 +86,17 @@ def main(argv=None) -> int:
             )
         cfg = parse_config(json.dumps(raw))
         _, rows, manifest = run_experiment(cfg, out_dir=args.out)
-    except (ValueError, OSError, ToleranceError, LeakageError) as err:
-        # ConfigError and json.JSONDecodeError are ValueErrors: exit code 2
+    except (ValueError, OSError, MemoryError, ToleranceError, LeakageError) as err:
+        # ConfigError and json.JSONDecodeError are ValueErrors: exit code 2, as for a
+        # config that asks for more memory than there is
         code = getattr(err, "exit_code", 2)
-        print(f"{_FAILURES[code]}: {err}", file=sys.stderr)
+        reason = str(err)
+        if isinstance(err, MemoryError):  # often raised with no message at all
+            reason = f"out of memory: {reason}" if reason else "out of memory"
+        print(f"{_FAILURES[code]}: {reason}", file=sys.stderr)
         config = None if cfg is None else {"experiment": cfg.experiment, **cfg.params}
         caught = getattr(err, "run_warnings", [])
-        error = {"exit_code": code, "reason": str(err)}
+        error = {"exit_code": code, "reason": reason}
         manifest = RunManifest(args.experiment, config, warnings=caught, error=error)
         with contextlib.suppress(OSError):  # best effort once the run already failed
             manifest.write(args.out)

@@ -305,10 +305,11 @@ def _check_window(params: dict) -> None:
 def _check_sites(params: dict) -> None:
     """Checks in whole sites, before anything is built, each naming its config
     key: every packet center lies inside the window (|n0| < M, as make_gaussian
-    needs), custom hopping reaches at most across it (2 M sites), a custom
-    potential has one value per site, and for ccr-check the margin lies in
-    1..M and the normalized packet keeps every amplitude outside the interior
-    |m| <= M - margin within SUPPORT_TOL (as ccr_defect needs)."""
+    needs) and its kick phase k0 a m stays finite there, custom hopping reaches
+    at most across it (2 M sites), a custom potential has one value per site,
+    and for ccr-check the margin lies in 1..M and the normalized packet keeps
+    every amplitude outside the interior |m| <= M - margin within SUPPORT_TOL
+    (as ccr_defect needs)."""
     half = params["lattice"]["M"]
     centers = [("packet.n0", params["packet"]["n0"])] if "packet" in params else []
     for key in ("n0", "nn_n0"):  # fig4, fig5
@@ -319,6 +320,11 @@ def _check_sites(params: dict) -> None:
             raise ConfigError(
                 f"config key {key!r} = {n0} puts a packet center outside the window |m| < {half}"
             )
+    k0 = params["packet"]["k0"] if "packet" in params else 0.0
+    if not np.isfinite(k0 * params["lattice"]["a"] * half):  # make_gaussian's k0 a m at m = M
+        raise ConfigError(
+            f"config key 'packet.k0' = {k0!r}: the kick phase k0 a M overflows at the window edge"
+        )
     hop, pot = params.get("hopping"), params.get("potential")
     if hop and hop["kind"] == "custom" and len(hop["t_n"]) > 2 * half:
         raise ConfigError(

@@ -74,12 +74,14 @@ class LadderReport:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive.
+    """Make the largest-magnitude component of each column real positive, in
+    place, and return vecs.
 
     Ties resolve to the first index, so output is deterministic."""
     idx = np.argmax(np.abs(vecs), axis=0)
     lead = vecs[idx, np.arange(vecs.shape[1])]
-    return vecs * (lead / np.abs(lead)).conj()[None, :]  # exactly +-1 for real vectors
+    vecs *= (lead / np.abs(lead)).conj()[None, :]  # exactly +-1 for real vectors
+    return vecs
 
 
 def _check_contract(mat, vals, vecs, bound: float) -> float:
@@ -94,45 +96,43 @@ def _check_contract(mat, vals, vecs, bound: float) -> float:
     return residual
 
 
-def _has_parity(ham: OperatorMatrix) -> bool:
-    """True for a real matrix of odd size N > 1 that equals its site reflection
-    exactly (harmonic, constant and mirror-symmetric custom potentials)."""
-    n = ham.dimension
-    if not (ham.is_real and n % 2 == 1 and n > 1):
-        return False
-    mat = ham.matrix.real
-    return np.array_equal(mat, mat[::-1, ::-1])
-
-
-def _parity_blocks(mat: np.ndarray):
-    """Even and odd blocks of a reflection-symmetric real matrix of odd size N.
+def _blocks(ham: OperatorMatrix) -> list[np.ndarray]:
+    """The matrices whose decompositions make up ham's: the even and odd parity
+    blocks of a real matrix of odd size N > 1 that equals its site reflection
+    exactly (harmonic, constant and mirror-symmetric custom potentials), and
+    the whole matrix otherwise.
 
     With c = N // 2, A = mat[c:, c:] and B = mat[c:, c::-1], the even block in
     the basis e_c, (e_{c+j} + e_{c-j})/sqrt(2) is A + B with its first row and
     column scaled by 1/sqrt(2) (so its corner is H_cc); the odd block in the basis
     (e_{c+j} - e_{c-j})/sqrt(2) is (A - B)[1:, 1:].
     """
-    c = mat.shape[0] // 2
+    n, real = ham.dimension, ham.is_real
+    mat = ham.matrix.real if real else ham.matrix
+    if not (real and n % 2 == 1 and n > 1 and np.array_equal(mat, mat[::-1, ::-1])):
+        return [mat]
+    c = n // 2
     a, b = mat[c:, c:], mat[c:, c::-1]
     even = a + b
     even[0, 1:] /= np.sqrt(2.0)
     even[1:, 0] /= np.sqrt(2.0)
     even[0, 0] = a[0, 0]  # 2 H_cc / sqrt(2)^2, without the rounding
-    return even, (a - b)[1:, 1:]
+    return [even, (a - b)[1:, 1:]]
 
 
-def _parity_eigh(mat: np.ndarray, bound: float):
-    """Eigenvalues, eigenvectors and residual of a reflection-symmetric real
-    matrix of odd size N, from its parity blocks, with the contract checked
-    per block; on an exact tie the even state comes first."""
-    n = mat.shape[0]
+def _eigh(ham: OperatorMatrix, bound: float):
+    """Ascending eigenvalues, eigenvectors and residual of ham from the eigh of
+    each of its _blocks, with the contract checked per block. Parity-block
+    vectors are embedded in the site basis; on an exact tie the even state
+    comes first."""
+    blocks = _blocks(ham)
+    solved = [np.linalg.eigh(block) for block in blocks]
+    residual = max(_check_contract(block, *pair, bound) for block, pair in zip(blocks, solved))
+    if len(solved) == 1:
+        return (*solved[0], residual)
+    (vals_e, vecs_e), (vals_o, vecs_o) = solved
+    n = ham.dimension
     c = n // 2
-    even, odd = _parity_blocks(mat)
-    vals_e, vecs_e = np.linalg.eigh(even)
-    vals_o, vecs_o = np.linalg.eigh(odd)
-    residual = max(
-        _check_contract(even, vals_e, vecs_e, bound), _check_contract(odd, vals_o, vecs_o, bound)
-    )
     vals = np.concatenate([vals_e, vals_o])
     order = np.argsort(vals, kind="stable")
     slot = np.empty(n, dtype=int)
@@ -166,35 +166,23 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     and an odd eigenvalue are exactly equal the even state comes first.
     Every other matrix is decomposed whole.
     """
-    bound = _contract_bound(ham, tol)
-    if _has_parity(ham):
-        vals, vecs, residual = _parity_eigh(ham.matrix.real, bound)
-        vecs = _fix_phases(vecs)  # after the return, once the blocks are freed
-    else:
-        mat = ham.matrix.real if ham.is_real else ham.matrix
-        vals, vecs = np.linalg.eigh(mat)
-        vecs = _fix_phases(vecs)
-        residual = _check_contract(ham.matrix, vals, vecs, bound)
-    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residual_norm=residual)
+    vals, vecs, residual = _eigh(ham, _contract_bound(ham, tol))
+    return SpectrumResult(eigenvalues=vals, eigenvectors=_fix_phases(vecs), residual_norm=residual)
 
 
 def eigenvalues(ham: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:
     """Ascending eigenvalues alone, as eigensolve(ham, tol).eigenvalues would
     give them up to rounding, without computing a single eigenvector.
 
-    A matrix that eigensolve splits into parity blocks is split the same way,
-    and the two eigenvalue lists merge with the even value first on an exact
-    tie; every other matrix is solved whole. With no vectors there is no residual,
-    so the contract is the two exact identities sum(E) = tr H and
-    sum(E^2) = ||H||_F^2: raises ToleranceError, naming the identity, if
-    |sum(E) - tr H| exceeds bound = tol * max(1, |H|_max) * N or
-    |sum(E^2) - ||H||_F^2| exceeds bound * max(1, max |E|).
+    The matrix is split into the same blocks as in eigensolve, and the lists
+    of two parity blocks merge with the even value first on an exact tie. With
+    no vectors there is no residual, so the contract is the two exact
+    identities sum(E) = tr H and sum(E^2) = ||H||_F^2: raises ToleranceError,
+    naming the identity, if |sum(E) - tr H| exceeds
+    bound = tol * max(1, |H|_max) * N or |sum(E^2) - ||H||_F^2| exceeds
+    bound * max(1, max |E|).
     """
-    if _has_parity(ham):
-        blocks = _parity_blocks(ham.matrix.real)
-        vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), kind="stable")
-    else:
-        vals = np.linalg.eigvalsh(ham.matrix.real if ham.is_real else ham.matrix)
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _blocks(ham)]), kind="stable")
     _check_sums(ham.matrix, vals, _contract_bound(ham, tol))
     return vals
 

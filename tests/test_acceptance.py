@@ -6,6 +6,9 @@ for the long-range (quadratic) kinetic energy the Wannier-Stark states carry
 power-law 1/d^3 tails, so full-window translation residuals and in-window
 amplitude decay cannot reach 1e-8 at half_width 100, and the parked harmonic
 packet at n0 = 40 performs a local Bloch oscillation of amplitude ~12 sites.
+A passing test beside each one pins the law behind the failure: the
+residual falls with the window, the tail does not, and the excursion is
+W/(c a n0) for the band width W.
 """
 
 import numpy as np
@@ -59,6 +62,24 @@ def stark_quadratic():
     spec = LatticeSpec(100, 1.0)
     sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.linear(0.4)))
     return spec, sr
+
+
+@pytest.fixture(scope="module")
+def stark_windows():
+    """Full-window translation residual and largest amplitude more than 40
+    sites from a ladder state's center, for the stark_quadratic set-up on
+    windows M = 100, 200, 400."""
+    out = {}
+    for half in (100, 200, 400):
+        spec = LatticeSpec(half, 1.0)
+        sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.linear(0.4)))
+        ladder = wannier_stark_analysis(sr, spec, force=0.4)
+        far = [
+            np.abs(sr.eigenvectors[np.abs(spec.sites - center) > 40, idx]).max()
+            for idx, center in zip(ladder.state_indices, ladder.centers)
+        ]
+        out[half] = (ladder.translation_residuals.max(), max(far))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -231,9 +252,11 @@ def test_criterion_8_ladder_spacings(stark_quadratic):
 @pytest.mark.xfail(
     strict=True,
     reason="long-range hopping gives the ladder states 1/d^3 tails; the "
-    "full-window translation residual floors near 8e-6 at half_width 100 "
-    "(the interior-window residual and the nearest-neighbour kinetic both "
-    "meet 1e-8; see tests/test_spectral.py)",
+    "full-window translation residual is 7.6e-6 at half_width 100, a window "
+    "truncation effect that falls about 9x per doubling of the window "
+    "(test_criterion_8_translation_residual_falls_with_window; the "
+    "interior-window residual and the nearest-neighbour kinetic both meet "
+    "1e-8, see tests/test_spectral.py)",
 )
 def test_criterion_8_translation_residuals(stark_quadratic):
     spec, sr = stark_quadratic
@@ -247,7 +270,9 @@ def test_criterion_8_translation_residuals(stark_quadratic):
     strict=True,
     reason="amplitudes of the long-range-hopping ladder states follow "
     "~1/(F d^3) and stay above 1e-8 everywhere inside a half_width-100 "
-    "window (nearest-neighbour kinetic decays below 1e-8 by d=25; see "
+    "window: the 7.8e-5 beyond 40 sites is intrinsic and the same on every "
+    "window (test_criterion_8_far_amplitude_is_window_independent; "
+    "nearest-neighbour kinetic decays below 1e-8 by d=25, see "
     "tests/test_spectral.py)",
 )
 def test_criterion_8_amplitude_decay(stark_quadratic):
@@ -260,6 +285,22 @@ def test_criterion_8_amplitude_decay(stark_quadratic):
         worst = max(worst, amp[far].max())
     report("8c (amplitude decay)", f"max amplitude beyond 40 sites {worst:.1e} vs 1e-8", passed=False)
     assert worst < 1e-8
+
+
+def test_criterion_8_translation_residual_falls_with_window(stark_windows):
+    # 8b fails by truncation: measured 7.6e-6, 8.4e-7, 9.8e-8 (9.1x, then 8.5x)
+    res = [stark_windows[half][0] for half in (100, 200, 400)]
+    assert res[0] / res[1] >= 6.0 and res[1] / res[2] >= 6.0
+    steps = " -> ".join(f"{r:.1e}" for r in res)
+    report("8b (law)", f"full-window residual {steps} at M = 100, 200, 400")
+
+
+def test_criterion_8_far_amplitude_is_window_independent(stark_windows):
+    # 8c fails by physics: the 1/(F d^3) tail beyond 40 sites is 7.78e-5 on every window
+    far = [stark_windows[half][1] for half in (100, 200, 400)]
+    assert max(far) - min(far) <= 1e-3 * max(far)
+    values = ", ".join(f"{f:.4e}" for f in far)
+    report("8c (law)", f"amplitude beyond 40 sites {values} at M = 100, 200, 400")
 
 
 # -- criterion 9: Bloch oscillations ------------------------------------------
@@ -335,14 +376,26 @@ def test_criterion_11_intermediate_center_breaks(harmonic_motion):
     strict=True,
     reason="the packet parked at n0=40 rides the local potential slope "
     "c*a*n0 = 0.4 and performs a local Bloch oscillation whose amplitude "
-    "measures 12.15 sites (converged in window size and time step), above "
-    "the 10-site bound",
+    "measures 12.15 sites (converged in window size and time step), the "
+    "band width over the slope W/(c a n0) = 12.34 to 1.5% "
+    "(test_criterion_11_parked_drift_is_local_bloch_excursion), above the "
+    "10-site bound",
 )
 def test_criterion_11_far_center_parked(harmonic_motion):
     grid, runs = harmonic_motion
     drift = np.abs(runs[40].x_mean - runs[40].x_mean[0]).max()
     report("11c (n0=40 parked)", f"max |x(t)-x(0)| = {drift:.2f} vs 10", passed=False)
     assert drift < 10.0
+
+
+def test_criterion_11_parked_drift_is_local_bloch_excursion(harmonic_motion):
+    # 11c fails by physics: a packet at rest on the local slope F = c a n0 swings
+    # across the quadratic band of width W = pi^2 / (2 a^2), a distance W / F
+    _, runs = harmonic_motion
+    drift = np.abs(runs[40].x_mean - runs[40].x_mean[0]).max()
+    excursion = (np.pi**2 / 2) / (0.01 * 1.0 * 40)
+    assert abs(drift / excursion - 1.0) <= 0.03
+    report("11c (law)", f"drift {drift:.2f} vs W/(c a n0) = {excursion:.2f}")
 
 
 # -- criterion 12: eigensolver oracle ------------------------------------------

@@ -16,6 +16,7 @@ from latticeccr import (
     parse_config,
     run_experiment,
 )
+from latticeccr import experiments
 from latticeccr.cli import main
 from latticeccr.experiments import _time_points
 
@@ -237,6 +238,8 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("sweep", ["hopping.kind=custom", "hopping.t_n=[1,2,3,4,5]", "lattice.M=2"], "hopping.t_n"),
         ("fig1", ["nn_pair=[1,500]"], "nn_pair"),
         ("sweep", ["grid.points=10000000000000000000"], "grid.points"),
+        ("dynamics", ["packet.k0=1e308", "lattice.a=10", "lattice.M=40", "packet.n0=0", "packet.b=5"], "packet.k0"),
+        ("ccr-check", ["packet.k0=1e308", "lattice.a=10", "lattice.M=40", "packet.n0=0", "packet.b=5"], "packet.k0"),
     ],
     ids=[
         "lattice.M",
@@ -272,6 +275,8 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "hopping.t_n-range",
         "nn_pair-past-window",
         "grid.points-too-many",
+        "dynamics-kick-overflow",
+        "ccr-check-kick-overflow",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
@@ -282,6 +287,41 @@ def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, caps
     manifest = json.loads((tmp_path / f"{experiment}_manifest.json").read_text())
     assert manifest["error"]["exit_code"] == 2
     assert manifest["config"] is None  # refused while parsing, before anything is built
+
+
+def test_kick_check_matches_make_gaussian():
+    # k0 a M reaches the float range between these two kicks; parsing accepts exactly
+    # the kicks make_gaussian turns into finite amplitudes
+    spec = LatticeSpec(40, 10.0)
+    for k0 in (4.4e305, 4.5e305, 1e308):
+        cfg = {"experiment": "dynamics", "lattice": {"M": 40, "a": 10.0}}
+        try:
+            parse_config(json.dumps({**cfg, "packet": {"n0": 0, "b": 5.0, "k0": k0}}))
+            parsed = True
+        except ConfigError:
+            parsed = False
+        with np.errstate(all="ignore"):
+            try:
+                make_gaussian(spec, GaussianPacket(0, 5.0, k0))
+                finite = True
+            except ValueError:
+                finite = False
+        assert parsed == finite == (k0 < 4.5e305), k0
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"])
+def test_cli_memory_error_exit_code(message, tmp_path, capsys, monkeypatch):
+    def exhausted(params):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(experiments._RUNNERS, "sweep", exhausted)
+    assert main(["sweep", "--out", str(tmp_path)]) == 2
+    assert "out of memory" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
+    assert manifest["error"]["exit_code"] == 2
+    assert manifest["error"]["reason"].startswith("out of memory")
+    assert message in manifest["error"]["reason"]
+    assert manifest["config"]["experiment"] == "sweep"
 
 
 def test_ccr_check_support_check_matches_ccr_defect():

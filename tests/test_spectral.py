@@ -50,6 +50,12 @@ def test_eigensolve_phase_convention():
         assert lead.real > 0 and abs(np.imag(lead)) == 0.0
 
 
+def test_fix_phases_works_in_place():
+    vecs = np.array([[-2.0, 1.0], [1.0, 3.0]])
+    assert _fix_phases(vecs) is vecs
+    assert np.array_equal(vecs, [[2.0, 1.0], [-1.0, 3.0]])
+
+
 def test_eigensolve_orthonormality_and_residual():
     spec, sr = harmonic_spectrum(60, 1.0, 0.05)
     n = spec.n_sites
