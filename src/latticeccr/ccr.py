@@ -46,15 +46,9 @@ class CcrDefect:
     tail: float
 
 
-def ccr_defect(
-    psi: StateVector, spec: LatticeSpec, interior_margin: int | None = None
-) -> CcrDefect:
-    """Site-resolved commutator defect <m|([x,k] - i)|psi> on interior sites.
-
-    The state must be supported (|amplitude| > 1e-12) only on sites
-    |m| <= half_width - interior_margin, otherwise the profile would be
-    dominated by window truncation. Default margin is half_width/4.
-    """
+def _interior(psi: StateVector, spec: LatticeSpec, interior_margin: int | None) -> np.ndarray:
+    """Mask of the sites |m| <= half_width - margin (default half_width // 4); a ValueError
+    unless the margin lies in 1..half_width and psi stays within SUPPORT_TOL outside them."""
     m = spec.half_width
     w = m // 4 if interior_margin is None else int(interior_margin)
     if not 0 < w <= m:
@@ -67,6 +61,19 @@ def ccr_defect(
             f"state has support outside |m| <= {m - w}; "
             "the defect would be dominated by the truncation boundary"
         )
+    return interior
+
+
+def ccr_defect(
+    psi: StateVector, spec: LatticeSpec, interior_margin: int | None = None
+) -> CcrDefect:
+    """Site-resolved commutator defect <m|([x,k] - i)|psi> on interior sites.
+
+    The state must be supported (|amplitude| > 1e-12) only on sites
+    |m| <= half_width - interior_margin, otherwise the profile would be
+    dominated by window truncation. Default margin is half_width/4.
+    """
+    interior = _interior(psi, spec, interior_margin)
     # x is diagonal, so [x, k]_mn = (x_m - x_n) k_mn: no matrix product needed
     x = spec.positions
     defect_op = build_quasi_momentum(spec).matrix

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .ccr import SUPPORT_TOL, ccr_defect
+from .ccr import _interior, ccr_defect
 from .dynamics import GaussianPacket, make_gaussian, run_timeseries
 from .lattice import Hopping, LatticeSpec, Potential, build_hamiltonian
 from .spectral import (
@@ -204,33 +204,51 @@ def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
 _MAX_FLOATS = np.iinfo(np.intp).max // 8  # the most float64 values one numpy array can hold
 
 
+def _key_names(keys) -> str:
+    """The config keys of an error message: config key 'a', config keys 'a' and 'b'."""
+    return f"config key{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}"
+
+
+def _named(keys, build, *args):
+    """build(*args) with numpy's floating-point warnings off (the package's checks
+    refuse what is not finite); a ValueError becomes a ConfigError naming keys."""
+    try:
+        with np.errstate(all="ignore"):
+            return build(*args)
+    except ValueError as err:
+        raise ConfigError(f"{_key_names(keys)}: {err}") from err
+
+
 def _time_points(time: dict) -> float:
     """Length of the time grid k * dt, k = 0, 1, ..., up to t_max (and 1e-12
     past it, against rounding): the length of np.arange(0, t_max + 1e-12, dt),
     as a float that is inf when it overflows."""
-    return np.ceil((time["t_max"] + 1e-12) / time["dt"])
+    with np.errstate(over="ignore"):
+        return np.ceil((time["t_max"] + 1e-12) / time["dt"])
 
 
-_POTENTIAL_KEYS = {"linear": "F", "harmonic": "c"}
+_POTENTIAL_KEYS = {"constant": "V0", "linear": "F", "harmonic": "c", "custom": "values"}
 
 
 def _potentials(params: dict) -> list:
-    """(config key, kind, strength) of each linear or harmonic potential the experiment
-    builds: potential.F or potential.c as potential.kind selects, else F, c, c_values."""
+    """(config key, kind, argument) of each potential the experiment builds as
+    Potential.<kind>(argument): the potential block's key that potential.kind selects,
+    else F (linear), c and c_values (harmonic)."""
     pot = params.get("potential")
     if pot:
-        name = _POTENTIAL_KEYS.get(pot["kind"])
-        return [(f"potential.{name}", pot["kind"], pot[name])] if name else []
+        name = _POTENTIAL_KEYS[pot["kind"]]
+        return [(f"potential.{name}", pot["kind"], pot[name])]
     found = [(key, kind, params[key]) for kind, key in _POTENTIAL_KEYS.items() if key in params]
     return found + [("c_values", "harmonic", c) for c in params.get("c_values", [])]
 
 
 def _motion(params: dict):
     """(config key, default dt, period) of the motion the first potential drives, None
-    without one or at F = 0: frequency w = a |F| (Bloch) or sqrt(c), period 2 pi / w, dt
-    0.05 / w or 0.1 / w (about 126 or 63 steps a period); an infinite period is an error."""
+    unless it is linear or harmonic, or at F = 0: frequency w = a |F| (Bloch) or sqrt(c),
+    period 2 pi / w, dt 0.05 / w or 0.1 / w (about 126 or 63 steps a period); an infinite
+    period is an error."""
     key, kind, strength = (_potentials(params) or [(None, None, 0.0)])[0]
-    if not strength:
+    if kind not in ("linear", "harmonic") or not strength:
         return None
     a = params["lattice"]["a"]
     rate = a * abs(strength) if kind == "linear" else np.sqrt(strength)
@@ -258,23 +276,56 @@ def _resolve_time(experiment: str, params: dict) -> None:
     if not points <= _MAX_FLOATS:
         keys = given if len(given) == 2 or key is None else [*given, key]
         raise ConfigError(
-            f"config key{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}: "
-            f"a time grid of {points:.3g} points is longer than any array"
+            f"{_key_names(keys)}: a time grid of {points:.3g} points is longer than any array"
         )
 
 
 def _sweep_spacings(params: dict, points: int | None = None) -> np.ndarray:
     """Spacings x / c^(1/4) for grid.points (or points) x from grid.x_min to grid.x_max."""
     grid = params["grid"]
-    return np.linspace(grid["x_min"], grid["x_max"], points or grid["points"]) / params["c"] ** 0.25
+    x = np.linspace(grid["x_min"], grid["x_max"], points or grid["points"])
+    with np.errstate(over="ignore"):  # LatticeSpec refuses an infinite spacing by name
+        return x / params["c"] ** 0.25
+
+
+def _packets(params: dict) -> list:
+    """(config keys, GaussianPacket) of each packet the experiment starts: the packet
+    block (dynamics, ccr-check); one at n0 per b (fig4); one at -n0 per n0 and, last,
+    the cosine-hopping one at -nn_n0 (fig5)."""
+    if "packet" in params:
+        pk = params["packet"]
+        return [(("packet.n0", "packet.k0"), GaussianPacket(pk["n0"], pk["b"], pk["k0"]))]
+    if "oracle_b" in params:  # fig4
+        return [(("n0",), GaussianPacket(params["n0"], b)) for b in params["b"]]
+    if "nn_n0" in params:  # fig5
+        packets = [(("n0",), GaussianPacket(-n0, params["b"])) for n0 in params["n0"]]
+        return [*packets, (("nn_n0",), GaussianPacket(-params["nn_n0"], params["b"]))]
+    return []
+
+
+def _tags(params: dict) -> tuple:
+    """(config key, column tags) of fig4's b list or fig5's n0 list."""
+    if "oracle_b" in params:  # fig4
+        return "b", [f"b{b:g}" for b in params["b"]]
+    return "n0", [f"n{n0}" for n0 in params["n0"]]
+
+
+def _finite_potential(spec: LatticeSpec, kind: str, arg) -> None:
+    """Build Potential.<kind>(arg) and refuse it unless its values on spec are finite."""
+    if not np.isfinite(getattr(Potential, kind)(arg).values(spec)).all():
+        raise ValueError(
+            f"the {kind} potential of strength {arg!r} overflows at the window edge "
+            f"a M = {spec.spacing * spec.half_width:.3g}"
+        )
 
 
 def _check_window(params: dict) -> None:
-    """Range checks before anything is built, each naming its config key: the
-    dense N x N complex operator must fit one numpy array, every spacing must
-    pass LatticeSpec, and every linear or harmonic (c > 0) potential must stay
-    finite at the window edge x = a M, where it peaks (|F| x or c x^2 / 2, in
-    the arithmetic of Potential.values)."""
+    """Range checks before the run, each naming its config key. The dense N x N
+    complex operator must fit one numpy array; then the run's O(N) objects are
+    built through the package's own checks: the LatticeSpec of every spacing;
+    every potential of _potentials, with finite values at the widest spacing;
+    custom hopping's terms; every packet; and for ccr-check the margin and
+    support check of ccr_defect."""
     half_width = params["lattice"]["M"]
     if 2 * (2 * half_width + 1) ** 2 > _MAX_FLOATS:
         raise ConfigError(
@@ -284,79 +335,18 @@ def _check_window(params: dict) -> None:
     spacings = {"lattice.a": params["lattice"]["a"]}
     if "grid" in params:  # sweep and fig1: both ends of the grid of spacings
         spacings = dict(zip(("grid.x_min", "grid.x_max"), _sweep_spacings(params, 2)))
-    for key, a in spacings.items():
-        try:
-            LatticeSpec(half_width, a)
-        except ValueError as err:
-            raise ConfigError(f"config key {key!r}: {err}") from err
-    edge = np.float64(max(spacings.values())) * half_width
-    for key, kind, strength in _potentials(params):
-        if kind == "harmonic" and not strength > 0:
-            raise ConfigError(f"config key {key!r} must be positive")
-        with np.errstate(over="ignore"):
-            peak = abs(strength * edge) if kind == "linear" else strength * edge**2 / 2
-        if not np.isfinite(peak):
-            raise ConfigError(
-                f"config key {key!r}: the {kind} potential of strength {strength!r} overflows "
-                f"at the window edge a M = {edge:.3g}"
-            )
-
-
-def _check_sites(params: dict) -> None:
-    """Checks in whole sites, before anything is built, each naming its config
-    key: every packet center lies inside the window (|n0| < M, as make_gaussian
-    needs) and its kick phase k0 a m stays finite there, custom hopping reaches
-    at most across it (2 M sites), a custom potential has one value per site,
-    and for ccr-check the margin lies in 1..M and the normalized packet keeps
-    every amplitude outside the interior |m| <= M - margin within SUPPORT_TOL
-    (as ccr_defect needs)."""
-    half = params["lattice"]["M"]
-    centers = [("packet.n0", params["packet"]["n0"])] if "packet" in params else []
-    for key in ("n0", "nn_n0"):  # fig4, fig5
-        value = params.get(key, [])
-        centers += [(key, n0) for n0 in (value if isinstance(value, list) else [value])]
-    for key, n0 in centers:
-        if not abs(n0) < half:
-            raise ConfigError(
-                f"config key {key!r} = {n0} puts a packet center outside the window |m| < {half}"
-            )
-    k0 = params["packet"]["k0"] if "packet" in params else 0.0
-    if not np.isfinite(k0 * params["lattice"]["a"] * half):  # make_gaussian's k0 a m at m = M
-        raise ConfigError(
-            f"config key 'packet.k0' = {k0!r}: the kick phase k0 a M overflows at the window edge"
-        )
-    hop, pot = params.get("hopping"), params.get("potential")
-    if hop and hop["kind"] == "custom" and len(hop["t_n"]) > 2 * half:
-        raise ConfigError(
-            f"config key 'hopping.t_n': custom hopping range {len(hop['t_n'])} exceeds "
-            f"window diameter {2 * half}"
-        )
-    if pot and pot["kind"] == "custom" and len(pot["values"]) != 2 * half + 1:
-        raise ConfigError(
-            f"config key 'potential.values': custom potential has {len(pot['values'])} values "
-            f"for {2 * half + 1} sites"
-        )
-    if "margin" in params:  # ccr-check
-        margin = half // 4 if params["margin"] is None else params["margin"]
-        if not 0 < margin <= half:
-            key = "lattice.M" if params["margin"] is None else "margin"
-            raise ConfigError(f"config key {key!r}: interior margin {margin} outside 1..{half}")
-        n0, b = abs(params["packet"]["n0"]), params["packet"]["b"]
-        # the largest amplitude outside the interior sits on the outside site nearest the
-        # center. The norm sums the packet out to where its squares underflow to zero, or
-        # to 2^20 sites, past which no dense window fits in memory and a cut sum can only
-        # overstate the amplitude.
-        gap = max(half - margin + 1 - n0, 0)
-        reach = int(min(2 * half, 2**20, np.sqrt(400 / b))) + 1
-        k = np.arange(max(-half - n0, -reach), min(half - n0, reach) + 1)
-        norm = np.sqrt(np.sum(np.exp(-b * k**2.0) ** 2))
-        peak = np.exp(-b * gap**2.0) / norm
-        if peak > SUPPORT_TOL:
-            raise ConfigError(
-                "config keys 'packet.n0', 'packet.b' and 'margin': the packet has amplitude "
-                f"{peak:.2e} > {SUPPORT_TOL:.0e} outside |m| <= {half - margin}, so the defect "
-                "would be dominated by the truncation boundary"
-            )
+    # the last spacing is the widest: lattice.a, or grid.x_max > grid.x_min
+    widest = [_named((key,), LatticeSpec, half_width, a) for key, a in spacings.items()][-1]
+    for key, kind, arg in _potentials(params):
+        _named((key,), _finite_potential, widest, kind, arg)
+    hop = params.get("hopping")
+    if hop and hop["kind"] == "custom":
+        _named(("hopping.t_n",), _hopping_from(params).terms, widest)
+    for keys, packet in _packets(params):
+        psi = _named(keys, make_gaussian, widest, packet)
+    if "margin" in params:  # ccr-check, whose one packet is psi
+        keys = ("lattice.M" if params["margin"] is None else "margin", "packet.n0", "packet.b")
+        _named(keys, _interior, psi, widest, params["margin"])
 
 
 def _resolve(experiment: str, params: dict) -> None:
@@ -368,18 +358,26 @@ def _resolve(experiment: str, params: dict) -> None:
         raise ConfigError(
             f"config key 'grid.points': a grid of {grid['points']} points is longer than any array"
         )
-    states = 2 * params["lattice"]["M"] + 1
+    half = params["lattice"]["M"]
+    states = 2 * half + 1
     if experiment == "fig1" and not all(0 <= n < states for n in params["nn_pair"]):
         raise ConfigError(
             f"config key 'nn_pair' must hold state indices 0..{states - 1} of the "
             f"{states}-site window, got {params['nn_pair']}"
         )
+    if experiment == "fig3" and not abs(params["target_site"]) < half:
+        raise ConfigError(
+            f"config key 'target_site' = {params['target_site']} is outside the window |m| < {half}"
+        )
     if experiment == "fig4" and params["oracle_b"] not in params["b"]:
         raise ConfigError(
             f"config key 'oracle_b' must be one of 'b' {params['b']}, got {params['oracle_b']!r}"
         )
+    if experiment in ("fig4", "fig5"):
+        key, tags = _tags(params)
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"config key {key!r} repeats a dataset column tag: {tags}")
     _check_window(params)
-    _check_sites(params)
     if "time" in params:
         _resolve_time(experiment, params)
     if params["output"]["path"] is None:
@@ -481,21 +479,15 @@ def _hopping_from(params: dict) -> Hopping:
 
 
 def _potential_from(params: dict) -> Potential:
-    cfg = params["potential"]
-    if cfg["kind"] == "constant":
-        return Potential.constant(cfg["V0"])
-    if cfg["kind"] == "linear":
-        return Potential.linear(cfg["F"])
-    if cfg["kind"] == "harmonic":
-        return Potential.harmonic(cfg["c"])
-    return Potential.custom(cfg["values"])
+    ((_, kind, arg),) = _potentials(params)
+    return getattr(Potential, kind)(arg)
 
 
 def _solve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential):
     return eigensolve(build_hamiltonian(spec, hop, pot), tol=params["tolerances"]["eigensolve"])
 
 
-def _evolve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential, packets):
+def _timeseries(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential, packets):
     """The configured time grid and one TimeSeries per packet, from one eigensolve."""
     tgrid = np.arange(int(_time_points(params["time"]))) * params["time"]["dt"]
     sr = _solve(params, spec, hop, pot)
@@ -590,12 +582,11 @@ def _run_fig3(params):
 
 def _run_fig4(params):
     spec = _spec(params)
-    force, bs = params["F"], params["b"]
-    packets = [GaussianPacket(params["n0"], b) for b in bs]
-    pot = Potential.linear(force)
-    tgrid, runs = _evolve(params, spec, Hopping.quadratic(), pot, packets)
-    oracle = runs[bs.index(params["oracle_b"])]
-    tags = [f"b{b:g}" for b in bs]
+    packets = [packet for _, packet in _packets(params)]
+    pot = Potential.linear(params["F"])
+    tgrid, runs = _timeseries(params, spec, Hopping.quadratic(), pot, packets)
+    oracle = runs[params["b"].index(params["oracle_b"])]
+    _, tags = _tags(params)
     columns = ["t", *(f"x_mean_{tag}" for tag in tags), "x_ccr", "x_exact"]
     columns += [f"s_abs_{tag}" for tag in tags]
     series = [tgrid, *(r.x_mean for r in runs), oracle.x_ccr, oracle.x_exact_oracle]
@@ -610,14 +601,15 @@ def _run_fig4(params):
 
 def _run_fig5(params):
     spec = _spec(params)
-    curv, b, n0s, nn_n0 = params["c"], params["b"], params["n0"], params["nn_n0"]
+    curv = params["c"]
     pot = Potential.harmonic(curv)
-    packets = [GaussianPacket(-n0, b) for n0 in n0s]
-    tgrid, runs = _evolve(params, spec, Hopping.quadratic(), pot, packets)
-    _, (nn,) = _evolve(params, spec, Hopping.cosine(), pot, [GaussianPacket(-nn_n0, b)])
+    *packets, nn_packet = [packet for _, packet in _packets(params)]
+    tgrid, runs = _timeseries(params, spec, Hopping.quadratic(), pot, packets)
+    _, (nn,) = _timeseries(params, spec, Hopping.cosine(), pot, [nn_packet])
+    _, tags = _tags(params)
     root = np.sqrt(curv)
-    columns = ["t", "sqrt_c_t", *(f"x_mean_n{n0}" for n0 in n0s)]
-    columns += [f"x_ccr_n{n0s[0]}", f"x_mean_nn{nn_n0}"]
+    columns = ["t", "sqrt_c_t", *(f"x_mean_{tag}" for tag in tags)]
+    columns += [f"x_ccr_{tags[0]}", f"x_mean_nn{params['nn_n0']}"]
     series = [tgrid, root * tgrid, *(r.x_mean for r in runs), runs[0].x_ccr, nn.x_mean]
     derived = {
         "threshold_estimate": threshold_estimate(spec.spacing, curv),
@@ -628,9 +620,8 @@ def _run_fig5(params):
 
 
 def _run_dynamics(params):
-    spec, pot, pk = _spec(params), _potential_from(params), params["packet"]
-    packet = GaussianPacket(pk["n0"], pk["b"], pk["k0"])
-    tgrid, (ts,) = _evolve(params, spec, _hopping_from(params), pot, [packet])
+    spec, pot, ((_, packet),) = _spec(params), _potential_from(params), _packets(params)
+    tgrid, (ts,) = _timeseries(params, spec, _hopping_from(params), pot, [packet])
     nan = np.full(len(tgrid), np.nan)
     x_ccr = nan if ts.x_ccr is None else ts.x_ccr
     x_exact = nan if ts.x_exact_oracle is None else ts.x_exact_oracle
@@ -645,8 +636,8 @@ def _run_dynamics(params):
 
 
 def _run_ccr_check(params):
-    spec, pk = _spec(params), params["packet"]
-    psi = make_gaussian(spec, GaussianPacket(pk["n0"], pk["b"], pk["k0"]))
+    spec, ((_, packet),) = _spec(params), _packets(params)
+    psi = make_gaussian(spec, packet)
     result = ccr_defect(psi, spec, params["margin"])
     columns = ["m", "defect_re", "defect_im", "ratio_re", "ratio_im"]
     rows = []

@@ -99,6 +99,8 @@ def _config(experiment):
 @example(("fig4", {}, ["lattice.a=1e-150", "F=1e-200"]))
 @example(("dynamics", {}, ["potential.kind=linear", "potential.F=1e-320"]))
 @example(("dynamics", {}, ["time.dt=1e-300"]))
+@example(("fig5", {}, ["time.dt=5e-324"]))
+@example(("sweep", {}, ["c=1e-300", "grid.x_max=1e300"]))
 @example(("spectrum", {}, ["potential.c=1e305"]))
 @example(("spectrum", {}, ["lattice.M=" + "9" * 5000]))
 def test_any_config_parses_or_raises_config_error(config):

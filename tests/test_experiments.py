@@ -240,6 +240,9 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("sweep", ["grid.points=10000000000000000000"], "grid.points"),
         ("dynamics", ["packet.k0=1e308", "lattice.a=10", "lattice.M=40", "packet.n0=0", "packet.b=5"], "packet.k0"),
         ("ccr-check", ["packet.k0=1e308", "lattice.a=10", "lattice.M=40", "packet.n0=0", "packet.b=5"], "packet.k0"),
+        ("fig3", ["target_site=-1000", "lattice.M=40"], "target_site"),
+        ("fig4", ["b=[0.2,0.2000001]", "oracle_b=0.2"], "b"),
+        ("fig5", ["n0=[20,20]", "lattice.M=80"], "n0"),
     ],
     ids=[
         "lattice.M",
@@ -277,6 +280,9 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "grid.points-too-many",
         "dynamics-kick-overflow",
         "ccr-check-kick-overflow",
+        "fig3-target-site",
+        "fig4-b-column-tags",
+        "fig5-n0-column-tags",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
