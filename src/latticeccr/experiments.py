@@ -19,7 +19,7 @@ from . import __version__
 from .errors import ConfigError
 from .ccr import _interior, ccr_defect
 from .dynamics import GaussianPacket, make_gaussian, run_timeseries
-from .lattice import Hopping, LatticeSpec, Potential, build_hamiltonian
+from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, build_hamiltonian
 from .spectral import (
     diagnose_states,
     eigensolve,
@@ -310,22 +310,19 @@ def _tags(params: dict) -> tuple:
     return "n0", [f"n{n0}" for n0 in params["n0"]]
 
 
-def _finite_potential(spec: LatticeSpec, kind: str, arg) -> None:
-    """Build Potential.<kind>(arg) and refuse it unless its values on spec are finite."""
-    if not np.isfinite(getattr(Potential, kind)(arg).values(spec)).all():
-        raise ValueError(
-            f"the {kind} potential of strength {arg!r} overflows at the window edge "
-            f"a M = {spec.spacing * spec.half_width:.3g}"
-        )
+def _diagonal(spec: LatticeSpec, hop: Hopping, kind: str, arg) -> None:
+    """The Hamiltonian's diagonal with the potential Potential.<kind>(arg), through
+    build_hamiltonian's rule."""
+    _hamiltonian_diagonal(spec, hop, getattr(Potential, kind)(arg))
 
 
 def _check_window(params: dict) -> None:
     """Range checks before the run, each naming its config key. The dense N x N
     complex operator must fit one numpy array; then the run's O(N) objects are
     built through the package's own checks: the LatticeSpec of every spacing;
-    every potential of _potentials, with finite values at the widest spacing;
-    custom hopping's terms; every packet; and for ccr-check the margin and
-    support check of ccr_defect."""
+    custom hopping's terms; at every spacing, the Hamiltonian's diagonal without
+    a potential and with each potential of _potentials; every packet; and for
+    ccr-check the margin and support check of ccr_defect."""
     half_width = params["lattice"]["M"]
     if 2 * (2 * half_width + 1) ** 2 > _MAX_FLOATS:
         raise ConfigError(
@@ -335,13 +332,21 @@ def _check_window(params: dict) -> None:
     spacings = {"lattice.a": params["lattice"]["a"]}
     if "grid" in params:  # sweep and fig1: both ends of the grid of spacings
         spacings = dict(zip(("grid.x_min", "grid.x_max"), _sweep_spacings(params, 2)))
-    # the last spacing is the widest: lattice.a, or grid.x_max > grid.x_min
-    widest = [_named((key,), LatticeSpec, half_width, a) for key, a in spacings.items()][-1]
-    for key, kind, arg in _potentials(params):
-        _named((key,), _finite_potential, widest, kind, arg)
+    specs = {key: _named((key,), LatticeSpec, half_width, a) for key, a in spacings.items()}
+    widest = list(specs.values())[-1]  # lattice.a, or grid.x_max > grid.x_min
     hop = params.get("hopping")
     if hop and hop["kind"] == "custom":
         _named(("hopping.t_n",), _hopping_from(params).terms, widest)
+    # Both ends of the spacings bound the diagonal: a harmonic V grows with a, the onsite
+    # -t0 with 1/a^2. fig1's and fig5's cosine runs have harmonic potentials >= 0 and a
+    # smaller onsite 1/a^2 than quadratic hopping. ccr-check builds no Hamiltonian.
+    kinetic = _hopping_from(params) if hop else Hopping.quadratic()
+    custom = ("hopping.t0", "hopping.t_n") if kinetic.kind == "custom" else None
+    pots = _potentials(params)
+    for spacing_key, spec in specs.items() if pots else ():
+        _named(custom or (spacing_key,), _diagonal, spec, kinetic, "constant", 0.0)
+        for key, kind, arg in pots:
+            _named((key,), _diagonal, spec, kinetic, kind, arg)
     for keys, packet in _packets(params):
         psi = _named(keys, make_gaussian, widest, packet)
     if "margin" in params:  # ccr-check, whose one packet is psi

@@ -335,10 +335,27 @@ def build_translation(spec: LatticeSpec, shift: int) -> np.ndarray:
     return np.eye(n, k=-shift)
 
 
+def _hamiltonian_diagonal(spec: LatticeSpec, hop: Hopping, pot: Potential) -> np.ndarray:
+    """The Hamiltonian's diagonal V_m - t0, refused unless N |H|_max is finite, |H|_max
+    being the largest of its entries and the hopping amplitudes: the eigensolve contract's
+    bound, and with N >= 3 also 2 |H|_max, the parity blocks' sums of two entries."""
+    t0, amps = hop.terms(spec)
+    with np.errstate(over="ignore"):  # an infinite entry is refused below
+        diag = pot.values(spec) - t0
+    top = float(max(np.abs(diag).max(), np.abs(amps).max(initial=0.0)))
+    if not np.isfinite(spec.n_sites * top):
+        raise ValueError(
+            f"the Hamiltonian's largest entry {top:.3g} times the {spec.n_sites} sites is "
+            f"beyond the float range (window edge a M = {spec.spacing * spec.half_width:.3g})"
+        )
+    return diag
+
+
 def build_hamiltonian(spec: LatticeSpec, hop: Hopping, pot: Potential) -> OperatorMatrix:
-    """Hamiltonian: kinetic term plus diagonal potential, checked once."""
+    """Hamiltonian: kinetic term plus diagonal potential, its diagonal held to
+    _hamiltonian_diagonal's range rule and the sum checked once."""
     h = _kinetic_matrix(spec, hop)
-    h[np.diag_indices_from(h)] += pot.values(spec)
+    h[np.diag_indices_from(h)] = _hamiltonian_diagonal(spec, hop, pot)
     return OperatorMatrix(h)
 
 

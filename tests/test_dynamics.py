@@ -368,3 +368,82 @@ def test_tolerance_error_names_first_time(leaky_system):
         with pytest.raises(ToleranceError) as err:
             run_timeseries(spec, hop, pot, wide, grid, bad)
     assert str(err.value) == message
+
+
+def plain_observables(spec, psi0, sr, times):
+    """run_timeseries' observables from blocks of the plain amplitudes psi, not
+    2^128 psi: the unscaled block loop, the reference for the scaled one. Also
+    returns the number of subnormal real components over the blocks."""
+    vecs = sr.eigenvectors
+    assert not np.iscomplexobj(vecs)
+    coeff = vecs.T @ psi0.amplitudes
+    s_mat = np.ascontiguousarray(build_quasi_momentum(spec).matrix.imag)
+    signs = (-1.0) ** np.abs(spec.sites)
+    out = {name: np.empty(len(times)) for name in ("x_mean", "k_mean", "s_abs", "norm")}
+    boundary, subnormal = 0.0, 0
+    for start in range(0, len(times), CHUNK):
+        phased = -1j * np.outer(sr.eigenvalues, times[start : start + CHUNK])
+        np.exp(phased, out=phased)
+        phased *= coeff[:, None]
+        block = (vecs @ phased.view(np.float64)).view(complex)
+        stop = start + block.shape[1]
+        parts = block.view(np.float64)
+        subnormal += np.count_nonzero((parts != 0) & (np.abs(parts) < np.finfo(float).tiny))
+        u, v = parts[:, 0::2], np.ascontiguousarray(parts[:, 1::2])
+        prob = u * u + v * v
+        out["x_mean"][start:stop] = spec.positions @ prob
+        out["k_mean"][start:stop] = -2.0 * (u * (s_mat @ v)).sum(axis=0)
+        out["s_abs"][start:stop] = np.abs((signs @ parts).view(complex))
+        out["norm"][start:stop] = np.sqrt(prob.sum(axis=0))
+        boundary = max(boundary, np.maximum(np.abs(block[0]), np.abs(block[-1])).max())
+    return out, boundary, subnormal
+
+
+def assert_matches_plain_blocks(spec, hop, force, packet, times):
+    pot = Potential.linear(force)
+    sr = eigensolve(build_hamiltonian(spec, hop, pot))
+    with np.errstate(over="raise", invalid="raise"):
+        ts = run_timeseries(spec, hop, pot, packet, times, sr, leak_warn=1.0, leak_fail=1.0)
+        want, boundary, subnormal = plain_observables(spec, make_gaussian(spec, packet), sr, times)
+    for name, values in want.items():
+        assert np.array_equal(getattr(ts, name), values), name
+    assert ts.boundary_max == boundary
+    return subnormal
+
+
+def test_run_timeseries_matches_plain_blocks_on_subnormal_tails():
+    # the nearest-neighbour Bloch packet whose Bessel tails fall below 2^-1022:
+    # the blocks carry 2^128 psi, and every observable keeps its bits
+    spec, force = LatticeSpec(288, 1.0), 0.5
+    times = np.linspace(0.0, 3 * 2 * np.pi / force, 2 * CHUNK + 45)
+    packet = GaussianPacket(0, 0.02, k0=0.3)
+    subnormal = assert_matches_plain_blocks(spec, Hopping.cosine(), force, packet, times)
+    assert subnormal > 10 * len(times)  # the reference does take the subnormal path
+
+
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=lambda h: h.kind)
+@pytest.mark.parametrize("a", [1e-150, 1.3e154])
+def test_run_timeseries_matches_plain_blocks_at_extreme_spacings(hop, a):
+    # |x| up to 2^517 at a = 1.3e154, ||S|| near 2^501 at a = 1e-150: the scaled sums
+    # neither overflow nor round apart
+    spec = LatticeSpec(40, a)
+    times = np.arange(CHUNK + 9) * 0.05 * min(a * a, 1.0)
+    assert_matches_plain_blocks(spec, hop, 0.5 / a, GaussianPacket(2, 0.05, k0=0.3 / a), times)
+
+
+def test_propagate_differs_from_plain_product_only_at_the_subnormal_grain():
+    # scaled back from 2^128 psi, a component whose plain product underflowed is
+    # rounded once instead of term by term: about 54 of the 1154 real components
+    # move, by at most 5 units of 2^-1074, and none above 2.35 * 2^-1022
+    spec, hop, pot = LatticeSpec(288, 1.0), Hopping.cosine(), Potential.linear(0.5)
+    sr = eigensolve(build_hamiltonian(spec, hop, pot))
+    psi = make_gaussian(spec, GaussianPacket(0, 0.02, k0=0.3))
+    tiny = np.finfo(float).tiny
+    for t in (0.0, 2.2 * np.pi, 20.0):  # at the last two, one of them is a normal float
+        coeff = np.exp(-1j * sr.eigenvalues * t) * (sr.eigenvectors.T @ psi.amplitudes)
+        plain = (sr.eigenvectors @ coeff.view(np.float64).reshape(-1, 2)).ravel()
+        got = propagate(psi, sr, t).amplitudes.view(np.float64)
+        differ = got != plain
+        assert 0 < np.count_nonzero(differ) < np.count_nonzero(np.abs(plain) < tiny)
+        assert np.abs(plain[differ]).max() < 4 * tiny
+        assert np.abs(got - plain).max() <= 8 * 2.0**-1074

@@ -243,6 +243,8 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("fig3", ["target_site=-1000", "lattice.M=40"], "target_site"),
         ("fig4", ["b=[0.2,0.2000001]", "oracle_b=0.2"], "b"),
         ("fig5", ["n0=[20,20]", "lattice.M=80"], "n0"),
+        ("spectrum", ["potential.kind=constant", "potential.V0=1e308", "lattice.M=5"], "potential.V0"),
+        ("spectrum", ["lattice.a=1e-154", "lattice.M=5"], "lattice.a"),
     ],
     ids=[
         "lattice.M",
@@ -283,6 +285,8 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "fig3-target-site",
         "fig4-b-column-tags",
         "fig5-n0-column-tags",
+        "potential.V0-diagonal-overflow",
+        "lattice.a-diagonal-overflow",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):

@@ -197,6 +197,21 @@ def test_custom_hopping_range_check():
         build_hamiltonian(spec, Hopping.custom(0.0, np.ones(7)), Potential.constant())
 
 
+def test_hamiltonian_refuses_entries_whose_sums_overflow():
+    # N |H|_max bounds the eigensolve contract and, for N >= 3, the parity blocks' A + B
+    spec = LatticeSpec(5, 1.0)
+    for spec_, hop, pot in [
+        (spec, Hopping.quadratic(), Potential.constant(1e308)),
+        (spec, Hopping.custom(0.0, [1e308]), Potential.constant()),
+        (LatticeSpec(5, 1e-154), Hopping.quadratic(), Potential.constant()),
+    ]:
+        with pytest.raises(ValueError, match="beyond the float range"):
+            build_hamiltonian(spec_, hop, pot)
+    for spec_, pot in [(spec, Potential.constant(1e307)), (LatticeSpec(5, 1e-153), Potential.constant())]:
+        sr = eigensolve(build_hamiltonian(spec_, Hopping.quadratic(), pot))
+        assert np.isfinite(sr.eigenvalues).all() and np.isfinite(sr.residual_norm)
+
+
 def test_hamiltonian_harmonic_diagonal():
     spec = LatticeSpec(10, 1.0)
     ham = build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.01))
