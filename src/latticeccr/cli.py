@@ -2,7 +2,7 @@
 
     latticeccr <experiment> [--config cfg.json] [--set key=value ...] [--out dir]
 
-The experiment comes from the subcommand only; a config file or --set
+The experiment comes from the command line only; a config file or --set
 that names another one is a config error. Exit codes: 0 success, 2 config
 error (running out of memory included), 3 numerical-tolerance failure, 4
 leakage failure. Every run, failed ones included, leaves
@@ -52,19 +52,17 @@ def main(argv=None) -> int:
         "Bloch oscillations, and canonical-commutator diagnostics.",
     )
     parser.add_argument("--version", action="version", version=f"latticeccr {__version__}")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="JSON config file (defaults applied on top)")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config key, e.g. --set lattice.M=64 --set potential.F=0.5",
-        )
-        p.add_argument("--out", default=".", help="output directory (default: current)")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument("--config", help="JSON config file (defaults applied on top)")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a config key, e.g. --set lattice.M=64 --set potential.F=0.5",
+    )
+    parser.add_argument("--out", default=".", help="output directory (default: current)")
     args = parser.parse_args(argv)
 
     cfg = None
@@ -82,7 +80,7 @@ def main(argv=None) -> int:
         if raw["experiment"] != args.experiment:
             raise ConfigError(
                 f"config key 'experiment' is {raw['experiment']!r}; "
-                f"the subcommand {args.experiment!r} sets it"
+                f"the command line sets it to {args.experiment!r}"
             )
         cfg = parse_config(json.dumps(raw))
         _, rows, manifest = run_experiment(cfg, out_dir=args.out)

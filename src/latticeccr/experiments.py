@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .ccr import _interior, ccr_defect
-from .dynamics import GaussianPacket, make_gaussian, run_timeseries
+from .dynamics import LEAK_FAIL, LEAK_WARN, GaussianPacket, make_gaussian, run_timeseries
 from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, build_hamiltonian
 from .spectral import (
     diagnose_states,
@@ -73,7 +73,7 @@ def _check(value, kind, key):
 # experiment lists only the keys its runner reads.
 _OUTPUT = {"path": (None, "str"), "format": ("csv", ("csv", "json"))}
 _SOLVE = {"eigensolve": (1e-10, "float+")}
-_LEAK = {**_SOLVE, "leak_warn": (1e-10, "float+"), "leak_fail": (1e-6, "float+")}
+_LEAK = {**_SOLVE, "leak_warn": (LEAK_WARN, "float+"), "leak_fail": (LEAK_FAIL, "float+")}
 _HOPPING = {
     "kind": ("quadratic", ("quadratic", "cosine", "custom")),
     "t0": (0.0, "float"),
@@ -230,35 +230,48 @@ def _time_points(time: dict) -> float:
 _POTENTIAL_KEYS = {"constant": "V0", "linear": "F", "harmonic": "c", "custom": "values"}
 
 
-def _potentials(params: dict) -> list:
-    """(config key, kind, argument) of each potential the experiment builds as
-    Potential.<kind>(argument): the potential block's key that potential.kind selects,
-    else F (linear), c and c_values (harmonic)."""
+def _hamiltonians(params: dict) -> list:
+    """(potential's config key, Hopping, Potential) of every Hamiltonian the experiment
+    solves, in the order its runner solves them: each hopping with each potential. The
+    hopping is the hopping block's, else quadratic, and for fig1 and fig5 also cosine; the
+    potential is the one potential.kind selects, else F (linear), c and each of c_values
+    (harmonic). A refused potential is a ConfigError naming its key."""
+    hop = params.get("hopping")
+    if hop:
+        custom = hop["kind"] == "custom"
+        hops = [Hopping.custom(hop["t0"], hop["t_n"]) if custom else Hopping(hop["kind"])]
+    else:
+        nearest = "nn_pair" in params or "nn_n0" in params  # fig1, fig5
+        hops = [Hopping.quadratic(), *[Hopping.cosine()] * nearest]
     pot = params.get("potential")
     if pot:
         name = _POTENTIAL_KEYS[pot["kind"]]
-        return [(f"potential.{name}", pot["kind"], pot[name])]
-    found = [(key, kind, params[key]) for kind, key in _POTENTIAL_KEYS.items() if key in params]
-    return found + [("c_values", "harmonic", c) for c in params.get("c_values", [])]
+        found = [(f"potential.{name}", pot["kind"], pot[name])]
+    else:
+        found = [(key, kind, params[key]) for kind, key in _POTENTIAL_KEYS.items() if key in params]
+        found += [("c_values", "harmonic", c) for c in params.get("c_values", [])]
+    pots = [(key, _named((key,), getattr(Potential, kind), arg)) for key, kind, arg in found]
+    return [(key, h, p) for h in hops for key, p in pots]
 
 
 def _motion(params: dict):
-    """(config key, default dt, period) of the motion the first potential drives, None
-    unless it is linear or harmonic, or at F = 0: frequency w = a |F| (Bloch) or sqrt(c),
-    period 2 pi / w, dt 0.05 / w or 0.1 / w (about 126 or 63 steps a period); an infinite
-    period is an error."""
-    key, kind, strength = (_potentials(params) or [(None, None, 0.0)])[0]
-    if kind not in ("linear", "harmonic") or not strength:
+    """(config key, default dt, period) of the motion the first Hamiltonian's potential
+    drives, None unless it is linear or harmonic, or at F = 0: frequency w = a |F| (Bloch)
+    or sqrt(c), period 2 pi / w, dt 0.05 / w or 0.1 / w (about 126 or 63 steps a period);
+    an infinite period is an error."""
+    key, _, pot = _hamiltonians(params)[0]
+    strength = pot.force if pot.kind == "linear" else pot.curvature  # 0 unless either
+    if not strength:
         return None
     a = params["lattice"]["a"]
-    rate = a * abs(strength) if kind == "linear" else np.sqrt(strength)
+    rate = a * abs(strength) if pot.kind == "linear" else np.sqrt(strength)
     period = 2 * np.pi / rate if rate > 0 else np.inf
     if not np.isfinite(2 * period):  # the default t_max; only F can: sqrt(c) > 1e-162
         raise ConfigError(
             f"config key {key!r}: F = {strength!r} at 'lattice.a' = {a!r} gives a Bloch period "
             f"2 pi / (a |F|) of {period:.3g}, beyond the float range"
         )
-    return key, (0.05 if kind == "linear" else 0.1) / rate, period
+    return key, (0.05 if pot.kind == "linear" else 0.1) / rate, period
 
 
 def _resolve_time(experiment: str, params: dict) -> None:
@@ -310,19 +323,13 @@ def _tags(params: dict) -> tuple:
     return "n0", [f"n{n0}" for n0 in params["n0"]]
 
 
-def _diagonal(spec: LatticeSpec, hop: Hopping, kind: str, arg) -> None:
-    """The Hamiltonian's diagonal with the potential Potential.<kind>(arg), through
-    build_hamiltonian's rule."""
-    _hamiltonian_diagonal(spec, hop, getattr(Potential, kind)(arg))
-
-
 def _check_window(params: dict) -> None:
     """Range checks before the run, each naming its config key. The dense N x N
     complex operator must fit one numpy array; then the run's O(N) objects are
     built through the package's own checks: the LatticeSpec of every spacing;
-    custom hopping's terms; at every spacing, the Hamiltonian's diagonal without
-    a potential and with each potential of _potentials; every packet; and for
-    ccr-check the margin and support check of ccr_defect."""
+    custom hopping's terms; at every spacing, the diagonal of each Hamiltonian of
+    _hamiltonians, first without its potential and then with it; every packet; and
+    for ccr-check the margin and support check of ccr_defect."""
     half_width = params["lattice"]["M"]
     if 2 * (2 * half_width + 1) ** 2 > _MAX_FLOATS:
         raise ConfigError(
@@ -334,19 +341,16 @@ def _check_window(params: dict) -> None:
         spacings = dict(zip(("grid.x_min", "grid.x_max"), _sweep_spacings(params, 2)))
     specs = {key: _named((key,), LatticeSpec, half_width, a) for key, a in spacings.items()}
     widest = list(specs.values())[-1]  # lattice.a, or grid.x_max > grid.x_min
-    hop = params.get("hopping")
-    if hop and hop["kind"] == "custom":
-        _named(("hopping.t_n",), _hopping_from(params).terms, widest)
+    hams = _hamiltonians(params)  # none for ccr-check
+    if hams and hams[0][1].kind == "custom":  # the hopping block's
+        _named(("hopping.t_n",), hams[0][1].terms, widest)
     # Both ends of the spacings bound the diagonal: a harmonic V grows with a, the onsite
-    # -t0 with 1/a^2. fig1's and fig5's cosine runs have harmonic potentials >= 0 and a
-    # smaller onsite 1/a^2 than quadratic hopping. ccr-check builds no Hamiltonian.
-    kinetic = _hopping_from(params) if hop else Hopping.quadratic()
-    custom = ("hopping.t0", "hopping.t_n") if kinetic.kind == "custom" else None
-    pots = _potentials(params)
-    for spacing_key, spec in specs.items() if pots else ():
-        _named(custom or (spacing_key,), _diagonal, spec, kinetic, "constant", 0.0)
-        for key, kind, arg in pots:
-            _named((key,), _diagonal, spec, kinetic, kind, arg)
+    # -t0 with 1/a^2.
+    for spacing_key, spec in specs.items():
+        for key, hop, pot in hams:
+            kinetic = ("hopping.t0", "hopping.t_n") if hop.kind == "custom" else (spacing_key,)
+            _named(kinetic, _hamiltonian_diagonal, spec, hop, Potential.constant())
+            _named((key,), _hamiltonian_diagonal, spec, hop, pot)
     for keys, packet in _packets(params):
         psi = _named(keys, make_gaussian, widest, packet)
     if "margin" in params:  # ccr-check, whose one packet is psi
@@ -476,18 +480,6 @@ def _spec(params: dict) -> LatticeSpec:
     return LatticeSpec(params["lattice"]["M"], params["lattice"]["a"])
 
 
-def _hopping_from(params: dict) -> Hopping:
-    cfg = params["hopping"]
-    if cfg["kind"] == "custom":
-        return Hopping.custom(cfg["t0"], cfg["t_n"])
-    return Hopping(cfg["kind"])
-
-
-def _potential_from(params: dict) -> Potential:
-    ((_, kind, arg),) = _potentials(params)
-    return getattr(Potential, kind)(arg)
-
-
 def _solve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential):
     return eigensolve(build_hamiltonian(spec, hop, pot), tol=params["tolerances"]["eigensolve"])
 
@@ -505,8 +497,8 @@ def _timeseries(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential, p
 
 
 def _run_spectrum(params):
-    spec = _spec(params)
-    sr = _solve(params, spec, _hopping_from(params), _potential_from(params))
+    spec, ((_, hop, pot),) = _spec(params), _hamiltonians(params)
+    sr = _solve(params, spec, hop, pot)
     columns = ["n", "energy", "parity", "s_n", "center"]
     rows = [
         [d.index, sr.eigenvalues[d.index], d.parity, d.overlap, d.center]
@@ -515,25 +507,24 @@ def _run_spectrum(params):
     return columns, rows, {"residual_norm": sr.residual_norm}
 
 
-def _sweep_rows(params, hopping, states):
-    c, a_values = params["c"], _sweep_spacings(params)
-    sweep = harmonic_sweep(
-        c, a_values, states, params["lattice"]["M"], hopping, tol=params["tolerances"]["eigensolve"]
-    )
+def _sweep_rows(params, hop, pot, states):
+    half_width, tol = params["lattice"]["M"], params["tolerances"]["eigensolve"]
+    sweep = harmonic_sweep(pot.curvature, _sweep_spacings(params), states, half_width, hop, tol=tol)
     columns = (sweep.ac_quarter, sweep.index, sweep.e_over_sqrt_c, sweep.reference)
     return [list(row) for row in zip(*columns)]
 
 
 def _run_sweep(params):
-    rows = _sweep_rows(params, _hopping_from(params), params["states_per_point"])
+    ((_, hop, pot),) = _hamiltonians(params)
+    rows = _sweep_rows(params, hop, pot, params["states_per_point"])
     derived = {"c": params["c"], "a_values": _sweep_spacings(params).tolist()}
     return ["ac_quarter", "n", "e_over_sqrtc", "dashed_ref"], rows, derived
 
 
 def _run_fig1(params):
-    pair = sorted(params["nn_pair"])
-    quad = _sweep_rows(params, Hopping.quadratic(), params["states_per_point"])
-    cos = _sweep_rows(params, Hopping.cosine(), max(pair) + 1)
+    pair, ((_, quadratic, pot), (_, cosine, _)) = sorted(params["nn_pair"]), _hamiltonians(params)
+    quad = _sweep_rows(params, quadratic, pot, params["states_per_point"])
+    cos = _sweep_rows(params, cosine, pot, max(pair) + 1)
     rows = [["quadratic", *row] for row in quad]
     rows.extend(["cosine", *row] for row in cos if row[1] in pair)
     columns = ["kinetic", "ac_quarter", "n", "e_over_sqrtc", "dashed_ref"]
@@ -543,10 +534,10 @@ def _run_fig1(params):
 def _run_fig2(params):
     spec = _spec(params)
     rows = []
-    for c in params["c_values"]:
-        sr = _solve(params, spec, Hopping.quadratic(), Potential.harmonic(c))
+    for _, hop, pot in _hamiltonians(params):
+        sr = _solve(params, spec, hop, pot)
         rows.extend(
-            [c, d.index, d.overlap]
+            [pot.curvature, d.index, d.overlap]
             for d in diagnose_states(sr, spec)
             if d.parity == "even" and d.index <= params["n_cut"]
         )
@@ -554,17 +545,16 @@ def _run_fig2(params):
 
 
 def _run_fig3(params):
-    spec = _spec(params)
-    force, target = params["F"], params["target_site"]
-    hop = Hopping.quadratic()
+    spec, target = _spec(params), params["target_site"]
+    (_, hop, linear), (_, _, harmonic) = _hamiltonians(params)
 
-    ws = _solve(params, spec, hop, Potential.linear(force))
+    ws = _solve(params, spec, hop, linear)
     centers = np.sum(spec.sites[:, None] * np.abs(ws.eigenvectors) ** 2, axis=0)
     ws_idx = int(np.argmin(np.abs(centers - target)))
-    ladder = wannier_stark_analysis(ws, spec, force)
+    ladder = wannier_stark_analysis(ws, spec, linear.force)
 
     # even states have mirror lobes at +-m, so match the lobe's distance from the centre
-    harm = _solve(params, spec, hop, Potential.harmonic(params["c"]))
+    harm = _solve(params, spec, hop, harmonic)
     even = [d.index for d in diagnose_states(harm, spec) if d.parity == "even"]
     lobes = spec.sites[np.argmax(np.abs(harm.eigenvectors[:, even]), axis=0)]
     best = even[int(np.argmin(np.abs(np.abs(lobes) - abs(target))))]
@@ -580,16 +570,15 @@ def _run_fig3(params):
         "harmonic_state_index": best,
         "ladder_mean_spacing": ladder.mean_spacing,
         "ladder_max_spacing_deviation": ladder.max_spacing_deviation,
-        "expected_spacing": spec.spacing * force,
+        "expected_spacing": spec.spacing * linear.force,
     }
     return columns, rows, derived
 
 
 def _run_fig4(params):
     spec = _spec(params)
-    packets = [packet for _, packet in _packets(params)]
-    pot = Potential.linear(params["F"])
-    tgrid, runs = _timeseries(params, spec, Hopping.quadratic(), pot, packets)
+    packets, ((_, hop, pot),) = [packet for _, packet in _packets(params)], _hamiltonians(params)
+    tgrid, runs = _timeseries(params, spec, hop, pot, packets)
     oracle = runs[params["b"].index(params["oracle_b"])]
     _, tags = _tags(params)
     columns = ["t", *(f"x_mean_{tag}" for tag in tags), "x_ccr", "x_exact"]
@@ -605,12 +594,11 @@ def _run_fig4(params):
 
 
 def _run_fig5(params):
-    spec = _spec(params)
-    curv = params["c"]
-    pot = Potential.harmonic(curv)
+    spec, ((_, quad, pot), (_, cos, _)) = _spec(params), _hamiltonians(params)
+    curv = pot.curvature
     *packets, nn_packet = [packet for _, packet in _packets(params)]
-    tgrid, runs = _timeseries(params, spec, Hopping.quadratic(), pot, packets)
-    _, (nn,) = _timeseries(params, spec, Hopping.cosine(), pot, [nn_packet])
+    tgrid, runs = _timeseries(params, spec, quad, pot, packets)
+    _, (nn,) = _timeseries(params, spec, cos, pot, [nn_packet])
     _, tags = _tags(params)
     root = np.sqrt(curv)
     columns = ["t", "sqrt_c_t", *(f"x_mean_{tag}" for tag in tags)]
@@ -625,8 +613,8 @@ def _run_fig5(params):
 
 
 def _run_dynamics(params):
-    spec, pot, ((_, packet),) = _spec(params), _potential_from(params), _packets(params)
-    tgrid, (ts,) = _timeseries(params, spec, _hopping_from(params), pot, [packet])
+    spec, ((_, hop, pot),), ((_, packet),) = _spec(params), _hamiltonians(params), _packets(params)
+    tgrid, (ts,) = _timeseries(params, spec, hop, pot, [packet])
     nan = np.full(len(tgrid), np.nan)
     x_ccr = nan if ts.x_ccr is None else ts.x_ccr
     x_exact = nan if ts.x_exact_oracle is None else ts.x_exact_oracle

@@ -105,7 +105,7 @@ def _config(experiment):
 @example(("spectrum", {}, ["lattice.M=" + "9" * 5000]))
 def test_any_config_parses_or_raises_config_error(config):
     experiment, raw, overrides = config
-    # the CLI's path: the subcommand sets the experiment unless the object does
+    # the CLI's path: the command line sets the experiment unless the object does
     raw.setdefault("experiment", experiment)
     try:
         for assignment in overrides:

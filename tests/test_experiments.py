@@ -16,7 +16,7 @@ from latticeccr import (
     parse_config,
     run_experiment,
 )
-from latticeccr import experiments
+from latticeccr import experiments, lattice, spectral
 from latticeccr.cli import main
 from latticeccr.experiments import _time_points
 
@@ -430,6 +430,17 @@ def test_cli_free_cosine_run(tmp_path, capsys):
     data = np.genfromtxt(tmp_path / "dynamics.csv", delimiter=",", names=True)
     assert np.all(np.isfinite(data["x_exact"]))
     assert np.array_equal(data["x_exact"], data["x_ccr"])
+    manifest = json.loads((tmp_path / "dynamics_manifest.json").read_text())
+    assert "bloch_period" not in manifest["derived"]  # free motion has none
+
+
+def test_cli_linear_run_reports_bloch_period(tmp_path, capsys):
+    a, force = 2.0, -0.3
+    args = ["--set", "potential.kind=linear", "--set", f"potential.F={force}"]
+    args += ["--set", "hopping.kind=cosine", "--set", f"lattice.a={a}", "--set", "lattice.M=64"]
+    assert main(["dynamics", "--out", str(tmp_path), *args]) == 0
+    manifest = json.loads((tmp_path / "dynamics_manifest.json").read_text())
+    assert manifest["derived"]["bloch_period"] == 2 * np.pi / (a * abs(force))
 
 
 def test_cli_failure_manifest_beside_configured_dataset(tmp_path, capsys):
@@ -442,6 +453,30 @@ def test_cli_failure_manifest_beside_configured_dataset(tmp_path, capsys):
     assert manifest["config"]["output"]["path"] == "foo.csv"
     assert manifest["config"]["time"]["dt"] == pytest.approx(1.0)
     assert not (tmp_path / "dynamics_manifest.json").exists()
+
+
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+def test_parse_checks_every_hamiltonian_the_run_solves(experiment, tmp_path, monkeypatch):
+    # every (hopping, potential) pair a run builds had its diagonal range-checked while
+    # parsing, fig1's and fig5's nearest-neighbour Hamiltonians included
+    checked, solved = set(), set()
+
+    def recording(seen, build):
+        def wrapped(spec, hop, pot):
+            seen.add((hop, pot))
+            return build(spec, hop, pot)
+
+        return wrapped
+
+    diagonal = recording(checked, lattice._hamiltonian_diagonal)
+    monkeypatch.setattr(experiments, "_hamiltonian_diagonal", diagonal)
+    cfg = parse_config(json.dumps({"experiment": experiment}))
+    monkeypatch.setattr(experiments, "_hamiltonian_diagonal", lattice._hamiltonian_diagonal)
+    for module in (experiments, spectral):  # spectral's binding serves harmonic_sweep
+        monkeypatch.setattr(module, "build_hamiltonian", recording(solved, lattice.build_hamiltonian))
+    run_experiment(cfg, out_dir=str(tmp_path))
+    assert solved or experiment == "ccr-check"
+    assert solved <= checked, solved - checked
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5", "dynamics", "ccr-check"])
