@@ -7,10 +7,11 @@ that names another one is a config error. Exit codes: 0 success, 2 config
 error (running out of memory included), 3 numerical-tolerance failure, 4
 leakage failure. Every run, failed ones included, leaves
 <dataset stem>_manifest.json beside the configured output.path: a failed
-run's manifest carries the exit code and reason, the warnings raised before
-the failure, and the resolved config once it has parsed (before that it is
-written as <experiment>_manifest.json with config null). Warnings are
-printed to stderr on failed runs as well.
+run's manifest is the one its run made when it started, with the resolved
+config, started_utc, and the warnings and wall time up to the failure, plus
+the exit code and reason (a config that did not parse is written as
+<experiment>_manifest.json with config null). Warnings are printed to stderr
+on failed runs as well.
 """
 
 from __future__ import annotations
@@ -60,12 +61,11 @@ def main(argv=None) -> int:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override a config key, e.g. --set lattice.M=64 --set potential.F=0.5",
+        help="override a config key, e.g. --set potential.kind=linear --set potential.F=0.5",
     )
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     args = parser.parse_args(argv)
 
-    cfg = None
     try:
         os.makedirs(args.out, exist_ok=True)
         raw = {}
@@ -82,8 +82,7 @@ def main(argv=None) -> int:
                 f"config key 'experiment' is {raw['experiment']!r}; "
                 f"the command line sets it to {args.experiment!r}"
             )
-        cfg = parse_config(json.dumps(raw))
-        _, rows, manifest = run_experiment(cfg, out_dir=args.out)
+        _, rows, manifest = run_experiment(parse_config(json.dumps(raw)), out_dir=args.out)
     except (ValueError, OSError, MemoryError, ToleranceError, LeakageError) as err:
         # ConfigError and json.JSONDecodeError are ValueErrors: exit code 2, as for a
         # config that asks for more memory than there is
@@ -92,10 +91,9 @@ def main(argv=None) -> int:
         if isinstance(err, MemoryError):  # often raised with no message at all
             reason = f"out of memory: {reason}" if reason else "out of memory"
         print(f"{_FAILURES[code]}: {reason}", file=sys.stderr)
-        config = None if cfg is None else {"experiment": cfg.experiment, **cfg.params}
-        caught = getattr(err, "run_warnings", [])
-        error = {"exit_code": code, "reason": reason}
-        manifest = RunManifest(args.experiment, config, warnings=caught, error=error)
+        # the failed run's own manifest; one with config null if the config did not parse
+        manifest = getattr(err, "manifest", None) or RunManifest(args.experiment, None)
+        manifest.error = {"exit_code": code, "reason": reason}
         with contextlib.suppress(OSError):  # best effort once the run already failed
             manifest.write(args.out)
     else:

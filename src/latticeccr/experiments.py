@@ -158,7 +158,8 @@ def _utc_now() -> str:
 
 @dataclass
 class RunManifest:
-    """Provenance sidecar of every run, failed runs included.
+    """Provenance sidecar of every run, failed runs included, made by
+    run_experiment when the run starts.
 
     config is the resolved config, or None if the run failed before it
     parsed; error holds the exit code and reason of a failed run.
@@ -228,6 +229,11 @@ def _time_points(time: dict) -> float:
 
 
 _POTENTIAL_KEYS = {"constant": "V0", "linear": "F", "harmonic": "c", "custom": "values"}
+# (block schema, the keys each kind reads besides 'kind') of the potential and hopping blocks
+_KIND_KEYS = {
+    "potential": (_POTENTIAL, {kind: (key,) for kind, key in _POTENTIAL_KEYS.items()}),
+    "hopping": (_HOPPING, {"custom": ("t0", "t_n")}),
+}
 
 
 def _hamiltonians(params: dict) -> list:
@@ -358,8 +364,24 @@ def _check_window(params: dict) -> None:
         _named(keys, _interior, psi, widest, params["margin"])
 
 
+def _check_kind_keys(params: dict) -> None:
+    """Refuse a potential or hopping key set off its default that the block's kind does
+    not read: the manifest would echo a value the run never used. Defaults stay, so a
+    config echo parses again."""
+    for block, (schema, reads) in _KIND_KEYS.items():
+        given = params.get(block, {})
+        for key, value in given.items():
+            read = key == "kind" or key in reads.get(given["kind"], ())
+            if not read and value != schema[key][0]:
+                raise ConfigError(
+                    f"config key {f'{block}.{key}'!r} = {value!r} is not read by "
+                    f"{block}.kind {given['kind']!r}"
+                )
+
+
 def _resolve(experiment: str, params: dict) -> None:
     """Cross-key checks, then the defaults that depend on other keys."""
+    _check_kind_keys(params)
     grid = params.get("grid")
     if grid and grid["x_max"] <= grid["x_min"]:
         raise ConfigError("config key 'grid.x_max' must exceed 'grid.x_min'")
@@ -551,7 +573,8 @@ def _run_fig3(params):
     ws = _solve(params, spec, hop, linear)
     centers = np.sum(spec.sites[:, None] * np.abs(ws.eigenvectors) ** 2, axis=0)
     ws_idx = int(np.argmin(np.abs(centers - target)))
-    ladder = wannier_stark_analysis(ws, spec, linear.force)
+    # how many ladder states lie inside depends on the solved spectrum, not on the parse
+    ladder = _named(("lattice.M", "F"), wannier_stark_analysis, ws, spec, linear.force)
 
     # even states have mirror lobes at +-m, so match the lobe's distance from the centre
     harm = _solve(params, spec, hop, harmonic)
@@ -661,28 +684,28 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
     """Execute the configured experiment and write dataset plus manifest.
 
-    Returns (columns, rows, manifest). On failure the exception carries the
-    warnings raised before it as run_warnings, and the caller is expected to
-    write a RunManifest carrying both (the CLI does).
+    The run's one RunManifest is made when it starts (config echo, started_utc)
+    and filled in as the run goes; the dataset's directory is made first. Returns
+    (columns, rows, manifest). On failure the exception carries that manifest as
+    err.manifest, with the warnings and wall time up to the failure, and the
+    caller sets its error and writes it (the CLI does).
     """
-    started = _utc_now()
+    manifest = RunManifest(cfg.experiment, {"experiment": cfg.experiment, **cfg.params})
     clock = time.perf_counter()
     out = cfg.params["output"]
+    path = os.path.join(out_dir, out["path"])
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
         try:
-            columns, rows, derived = _RUNNERS[cfg.experiment](cfg.params)
-            emit_dataset(rows, columns, os.path.join(out_dir, out["path"]), out["format"])
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            columns, rows, manifest.derived = _RUNNERS[cfg.experiment](cfg.params)
+            emit_dataset(rows, columns, path, out["format"])
+            manifest.dataset = out["path"]
         except Exception as err:
-            err.run_warnings = [str(w.message) for w in wrec]
+            err.manifest = manifest
             raise
-    manifest = RunManifest(
-        experiment=cfg.experiment,
-        config={"experiment": cfg.experiment, **cfg.params},
-        timestamp={"started_utc": started, "wall_time_s": round(time.perf_counter() - clock, 3)},
-        warnings=[str(w.message) for w in wrec],
-        derived=derived,
-        dataset=out["path"],
-    )
+        finally:
+            manifest.warnings = [str(w.message) for w in wrec]
+            manifest.timestamp["wall_time_s"] = round(time.perf_counter() - clock, 3)
     manifest.write(out_dir)
     return columns, rows, manifest

@@ -245,6 +245,12 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("fig5", ["n0=[20,20]", "lattice.M=80"], "n0"),
         ("spectrum", ["potential.kind=constant", "potential.V0=1e308", "lattice.M=5"], "potential.V0"),
         ("spectrum", ["lattice.a=1e-154", "lattice.M=5"], "lattice.a"),
+        ("spectrum", ["potential.F=0.9"], "potential.F"),
+        ("dynamics", ["potential.kind=linear", "potential.values=[1]"], "potential.values"),
+        ("spectrum", ["hopping.t0=5"], "hopping.t0"),
+        ("sweep", ["hopping.kind=cosine", "hopping.t_n=[1,2]"], "hopping.t_n"),
+        ("spectrum", ["lattice=3", "lattice.M=4"], "lattice.M"),
+        ("spectrum", ["output.path=3"], "output.path"),
     ],
     ids=[
         "lattice.M",
@@ -287,6 +293,12 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "fig5-n0-column-tags",
         "potential.V0-diagonal-overflow",
         "lattice.a-diagonal-overflow",
+        "potential.F-unread",
+        "potential.values-unread",
+        "hopping.t0-unread",
+        "hopping.t_n-unread",
+        "set-through-non-object",
+        "output.path-not-string",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
@@ -500,3 +512,39 @@ def test_cli_bad_config_file(tmp_path, capsys):
     cfg_path.write_text("{]")
     assert main(["fig2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert main(["fig2", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
+    cfg_path.write_text("[1]")
+    assert main(["fig2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_cli_failed_run_manifest_started_when_the_run_started(tmp_path, capsys, monkeypatch):
+    # the manifest of a run that fails after it starts is the one made at its start
+    stamps = iter(f"2026-01-01T00:00:0{i}Z" for i in range(10))
+    monkeypatch.setattr(experiments, "_utc_now", lambda: next(stamps))
+    args = ["dynamics", "--out", str(tmp_path), "--set", "lattice.M=24", "--set", "packet.b=0.005"]
+    assert main(args) == 4
+    manifest = json.loads((tmp_path / "dynamics_manifest.json").read_text())
+    assert manifest["timestamp"]["started_utc"] == "2026-01-01T00:00:00Z"
+    assert manifest["timestamp"]["wall_time_s"] >= 0
+    assert manifest["warnings"][0].startswith("initial packet has boundary amplitude")
+    assert manifest["config"]["packet"]["b"] == 0.005
+    assert manifest["error"]["exit_code"] == 4
+
+
+def test_fig3_ladder_error_names_its_keys(tmp_path, capsys):
+    # the number of interior ladder states is known only once the spectrum is solved
+    args = ["fig3", "--out", str(tmp_path), "--set", "lattice.M=3", "--set", "target_site=0"]
+    assert main([*args, "--set", "F=1000"]) == 2
+    assert "config keys 'lattice.M' and 'F'" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "fig3_manifest.json").read_text())
+    assert manifest["error"]["exit_code"] == 2
+    assert manifest["config"]["F"] == 1000.0
+    assert manifest["config"]["lattice"]["M"] == 3
+
+
+def test_cli_dataset_in_a_new_subdirectory(tmp_path, capsys):
+    args = ["spectrum", "--out", str(tmp_path), "--set", "lattice.M=5"]
+    assert main([*args, "--set", "output.path=sub/x.csv"]) == 0
+    assert (tmp_path / "sub" / "x.csv").exists()
+    manifest = json.loads((tmp_path / "sub" / "x_manifest.json").read_text())
+    assert manifest["dataset"] == "sub/x.csv"
