@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .errors import ConfigError, LeakageError, ToleranceError
-from .experiments import EXPERIMENTS, RunManifest, parse_config, run_experiment
+from .experiments import EXPERIMENTS, RunManifest, _read_config, parse_config, run_experiment
 
 _FAILURES = {2: "config error", 3: "tolerance failure", 4: "leakage failure"}
 
@@ -71,9 +71,7 @@ def main(argv=None) -> int:
         raw = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-            if not isinstance(raw, dict):
-                raise ConfigError("config must be a JSON object")
+                raw = _read_config(handle.read())
         raw.setdefault("experiment", args.experiment)
         for assignment in args.overrides:
             _apply_override(raw, assignment)

@@ -7,6 +7,7 @@ with fixed float formatting so identical configs give byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -69,22 +70,23 @@ def _check(value, kind, key):
     return value
 
 
-# Each leaf is (default, kind); a None default marks an optional key. Every
-# experiment lists only the keys its runner reads.
+# Each leaf is (default, kind), or (default, kind, the block kind that reads it); a None
+# default marks an optional key. Each experiment's schema holds exactly the keys its runner
+# reads (output.* excepted, which run_experiment reads), as tests/test_experiments.py checks.
 _OUTPUT = {"path": (None, "str"), "format": ("csv", ("csv", "json"))}
 _SOLVE = {"eigensolve": (1e-10, "float+")}
 _LEAK = {**_SOLVE, "leak_warn": (LEAK_WARN, "float+"), "leak_fail": (LEAK_FAIL, "float+")}
 _HOPPING = {
     "kind": ("quadratic", ("quadratic", "cosine", "custom")),
-    "t0": (0.0, "float"),
-    "t_n": ([], "[float]*"),
+    "t0": (0.0, "float", "custom"),
+    "t_n": ([], "[float]*", "custom"),
 }
 _POTENTIAL = {
     "kind": ("harmonic", ("constant", "linear", "harmonic", "custom")),
-    "V0": (0.0, "float"),
-    "F": (0.4, "float"),
-    "c": (0.01, "float"),
-    "values": ([], "[float]*"),
+    "V0": (0.0, "float", "constant"),
+    "F": (0.4, "float", "linear"),
+    "c": (0.01, "float", "harmonic"),
+    "values": ([], "[float]*", "custom"),
 }
 _TIME = {"t_max": (None, "float+"), "dt": (None, "float+")}
 _GRID = {"x_min": (0.1, "float+"), "x_max": (3.0, "float+"), "points": (25, "int+")}
@@ -95,7 +97,8 @@ def _packet(n0, b):
 
 
 def _schema(M, **keys):
-    return {"lattice": {"M": (M, "int+"), "a": (1.0, "float+")}, **keys, "output": _OUTPUT}
+    spacing = {} if "grid" in keys else {"a": (1.0, "float+")}  # sweep, fig1: spacings from grid
+    return {"lattice": {"M": (M, "int+"), **spacing}, **keys, "output": _OUTPUT}
 
 
 _SWEEP = {"c": (0.01, "float+"), "grid": _GRID, "states_per_point": (20, "int+")}
@@ -195,10 +198,14 @@ def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
                 raise ConfigError(f"config key {prefix + key!r} must be an object")
             out[key] = _validate_tree(sub, entry, prefix=f"{prefix}{key}.")
         else:
-            default, kind = entry
+            default, kind, *reader = entry  # reader: [the block kind that reads the key]
             value = raw.get(key, default)
             given = key in raw and not (value is None and default is None)
             out[key] = _check(value, kind, prefix + key) if given else value
+            # kind, first in its block, is set; a key it does not read keeps its default
+            if reader and reader != [out["kind"]] and out[key] != default:
+                unread = f"is not read by {prefix}kind {out['kind']!r}"
+                raise ConfigError(f"config key {prefix + key!r} = {out[key]!r} {unread}")
     return out
 
 
@@ -228,12 +235,8 @@ def _time_points(time: dict) -> float:
         return np.ceil((time["t_max"] + 1e-12) / time["dt"])
 
 
-_POTENTIAL_KEYS = {"constant": "V0", "linear": "F", "harmonic": "c", "custom": "values"}
-# (block schema, the keys each kind reads besides 'kind') of the potential and hopping blocks
-_KIND_KEYS = {
-    "potential": (_POTENTIAL, {kind: (key,) for kind, key in _POTENTIAL_KEYS.items()}),
-    "hopping": (_HOPPING, {"custom": ("t0", "t_n")}),
-}
+# potential kind -> the one key it reads, from the potential leaves
+_POTENTIAL_KEYS = {leaf[2]: key for key, leaf in _POTENTIAL.items() if len(leaf) == 3}
 
 
 def _hamiltonians(params: dict) -> list:
@@ -342,9 +345,10 @@ def _check_window(params: dict) -> None:
             f"config key 'lattice.M': a window of {2 * half_width + 1} sites needs an "
             "N x N matrix larger than any array"
         )
-    spacings = {"lattice.a": params["lattice"]["a"]}
     if "grid" in params:  # sweep and fig1: both ends of the grid of spacings
         spacings = dict(zip(("grid.x_min", "grid.x_max"), _sweep_spacings(params, 2)))
+    else:
+        spacings = {"lattice.a": params["lattice"]["a"]}
     specs = {key: _named((key,), LatticeSpec, half_width, a) for key, a in spacings.items()}
     widest = list(specs.values())[-1]  # lattice.a, or grid.x_max > grid.x_min
     hams = _hamiltonians(params)  # none for ccr-check
@@ -364,24 +368,12 @@ def _check_window(params: dict) -> None:
         _named(keys, _interior, psi, widest, params["margin"])
 
 
-def _check_kind_keys(params: dict) -> None:
-    """Refuse a potential or hopping key set off its default that the block's kind does
-    not read: the manifest would echo a value the run never used. Defaults stay, so a
-    config echo parses again."""
-    for block, (schema, reads) in _KIND_KEYS.items():
-        given = params.get(block, {})
-        for key, value in given.items():
-            read = key == "kind" or key in reads.get(given["kind"], ())
-            if not read and value != schema[key][0]:
-                raise ConfigError(
-                    f"config key {f'{block}.{key}'!r} = {value!r} is not read by "
-                    f"{block}.kind {given['kind']!r}"
-                )
-
-
 def _resolve(experiment: str, params: dict) -> None:
     """Cross-key checks, then the defaults that depend on other keys."""
-    _check_kind_keys(params)
+    out = params["output"]
+    out["path"] = f"{experiment}.csv" if out["path"] is None else out["path"]
+    if os.path.basename(out["path"]) in ("", ".", ".."):
+        raise ConfigError(f"config key 'output.path' must name a file, got {out['path']!r}")
     grid = params.get("grid")
     if grid and grid["x_max"] <= grid["x_min"]:
         raise ConfigError("config key 'grid.x_max' must exceed 'grid.x_min'")
@@ -411,17 +403,10 @@ def _resolve(experiment: str, params: dict) -> None:
     _check_window(params)
     if "time" in params:
         _resolve_time(experiment, params)
-    if params["output"]["path"] is None:
-        params["output"]["path"] = f"{experiment}.csv"
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config, applying defaults.
-
-    Unknown keys are rejected with the offending key name; syntax errors
-    report the position. The returned config has every default resolved to
-    its numeric value so the manifest echo is self-contained.
-    """
+def _read_config(text: str) -> dict:
+    """The JSON object of a config document, or a ConfigError placing what is wrong."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
@@ -431,6 +416,17 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config value error: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config, applying defaults.
+
+    Unknown keys are rejected with the offending key name; syntax errors
+    report the position. The returned config has every default resolved to
+    its numeric value so the manifest echo is self-contained.
+    """
+    raw = _read_config(text)
     if "experiment" not in raw:
         raise ConfigError("config is missing the 'experiment' key")
     experiment = raw["experiment"]
@@ -470,6 +466,8 @@ def _write_atomic(path: str, text: str) -> None:
             handle.write(text.encode("ascii"))
         os.replace(tmp, path)
     except OSError as err:
+        with contextlib.suppress(OSError):  # there is no temp file if open failed
+            os.remove(tmp)
         raise OSError(f"failed writing {path}: {err}") from err
 
 

@@ -109,6 +109,16 @@ def test_emit_dataset_formatting(tmp_path):
     assert line == "1,0.00000000000e+00,3.14159265359e+00,even"
 
 
+def test_emit_dataset_bool_cells(tmp_path):
+    # a bool is written true/false in both formats, not as the integer it subclasses
+    row, csv_path, json_path = [True, np.bool_(False)], tmp_path / "b.csv", tmp_path / "b.json"
+    emit_dataset([row], ["yes", "no"], str(csv_path))
+    emit_dataset([row], ["yes", "no"], str(json_path), fmt="json")
+    assert csv_path.read_text() == "yes,no\ntrue,false\n"
+    (cells,) = json.loads(json_path.read_text())["rows"]
+    assert cells == [True, False] and all(type(cell) is bool for cell in cells)
+
+
 def test_emit_dataset_json_round_trip(tmp_path):
     path = str(tmp_path / "d.json")
     emit_dataset([[1, 0.5], [2, 0.25]], ["n", "v"], path, fmt="json")
@@ -251,6 +261,12 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("sweep", ["hopping.kind=cosine", "hopping.t_n=[1,2]"], "hopping.t_n"),
         ("spectrum", ["lattice=3", "lattice.M=4"], "lattice.M"),
         ("spectrum", ["output.path=3"], "output.path"),
+        ("fig4", ["output.path="], "output.path"),
+        ("fig4", ["output.path=."], "output.path"),
+        ("fig4", ["output.path=.."], "output.path"),
+        ("fig4", ["output.path=sub/"], "output.path"),
+        ("sweep", ["lattice.a=2"], "lattice.a"),
+        ("fig1", ["lattice.a=1e-300"], "lattice.a"),
     ],
     ids=[
         "lattice.M",
@@ -299,6 +315,12 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "hopping.t_n-unread",
         "set-through-non-object",
         "output.path-not-string",
+        "output.path-empty",
+        "output.path-dot",
+        "output.path-dot-dot",
+        "output.path-directory",
+        "sweep-lattice.a",
+        "fig1-lattice.a",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
@@ -491,6 +513,68 @@ def test_parse_checks_every_hamiltonian_the_run_solves(experiment, tmp_path, mon
     assert solved <= checked, solved - checked
 
 
+def _schema_reads(schema, params, prefix=""):
+    """Dotted paths of the schema's leaves, less those another block kind reads."""
+    paths = set()
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            paths |= _schema_reads(entry, params[key], f"{prefix}{key}.")
+        elif entry[2:] in ((), (params.get("kind"),)):
+            paths.add(prefix + key)
+    return paths
+
+
+class _Recording(dict):
+    """A params tree that adds the dotted path of every leaf read from it to seen."""
+
+    def __init__(self, tree, seen, prefix=""):
+        super().__init__(tree)
+        self.seen, self.prefix = seen, prefix
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if isinstance(value, dict):
+            return _Recording(value, self.seen, f"{self.prefix}{key}.")
+        self.seen.add(self.prefix + key)
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+SMALL = {"lattice": {"M": 5}}
+
+
+@pytest.mark.parametrize(
+    "experiment, blocks",
+    [
+        *[(name, {}) for name in experiments.EXPERIMENTS],
+        ("spectrum", {**SMALL, "potential": {"kind": "constant", "V0": 0.5}}),
+        ("spectrum", {**SMALL, "potential": {"kind": "linear"}}),
+        ("spectrum", {**SMALL, "potential": {"kind": "custom", "values": [0.1] * 11}}),
+        ("spectrum", {**SMALL, "hopping": {"kind": "cosine"}}),
+        ("spectrum", {**SMALL, "hopping": {"kind": "custom", "t0": 0.5, "t_n": [1.0, 0.2]}}),
+    ],
+    ids=[
+        *experiments.EXPERIMENTS,
+        "spectrum-constant",
+        "spectrum-linear",
+        "spectrum-custom-potential",
+        "spectrum-cosine",
+        "spectrum-custom-hopping",
+    ],
+)
+def test_every_runner_reads_exactly_its_schema(experiment, blocks):
+    # a schema key the runner never reads would be accepted and echoed as if used;
+    # output.* is read by run_experiment, not by the runner
+    cfg = parse_config(json.dumps({"experiment": experiment, **blocks}))
+    seen = set()
+    experiments._RUNNERS[experiment](_Recording(cfg.params, seen))
+    schema = experiments._SCHEMAS[experiment]
+    expected = {path for path in _schema_reads(schema, cfg.params) if path.split(".")[0] != "output"}
+    assert seen == expected
+
+
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5", "dynamics", "ccr-check"])
 def test_every_figure_runs_on_defaults(figure, tmp_path, capsys):
     assert main([figure, "--out", str(tmp_path)]) == 0
@@ -508,13 +592,17 @@ def test_cli_config_file(tmp_path, capsys):
 
 
 def test_cli_bad_config_file(tmp_path, capsys):
+    # a config file is read as parse_config reads a config, with its wording
     cfg_path = tmp_path / "broken.json"
-    cfg_path.write_text("{]")
-    assert main(["fig2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    for text, reason in [
+        ('{"lattice": {"M": 15,}}', "config syntax error at line 1, column 22: "),
+        ('{"n_cut": ' + "9" * 5000 + "}", "config value error: "),
+        ("[1]", "config must be a JSON object"),
+    ]:
+        cfg_path.write_text(text)
+        assert main(["fig2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert f"config error: {reason}" in capsys.readouterr().err
     assert main(["fig2", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
-    cfg_path.write_text("[1]")
-    assert main(["fig2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_cli_failed_run_manifest_started_when_the_run_started(tmp_path, capsys, monkeypatch):

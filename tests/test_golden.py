@@ -50,7 +50,8 @@ GOLDEN = {
     # 2.5167) by one unit in the 12th printed digit, at most 3.5e-12 relative
     "fig1.csv": "1cb60618a8e71a80237ee9ee5a3ea933635669fe9c368d1bab867c6e0124cfc1",
     "fig1.json": "86a81ebefb27ded18e7f5ae02314a890a1a4d3be7b1a813c1beb1ee9cf641560",
-    "fig1_manifest.json": "ae54cbc49370ac3e81b026c97bc08fd5ae31c9a0ae59a915348b29b0eb1fb3b2",
+    # fig1 and sweep take every spacing from grid: their config echo has no lattice.a
+    "fig1_manifest.json": "63d1ba6a3c9e83ceb5b74410b056ab1d0dd7b22f7fbd587d36cff211a9f6745f",
     # fig2: 20 cells; one by one unit in the 12th digit (0.404), 19 values below
     # 1e-2 by at most 4.9e-14 absolute
     "fig2.csv": "9dfabe59ec7d45f0714d0e47b85893849afefaf922c4584c7aae17b85c3b8165",
@@ -79,7 +80,8 @@ GOLDEN = {
     # sweep: the same 2 cells as fig1's quadratic rows
     "sweep.csv": "45cabcd05e1d87c57b1f6214ea19946b0c501e41c31f48f8fe8191bb36f327e5",
     "sweep.json": "0a6d84963788c7c7b43c03d4013a616e90ec65379cce2616a251bebeb3b4277b",
-    "sweep_manifest.json": "32dc1814c50ee19daaedbdd7e692fcf4126b36b419009bbf92bb92a0b32b0968",
+    # no lattice.a in the config echo, as for fig1
+    "sweep_manifest.json": "fd6bd2a1a23512e02d424a5d240c42ee7f8e3f2bad96582b2f19df337d368c6a",
 }
 
 

@@ -22,6 +22,13 @@ from latticeccr import spectral
 
 SPEC = LatticeSpec(4, 1.0)
 
+
+def _taken(path):
+    """path as a string, after making it a directory that no file can replace."""
+    path.mkdir()
+    return str(path)
+
+
 # name: (call with a scratch directory, error type, message pattern)
 REFUSALS = {
     "operator-not-square": (lambda d: OperatorMatrix(np.zeros((2, 3))), ValueError, "square"),
@@ -59,6 +66,12 @@ REFUSALS = {
         OSError,
         "failed writing",
     ),
+    # the temp file is written, then cannot replace the directory; it is removed
+    "dataset-write-onto-directory": (
+        lambda d: emit_dataset([], ["a"], _taken(d / "x.csv")),
+        OSError,
+        "failed writing",
+    ),
 }
 
 
@@ -67,3 +80,4 @@ def test_refusal_raises_its_error(name, tmp_path):
     call, error, pattern = REFUSALS[name]
     with pytest.raises(error, match=pattern):
         call(tmp_path)
+    assert not list(tmp_path.rglob("*.tmp"))  # a failed write leaves no temp file
