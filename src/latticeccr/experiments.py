@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError
 from .ccr import _interior, ccr_defect
-from .dynamics import LEAK_FAIL, LEAK_WARN, GaussianPacket, make_gaussian, run_timeseries
+from .dynamics import CHUNK, LEAK_FAIL, LEAK_WARN, GaussianPacket, make_gaussian, run_timeseries
 from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, build_hamiltonian
 from .spectral import (
     diagnose_states,
@@ -96,15 +99,15 @@ def _packet(n0, b):
     return {"n0": (n0, "int"), "b": (b, "float+"), "k0": (0.0, "float")}
 
 
-def _schema(M, **keys):
-    spacing = {} if "grid" in keys else {"a": (1.0, "float+")}  # sweep, fig1: spacings from grid
+def _schema(M, a=(1.0, "float+"), **keys):  # a=None: grid sets the spacings (sweep, fig1)
+    spacing = {"a": a} if a else {}
     return {"lattice": {"M": (M, "int+"), **spacing}, **keys, "output": _OUTPUT}
 
 
 _SWEEP = {"c": (0.01, "float+"), "grid": _GRID, "states_per_point": (20, "int+")}
 _SCHEMAS = {
     "spectrum": _schema(100, hopping=_HOPPING, potential=_POTENTIAL, tolerances=_SOLVE),
-    "sweep": _schema(100, **_SWEEP, hopping=_HOPPING, tolerances=_SOLVE),
+    "sweep": _schema(100, None, **_SWEEP, hopping=_HOPPING, tolerances=_SOLVE),
     "dynamics": _schema(
         128,
         hopping=_HOPPING,
@@ -114,7 +117,7 @@ _SCHEMAS = {
         tolerances=_LEAK,
     ),
     "ccr-check": _schema(100, packet=_packet(0, 50.0), margin=(None, "int+")),
-    "fig1": _schema(100, **_SWEEP, nn_pair=([1, 2], "[int]"), tolerances=_SOLVE),
+    "fig1": _schema(100, None, **_SWEEP, nn_pair=([1, 2], "[int]"), tolerances=_SOLVE),
     "fig2": _schema(
         100, c_values=([1.0, 0.1, 0.01], "[float+]"), n_cut=(80, "int+"), tolerances=_SOLVE
     ),
@@ -209,9 +212,6 @@ def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
     return out
 
 
-_MAX_FLOATS = np.iinfo(np.intp).max // 8  # the most float64 values one numpy array can hold
-
-
 def _key_names(keys) -> str:
     """The config keys of an error message: config key 'a', config keys 'a' and 'b'."""
     return f"config key{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}"
@@ -227,182 +227,186 @@ def _named(keys, build, *args):
         raise ConfigError(f"{_key_names(keys)}: {err}") from err
 
 
-def _time_points(time: dict) -> float:
-    """Length of the time grid k * dt, k = 0, 1, ..., up to t_max (and 1e-12
-    past it, against rounding): the length of np.arange(0, t_max + 1e-12, dt),
-    as a float that is inf when it overflows."""
-    with np.errstate(over="ignore"):
-        return np.ceil((time["t_max"] + 1e-12) / time["dt"])
+def _time_points(time: dict) -> int:
+    """Length of the time grid k * dt, k = 0, 1, ..., up to t_max (and 1e-12 past it,
+    against rounding): the length of np.arange(0, t_max + 1e-12, dt), and past the float
+    range the ceiling of the exact quotient."""
+    span, dt = float(time["t_max"]) + 1e-12, float(time["dt"])
+    return math.ceil(span / dt if span / dt < math.inf else Fraction(span) / Fraction(dt))
 
 
-# potential kind -> the one key it reads, from the potential leaves
-_POTENTIAL_KEYS = {leaf[2]: key for key, leaf in _POTENTIAL.items() if len(leaf) == 3}
+@dataclass
+class _Plan:
+    """What a run computes, as _plan derives it from the resolved config. Solves are
+    (potential's config key, Hopping, Potential) and packets (config keys, GaussianPacket),
+    each in the order the runner takes them; rows counts the dataset's rows (fig2's depend
+    on the solved parities: none counted). The size rule reads dense, the N x N float64
+    matrices the run holds at once, and grows, the config keys its rows grow with."""
+
+    params: dict
+    specs: dict  # config key of each spacing the parse checks -> its LatticeSpec
+    spec: LatticeSpec  # the run's window, at grid.x_max for sweep and fig1
+    solves: list = field(default_factory=list)
+    packets: list = field(default_factory=list)
+    columns: list = field(default_factory=list)  # fig4's and fig5's column tags among them
+    rows: int = 0
+    points: int = 0  # the time grid's length
+    period: float | None = None  # the period of the motion that the time grid samples
+    dense: int = 2
+    grows: tuple = ("lattice.M",)
+    interior: tuple | None = None  # ccr-check's support check: (config keys, margin)
 
 
-def _hamiltonians(params: dict) -> list:
-    """(potential's config key, Hopping, Potential) of every Hamiltonian the experiment
-    solves, in the order its runner solves them: each hopping with each potential. The
-    hopping is the hopping block's, else quadratic, and for fig1 and fig5 also cosine; the
-    potential is the one potential.kind selects, else F (linear), c and each of c_values
-    (harmonic). A refused potential is a ConfigError naming its key."""
-    hop = params.get("hopping")
-    if hop:
+def _plan(experiment: str, params: dict) -> _Plan:
+    """The one map from a resolved config to its run, with O(1) objects only, built through
+    the package's own checks; a refusal names its key. Fills the unset time keys: two
+    periods of the motion the first solve's potential drives at the rate w = a |F| (Bloch)
+    or sqrt(c), in steps of 0.05 / w or 0.1 / w (fig5's t_max: 25 / sqrt(c), about four
+    periods); with no such motion, 10 time units in steps of 0.1."""
+    lattice, quadratic = params["lattice"], Hopping.quadratic()
+    half = lattice["M"]
+    sites = 2 * half + 1
+    if experiment in ("sweep", "fig1"):  # both ends of the grid of spacings x / c^(1/4)
+        grid = params["grid"]
+        if grid["x_max"] <= grid["x_min"]:
+            raise ConfigError("config key 'grid.x_max' must exceed 'grid.x_min'")
+        spacings = {f"grid.{end}": grid[end] / params["c"] ** 0.25 for end in ("x_min", "x_max")}
+    else:
+        spacings = {"lattice.a": lattice["a"]}
+    specs = {key: _named((key,), LatticeSpec, half, a) for key, a in spacings.items()}
+    plan = _Plan(params, specs, list(specs.values())[-1])
+
+    def solve(key, kind, value, *hops):
+        pot = _named((key,), getattr(Potential, kind), value)
+        plan.solves += [(key, hop, pot) for hop in hops]
+
+    if experiment in ("spectrum", "sweep", "dynamics"):  # the hopping block's
+        hop = params["hopping"]
         custom = hop["kind"] == "custom"
-        hops = [Hopping.custom(hop["t0"], hop["t_n"]) if custom else Hopping(hop["kind"])]
-    else:
-        nearest = "nn_pair" in params or "nn_n0" in params  # fig1, fig5
-        hops = [Hopping.quadratic(), *[Hopping.cosine()] * nearest]
-    pot = params.get("potential")
-    if pot:
-        name = _POTENTIAL_KEYS[pot["kind"]]
-        found = [(f"potential.{name}", pot["kind"], pot[name])]
-    else:
-        found = [(key, kind, params[key]) for kind, key in _POTENTIAL_KEYS.items() if key in params]
-        found += [("c_values", "harmonic", c) for c in params.get("c_values", [])]
-    pots = [(key, _named((key,), getattr(Potential, kind), arg)) for key, kind, arg in found]
-    return [(key, h, p) for h in hops for key, p in pots]
-
-
-def _motion(params: dict):
-    """(config key, default dt, period) of the motion the first Hamiltonian's potential
-    drives, None unless it is linear or harmonic, or at F = 0: frequency w = a |F| (Bloch)
-    or sqrt(c), period 2 pi / w, dt 0.05 / w or 0.1 / w (about 126 or 63 steps a period);
-    an infinite period is an error."""
-    key, _, pot = _hamiltonians(params)[0]
-    strength = pot.force if pot.kind == "linear" else pot.curvature  # 0 unless either
-    if not strength:
-        return None
-    a = params["lattice"]["a"]
-    rate = a * abs(strength) if pot.kind == "linear" else np.sqrt(strength)
-    period = 2 * np.pi / rate if rate > 0 else np.inf
-    if not np.isfinite(2 * period):  # the default t_max; only F can: sqrt(c) > 1e-162
-        raise ConfigError(
-            f"config key {key!r}: F = {strength!r} at 'lattice.a' = {a!r} gives a Bloch period "
-            f"2 pi / (a |F|) of {period:.3g}, beyond the float range"
-        )
-    return key, (0.05 if pot.kind == "linear" else 0.1) / rate, period
-
-
-def _resolve_time(experiment: str, params: dict) -> None:
-    """Fill unset time keys: two periods of _motion in its steps, else 10 time units in
-    steps of 0.1. A grid longer than any array is a ConfigError naming the given time
-    keys and the force or curvature key behind a default."""
-    time = params["time"]
-    given = [f"time.{name}" for name in ("t_max", "dt") if time[name] is not None]
-    if experiment == "fig5":  # the one exception: 25/sqrt(c), about four periods
-        time["t_max"] = time["t_max"] or 25.0 / np.sqrt(params["c"])
-    key, dt, period = _motion(params) or (None, 0.1, 5.0)
-    time["dt"] = time["dt"] or dt
-    time["t_max"] = time["t_max"] or 2 * period
-    points = _time_points(time)
-    if not points <= _MAX_FLOATS:
-        keys = given if len(given) == 2 or key is None else [*given, key]
-        raise ConfigError(
-            f"{_key_names(keys)}: a time grid of {points:.3g} points is longer than any array"
-        )
-
-
-def _sweep_spacings(params: dict, points: int | None = None) -> np.ndarray:
-    """Spacings x / c^(1/4) for grid.points (or points) x from grid.x_min to grid.x_max."""
-    grid = params["grid"]
-    x = np.linspace(grid["x_min"], grid["x_max"], points or grid["points"])
-    with np.errstate(over="ignore"):  # LatticeSpec refuses an infinite spacing by name
-        return x / params["c"] ** 0.25
-
-
-def _packets(params: dict) -> list:
-    """(config keys, GaussianPacket) of each packet the experiment starts: the packet
-    block (dynamics, ccr-check); one at n0 per b (fig4); one at -n0 per n0 and, last,
-    the cosine-hopping one at -nn_n0 (fig5)."""
-    if "packet" in params:
+        block = Hopping.custom(hop["t0"], hop["t_n"]) if custom else Hopping(hop["kind"])
+    if experiment in ("spectrum", "dynamics"):  # the potential block's, with its kind's key
+        kind = params["potential"]["kind"]
+        name = next(key for key, leaf in _POTENTIAL.items() if leaf[2:] == (kind,))
+        solve(f"potential.{name}", kind, params["potential"][name], block)
+    if experiment in ("dynamics", "ccr-check"):
         pk = params["packet"]
-        return [(("packet.n0", "packet.k0"), GaussianPacket(pk["n0"], pk["b"], pk["k0"]))]
-    if "oracle_b" in params:  # fig4
-        return [(("n0",), GaussianPacket(params["n0"], b)) for b in params["b"]]
-    if "nn_n0" in params:  # fig5
-        packets = [(("n0",), GaussianPacket(-n0, params["b"])) for n0 in params["n0"]]
-        return [*packets, (("nn_n0",), GaussianPacket(-params["nn_n0"], params["b"]))]
-    return []
+        plan.packets = [(("packet.n0", "packet.k0"), GaussianPacket(pk["n0"], pk["b"], pk["k0"]))]
+
+    if experiment == "spectrum":
+        plan.columns, plan.rows = ["n", "energy", "parity", "s_n", "center"], sites
+    elif experiment in ("sweep", "fig1"):  # eigenvalues only, of one window at a time
+        fig1 = experiment == "fig1"
+        pair = params["nn_pair"] if fig1 else []
+        if not all(0 <= n < sites for n in pair):
+            raise ConfigError(f"config key 'nn_pair' must index states 0..{sites - 1}, got {pair}")
+        solve("c", "harmonic", params["c"], *([quadratic, Hopping.cosine()] if fig1 else [block]))
+        plan.columns = ["kinetic"] * fig1 + ["ac_quarter", "n", "e_over_sqrtc", "dashed_ref"]
+        plan.rows = grid["points"] * (min(params["states_per_point"], sites) + len(set(pair)))
+        plan.dense, plan.grows = 1, ("grid.points",)
+    elif experiment == "fig2":
+        for c in params["c_values"]:
+            solve("c_values", "harmonic", c, quadratic)
+        plan.columns = ["c", "n", "s_n"]
+    elif experiment == "fig3":
+        target = params["target_site"]
+        if not abs(target) < half:
+            raise ConfigError(f"config key 'target_site' = {target} is outside |m| < {half}")
+        solve("F", "linear", params["F"], quadratic)
+        solve("c", "harmonic", params["c"], quadratic)
+        plan.columns, plan.rows, plan.dense = ["m", "ws_amp_sqrt2", "harmonic_amp"], sites, 3
+    elif experiment == "ccr-check":
+        margin = params["margin"]
+        keys = ("lattice.M" if margin is None else "margin", "packet.n0", "packet.b")
+        plan.interior = keys, margin
+        plan.columns = ["m", "defect_re", "defect_im", "ratio_re", "ratio_im"]
+        plan.rows = max(2 * (half - (half // 4 if margin is None else margin)) + 1, 0)
+    elif experiment == "dynamics":
+        plan.columns = ["t", "x_mean", "k_mean", "s_abs", "norm", "x_ccr", "x_exact"]
+    elif experiment == "fig4":
+        bs, oracle_b = params["b"], params["oracle_b"]
+        if oracle_b not in bs:
+            raise ConfigError(f"config key 'oracle_b' must be one of 'b' {bs}, got {oracle_b!r}")
+        tags = [f"b{b:g}" for b in bs]
+        solve("F", "linear", params["F"], quadratic)
+        plan.packets = [(("n0",), GaussianPacket(params["n0"], b)) for b in bs]
+        plan.columns = ["t", *(f"x_mean_{tag}" for tag in tags), "x_ccr", "x_exact"]
+        plan.columns += [f"s_abs_{tag}" for tag in tags]
+    else:  # fig5: the packets at -n0, and last the cosine hopping's at -nn_n0
+        tags, nn_n0 = [f"n{n0}" for n0 in params["n0"]], params["nn_n0"]
+        solve("c", "harmonic", params["c"], quadratic, Hopping.cosine())
+        plan.packets = [(("n0",), GaussianPacket(-n0, params["b"])) for n0 in params["n0"]]
+        plan.packets.append((("nn_n0",), GaussianPacket(-nn_n0, params["b"])))
+        plan.columns = ["t", "sqrt_c_t", *(f"x_mean_{tag}" for tag in tags)]
+        plan.columns += [f"x_ccr_{tags[0]}", f"x_mean_nn{nn_n0}"]
+    if len(set(plan.columns)) < len(plan.columns):  # fig4's b tags or fig5's n0 tags
+        key = "b" if experiment == "fig4" else "n0"
+        raise ConfigError(f"config key {key!r} repeats a dataset column tag: {plan.columns}")
+
+    if experiment in ("dynamics", "fig4", "fig5"):  # propagations sampled on one time grid
+        times = params["time"]
+        given = tuple(f"time.{name}" for name in ("t_max", "dt") if times[name] is not None)
+        if experiment == "fig5":  # about four periods
+            times["t_max"] = times["t_max"] or 25.0 / np.sqrt(params["c"])
+        key, _, pot = plan.solves[0]
+        strength = pot.force if pot.kind == "linear" else pot.curvature  # 0 unless either
+        dt, period = 0.1, 5.0
+        if strength:
+            a = lattice["a"]
+            rate = a * abs(strength) if pot.kind == "linear" else np.sqrt(strength)
+            period = 2 * np.pi / rate if rate > 0 else np.inf
+            if not np.isfinite(2 * period):  # the default t_max; only F can: sqrt(c) > 1e-162
+                raise ConfigError(
+                    f"config key {key!r}: F = {strength!r} at 'lattice.a' = {a!r} gives a Bloch "
+                    f"period 2 pi / (a |F|) of {period:.3g}, beyond the float range"
+                )
+            dt, plan.period = (0.05 if pot.kind == "linear" else 0.1) / rate, period
+        times["dt"] = times["dt"] or dt
+        times["t_max"] = times["t_max"] or 2 * period
+        plan.rows = plan.points = _time_points(times)
+        # the given time keys, and the force or curvature key behind a default
+        plan.grows = given if len(given) == 2 or not strength else (*given, key)
+    return plan
 
 
-def _tags(params: dict) -> tuple:
-    """(config key, column tags) of fig4's b list or fig5's n0 list."""
-    if "oracle_b" in params:  # fig4
-        return "b", [f"b{b:g}" for b in params["b"]]
-    return "n0", [f"n{n0}" for n0 in params["n0"]]
+def _size(plan: _Plan) -> tuple:
+    """The size rule's lower bound on the bytes a run holds at once, with the config keys
+    behind it: the larger of two stages, each held whole at one moment. The solve holds 8
+    bytes per entry of plan.dense N x N matrices and 16 per amplitude of two propagation
+    blocks of min(CHUNK, points) times; the emission 8 per time and per dataset cell.
+    Python integers throughout, so that no config value overflows it."""
+    n = plan.spec.n_sites
+    solve = 8 * n * n * plan.dense + 32 * n * min(CHUNK, plan.points)
+    emission = 8 * (plan.points + plan.rows * len(plan.columns))
+    return max((solve, ("lattice.M",)), (emission, plan.grows))
 
 
-def _check_window(params: dict) -> None:
-    """Range checks before the run, each naming its config key. The dense N x N
-    complex operator must fit one numpy array; then the run's O(N) objects are
-    built through the package's own checks: the LatticeSpec of every spacing;
-    custom hopping's terms; at every spacing, the diagonal of each Hamiltonian of
-    _hamiltonians, first without its potential and then with it; every packet; and
-    for ccr-check the margin and support check of ccr_defect."""
-    half_width = params["lattice"]["M"]
-    if 2 * (2 * half_width + 1) ** 2 > _MAX_FLOATS:
+def _check_plan(plan: _Plan) -> None:
+    """The plan's checks before the run, each naming its config key: first the size rule,
+    _size's bound against the machine's physical memory; then the run's O(N) objects through
+    the package's own checks: custom hopping's terms; at every spacing, the diagonal of each
+    solve, first without its potential and then with it; every packet; and ccr-check's
+    margin and support check of ccr_defect."""
+    need, keys = _size(plan)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
         raise ConfigError(
-            f"config key 'lattice.M': a window of {2 * half_width + 1} sites needs an "
-            "N x N matrix larger than any array"
+            f"{_key_names(keys)}: the run would hold at least {Decimal(need) / 2**30:.3g} GiB "
+            f"at once, more than the {memory / 2**30:.3g} GiB of physical memory"
         )
-    if "grid" in params:  # sweep and fig1: both ends of the grid of spacings
-        spacings = dict(zip(("grid.x_min", "grid.x_max"), _sweep_spacings(params, 2)))
-    else:
-        spacings = {"lattice.a": params["lattice"]["a"]}
-    specs = {key: _named((key,), LatticeSpec, half_width, a) for key, a in spacings.items()}
-    widest = list(specs.values())[-1]  # lattice.a, or grid.x_max > grid.x_min
-    hams = _hamiltonians(params)  # none for ccr-check
-    if hams and hams[0][1].kind == "custom":  # the hopping block's
-        _named(("hopping.t_n",), hams[0][1].terms, widest)
+    if plan.solves and plan.solves[0][1].kind == "custom":  # the hopping block's
+        _named(("hopping.t_n",), plan.solves[0][1].terms, plan.spec)
     # Both ends of the spacings bound the diagonal: a harmonic V grows with a, the onsite
     # -t0 with 1/a^2.
-    for spacing_key, spec in specs.items():
-        for key, hop, pot in hams:
+    for spacing_key, spec in plan.specs.items():
+        for key, hop, pot in plan.solves:
             kinetic = ("hopping.t0", "hopping.t_n") if hop.kind == "custom" else (spacing_key,)
             _named(kinetic, _hamiltonian_diagonal, spec, hop, Potential.constant())
             _named((key,), _hamiltonian_diagonal, spec, hop, pot)
-    for keys, packet in _packets(params):
-        psi = _named(keys, make_gaussian, widest, packet)
-    if "margin" in params:  # ccr-check, whose one packet is psi
-        keys = ("lattice.M" if params["margin"] is None else "margin", "packet.n0", "packet.b")
-        _named(keys, _interior, psi, widest, params["margin"])
-
-
-def _resolve(experiment: str, params: dict) -> None:
-    """Cross-key checks, then the defaults that depend on other keys."""
-    out = params["output"]
-    out["path"] = f"{experiment}.csv" if out["path"] is None else out["path"]
-    if os.path.basename(out["path"]) in ("", ".", ".."):
-        raise ConfigError(f"config key 'output.path' must name a file, got {out['path']!r}")
-    grid = params.get("grid")
-    if grid and grid["x_max"] <= grid["x_min"]:
-        raise ConfigError("config key 'grid.x_max' must exceed 'grid.x_min'")
-    if grid and grid["points"] > _MAX_FLOATS:
-        raise ConfigError(
-            f"config key 'grid.points': a grid of {grid['points']} points is longer than any array"
-        )
-    half = params["lattice"]["M"]
-    states = 2 * half + 1
-    if experiment == "fig1" and not all(0 <= n < states for n in params["nn_pair"]):
-        raise ConfigError(
-            f"config key 'nn_pair' must hold state indices 0..{states - 1} of the "
-            f"{states}-site window, got {params['nn_pair']}"
-        )
-    if experiment == "fig3" and not abs(params["target_site"]) < half:
-        raise ConfigError(
-            f"config key 'target_site' = {params['target_site']} is outside the window |m| < {half}"
-        )
-    if experiment == "fig4" and params["oracle_b"] not in params["b"]:
-        raise ConfigError(
-            f"config key 'oracle_b' must be one of 'b' {params['b']}, got {params['oracle_b']!r}"
-        )
-    if experiment in ("fig4", "fig5"):
-        key, tags = _tags(params)
-        if len(set(tags)) < len(tags):
-            raise ConfigError(f"config key {key!r} repeats a dataset column tag: {tags}")
-    _check_window(params)
-    if "time" in params:
-        _resolve_time(experiment, params)
+    for keys, packet in plan.packets:
+        psi = _named(keys, make_gaussian, plan.spec, packet)
+    if plan.interior:  # ccr-check, whose one packet is psi
+        keys, margin = plan.interior
+        _named(keys, _interior, psi, plan.spec, margin)
 
 
 def _read_config(text: str) -> dict:
@@ -424,7 +428,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Unknown keys are rejected with the offending key name; syntax errors
     report the position. The returned config has every default resolved to
-    its numeric value so the manifest echo is self-contained.
+    its numeric value so the manifest echo is self-contained. The run's plan
+    is built and checked here, the size rule before anything O(N) is built.
     """
     raw = _read_config(text)
     if "experiment" not in raw:
@@ -434,7 +439,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
     body = {k: v for k, v in raw.items() if k != "experiment"}
     params = _validate_tree(body, _SCHEMAS[experiment])
-    _resolve(experiment, params)
+    out = params["output"]
+    path = out["path"] = f"{experiment}.csv" if out["path"] is None else out["path"]
+    outside = os.path.isabs(path) or os.path.normpath(path).split(os.sep)[0] == ".."
+    if outside or os.path.basename(path) in ("", ".", ".."):
+        raise ConfigError(f"config key 'output.path' must name a file inside --out, got {path!r}")
+    _check_plan(_plan(experiment, params))
     return ExperimentConfig(experiment=experiment, params=params)
 
 
@@ -494,92 +504,86 @@ def emit_dataset(rows, columns, path: str, fmt: str = "csv") -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies
+# experiment bodies: each executes its plan and returns (rows, derived)
 
-def _spec(params: dict) -> LatticeSpec:
-    return LatticeSpec(params["lattice"]["M"], params["lattice"]["a"])
-
-
-def _solve(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential):
-    return eigensolve(build_hamiltonian(spec, hop, pot), tol=params["tolerances"]["eigensolve"])
+def _solve(plan: _Plan, hop: Hopping, pot: Potential):
+    ham = build_hamiltonian(plan.spec, hop, pot)
+    return eigensolve(ham, tol=plan.params["tolerances"]["eigensolve"])
 
 
-def _timeseries(params: dict, spec: LatticeSpec, hop: Hopping, pot: Potential, packets):
-    """The configured time grid and one TimeSeries per packet, from one eigensolve."""
-    tgrid = np.arange(int(_time_points(params["time"]))) * params["time"]["dt"]
-    sr = _solve(params, spec, hop, pot)
-    tol = params["tolerances"]
+def _timeseries(plan: _Plan, hop: Hopping, pot: Potential, packets):
+    """The plan's time grid and one TimeSeries per packet, from one eigensolve."""
+    tgrid = np.arange(plan.points) * plan.params["time"]["dt"]
+    sr, tol = _solve(plan, hop, pot), plan.params["tolerances"]
     runs = [
-        run_timeseries(spec, hop, pot, packet, tgrid, sr, tol["leak_warn"], tol["leak_fail"])
+        run_timeseries(plan.spec, hop, pot, packet, tgrid, sr, tol["leak_warn"], tol["leak_fail"])
         for packet in packets
     ]
     return tgrid, runs
 
 
-def _run_spectrum(params):
-    spec, ((_, hop, pot),) = _spec(params), _hamiltonians(params)
-    sr = _solve(params, spec, hop, pot)
-    columns = ["n", "energy", "parity", "s_n", "center"]
+def _run_spectrum(plan):
+    ((_, hop, pot),) = plan.solves
+    sr = _solve(plan, hop, pot)
     rows = [
         [d.index, sr.eigenvalues[d.index], d.parity, d.overlap, d.center]
-        for d in diagnose_states(sr, spec)
+        for d in diagnose_states(sr, plan.spec)
     ]
-    return columns, rows, {"residual_norm": sr.residual_norm}
+    return rows, {"residual_norm": sr.residual_norm}
 
 
-def _sweep_rows(params, hop, pot, states):
-    half_width, tol = params["lattice"]["M"], params["tolerances"]["eigensolve"]
-    sweep = harmonic_sweep(pot.curvature, _sweep_spacings(params), states, half_width, hop, tol=tol)
+def _sweep_rows(plan, hop, pot, states):
+    """harmonic_sweep's rows over the spacings x / c^(1/4) of the grid, and the spacings."""
+    grid, tol = plan.params["grid"], plan.params["tolerances"]["eigensolve"]
+    spacings = np.linspace(grid["x_min"], grid["x_max"], grid["points"]) / pot.curvature**0.25
+    sweep = harmonic_sweep(pot.curvature, spacings, states, plan.spec.half_width, hop, tol=tol)
     columns = (sweep.ac_quarter, sweep.index, sweep.e_over_sqrt_c, sweep.reference)
-    return [list(row) for row in zip(*columns)]
+    return [list(row) for row in zip(*columns)], spacings
 
 
-def _run_sweep(params):
-    ((_, hop, pot),) = _hamiltonians(params)
-    rows = _sweep_rows(params, hop, pot, params["states_per_point"])
-    derived = {"c": params["c"], "a_values": _sweep_spacings(params).tolist()}
-    return ["ac_quarter", "n", "e_over_sqrtc", "dashed_ref"], rows, derived
+def _run_sweep(plan):
+    ((_, hop, pot),) = plan.solves
+    rows, spacings = _sweep_rows(plan, hop, pot, plan.params["states_per_point"])
+    return rows, {"c": pot.curvature, "a_values": spacings.tolist()}
 
 
-def _run_fig1(params):
-    pair, ((_, quadratic, pot), (_, cosine, _)) = sorted(params["nn_pair"]), _hamiltonians(params)
-    quad = _sweep_rows(params, quadratic, pot, params["states_per_point"])
-    cos = _sweep_rows(params, cosine, pot, max(pair) + 1)
+def _run_fig1(plan):
+    pair, ((_, quadratic, pot), (_, cosine, _)) = sorted(plan.params["nn_pair"]), plan.solves
+    states = plan.params["states_per_point"]
+    quad, _ = _sweep_rows(plan, quadratic, pot, states)
+    cos, _ = _sweep_rows(plan, cosine, pot, max(pair) + 1)
     rows = [["quadratic", *row] for row in quad]
     rows.extend(["cosine", *row] for row in cos if row[1] in pair)
-    columns = ["kinetic", "ac_quarter", "n", "e_over_sqrtc", "dashed_ref"]
-    return columns, rows, {"states_per_point": params["states_per_point"], "nn_pair": pair}
+    return rows, {"states_per_point": states, "nn_pair": pair}
 
 
-def _run_fig2(params):
-    spec = _spec(params)
-    rows = []
-    for _, hop, pot in _hamiltonians(params):
-        sr = _solve(params, spec, hop, pot)
+def _run_fig2(plan):
+    rows, n_cut = [], plan.params["n_cut"]
+    for _, hop, pot in plan.solves:
+        sr = _solve(plan, hop, pot)
         rows.extend(
             [pot.curvature, d.index, d.overlap]
-            for d in diagnose_states(sr, spec)
-            if d.parity == "even" and d.index <= params["n_cut"]
+            for d in diagnose_states(sr, plan.spec)
+            if d.parity == "even" and d.index <= n_cut
         )
-    return ["c", "n", "s_n"], rows, {"c_values": params["c_values"], "n_cut": params["n_cut"]}
+    return rows, {"c_values": plan.params["c_values"], "n_cut": n_cut}
 
 
-def _run_fig3(params):
-    spec, target = _spec(params), params["target_site"]
-    (_, hop, linear), (_, _, harmonic) = _hamiltonians(params)
+def _run_fig3(plan):
+    spec, target = plan.spec, plan.params["target_site"]
+    (_, hop, linear), (_, _, harmonic) = plan.solves
 
-    ws = _solve(params, spec, hop, linear)
+    ws = _solve(plan, hop, linear)
     centers = np.sum(spec.sites[:, None] * np.abs(ws.eigenvectors) ** 2, axis=0)
     ws_idx = int(np.argmin(np.abs(centers - target)))
     # how many ladder states lie inside depends on the solved spectrum, not on the parse
     ladder = _named(("lattice.M", "F"), wannier_stark_analysis, ws, spec, linear.force)
 
     # even states have mirror lobes at +-m, so match the lobe's distance from the centre
-    harm = _solve(params, spec, hop, harmonic)
+    harm = _solve(plan, hop, harmonic)
     even = [d.index for d in diagnose_states(harm, spec) if d.parity == "even"]
     lobes = spec.sites[np.argmax(np.abs(harm.eigenvectors[:, even]), axis=0)]
     best = even[int(np.argmin(np.abs(np.abs(lobes) - abs(target))))]
-    columns = ["m", "ws_amp_sqrt2", "harmonic_amp"]
     rows = [
         [int(m), np.sqrt(2.0) * ws.eigenvectors[i, ws_idx].real, harm.eigenvectors[i, best].real]
         for i, m in enumerate(spec.sites)
@@ -593,67 +597,56 @@ def _run_fig3(params):
         "ladder_max_spacing_deviation": ladder.max_spacing_deviation,
         "expected_spacing": spec.spacing * linear.force,
     }
-    return columns, rows, derived
+    return rows, derived
 
 
-def _run_fig4(params):
-    spec = _spec(params)
-    packets, ((_, hop, pot),) = [packet for _, packet in _packets(params)], _hamiltonians(params)
-    tgrid, runs = _timeseries(params, spec, hop, pot, packets)
+def _run_fig4(plan):
+    params, ((_, hop, pot),) = plan.params, plan.solves
+    tgrid, runs = _timeseries(plan, hop, pot, [packet for _, packet in plan.packets])
     oracle = runs[params["b"].index(params["oracle_b"])]
-    _, tags = _tags(params)
-    columns = ["t", *(f"x_mean_{tag}" for tag in tags), "x_ccr", "x_exact"]
-    columns += [f"s_abs_{tag}" for tag in tags]
     series = [tgrid, *(r.x_mean for r in runs), oracle.x_ccr, oracle.x_exact_oracle]
     series += [r.s_abs for r in runs]
     derived = {
-        "bloch_period": _motion(params)[2],
+        "bloch_period": plan.period,
         "oracle_b": params["oracle_b"],
         "boundary_max": max(r.boundary_max for r in runs),
     }
-    return columns, np.column_stack(series).tolist(), derived
+    return np.column_stack(series).tolist(), derived
 
 
-def _run_fig5(params):
-    spec, ((_, quad, pot), (_, cos, _)) = _spec(params), _hamiltonians(params)
-    curv = pot.curvature
-    *packets, nn_packet = [packet for _, packet in _packets(params)]
-    tgrid, runs = _timeseries(params, spec, quad, pot, packets)
-    _, (nn,) = _timeseries(params, spec, cos, pot, [nn_packet])
-    _, tags = _tags(params)
-    root = np.sqrt(curv)
-    columns = ["t", "sqrt_c_t", *(f"x_mean_{tag}" for tag in tags)]
-    columns += [f"x_ccr_{tags[0]}", f"x_mean_nn{params['nn_n0']}"]
+def _run_fig5(plan):
+    spec, ((_, quad, pot), (_, cos, _)) = plan.spec, plan.solves
+    *packets, nn_packet = [packet for _, packet in plan.packets]
+    tgrid, runs = _timeseries(plan, quad, pot, packets)
+    _, (nn,) = _timeseries(plan, cos, pot, [nn_packet])
+    root = np.sqrt(pot.curvature)
     series = [tgrid, root * tgrid, *(r.x_mean for r in runs), runs[0].x_ccr, nn.x_mean]
     derived = {
-        "threshold_estimate": threshold_estimate(spec.spacing, curv),
-        "period": _motion(params)[2],
+        "threshold_estimate": threshold_estimate(spec.spacing, pot.curvature),
+        "period": plan.period,
         "boundary_max": max(r.boundary_max for r in [*runs, nn]),
     }
-    return columns, np.column_stack(series).tolist(), derived
+    return np.column_stack(series).tolist(), derived
 
 
-def _run_dynamics(params):
-    spec, ((_, hop, pot),), ((_, packet),) = _spec(params), _hamiltonians(params), _packets(params)
-    tgrid, (ts,) = _timeseries(params, spec, hop, pot, [packet])
+def _run_dynamics(plan):
+    ((_, hop, pot),), ((_, packet),) = plan.solves, plan.packets
+    tgrid, (ts,) = _timeseries(plan, hop, pot, [packet])
     nan = np.full(len(tgrid), np.nan)
     x_ccr = nan if ts.x_ccr is None else ts.x_ccr
     x_exact = nan if ts.x_exact_oracle is None else ts.x_exact_oracle
-    columns = ["t", "x_mean", "k_mean", "s_abs", "norm", "x_ccr", "x_exact"]
     series = [tgrid, ts.x_mean, ts.k_mean, ts.s_abs, ts.norm, x_ccr, x_exact]
     derived = {"boundary_max": ts.boundary_max}
-    if pot.kind == "linear" and pot.force != 0:
-        derived["bloch_period"] = _motion(params)[2]
+    if pot.kind == "linear" and plan.period:
+        derived["bloch_period"] = plan.period
     if pot.kind == "harmonic":
-        derived["threshold_estimate"] = threshold_estimate(spec.spacing, pot.curvature)
-    return columns, np.column_stack(series).tolist(), derived
+        derived["threshold_estimate"] = threshold_estimate(plan.spec.spacing, pot.curvature)
+    return np.column_stack(series).tolist(), derived
 
 
-def _run_ccr_check(params):
-    spec, ((_, packet),) = _spec(params), _packets(params)
-    psi = make_gaussian(spec, packet)
-    result = ccr_defect(psi, spec, params["margin"])
-    columns = ["m", "defect_re", "defect_im", "ratio_re", "ratio_im"]
+def _run_ccr_check(plan):
+    ((_, packet),), (_, margin) = plan.packets, plan.interior
+    result = ccr_defect(make_gaussian(plan.spec, packet), plan.spec, margin)
     rows = []
     for m, defect in zip(result.sites, result.profile):
         ratio = defect / (-1j * (-1.0) ** abs(int(m)))
@@ -663,7 +656,7 @@ def _run_ccr_check(params):
         "max_defect": result.max_defect,
         "truncation_tail": result.tail,
     }
-    return columns, rows, derived
+    return rows, derived
 
 
 _RUNNERS = {
@@ -683,7 +676,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
     """Execute the configured experiment and write dataset plus manifest.
 
     The run's one RunManifest is made when it starts (config echo, started_utc)
-    and filled in as the run goes; the dataset's directory is made first. Returns
+    and filled in as the run goes; the dataset's directory is made first, and the
+    runner executes the plan _plan rebuilds from the resolved config. Returns
     (columns, rows, manifest). On failure the exception carries that manifest as
     err.manifest, with the warnings and wall time up to the failure, and the
     caller sets its error and writes it (the CLI does).
@@ -696,8 +690,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
         warnings.simplefilter("always")
         try:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            columns, rows, manifest.derived = _RUNNERS[cfg.experiment](cfg.params)
-            emit_dataset(rows, columns, path, out["format"])
+            plan = _plan(cfg.experiment, cfg.params)
+            rows, manifest.derived = _RUNNERS[cfg.experiment](plan)
+            emit_dataset(rows, plan.columns, path, out["format"])
             manifest.dataset = out["path"]
         except Exception as err:
             err.manifest = manifest
@@ -706,4 +701,4 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = "."):
             manifest.warnings = [str(w.message) for w in wrec]
             manifest.timestamp["wall_time_s"] = round(time.perf_counter() - clock, 3)
     manifest.write(out_dir)
-    return columns, rows, manifest
+    return plan.columns, rows, manifest

@@ -103,6 +103,10 @@ def _config(experiment):
 @example(("sweep", {}, ["c=1e-300", "grid.x_max=1e300"]))
 @example(("spectrum", {}, ["potential.c=1e305"]))
 @example(("spectrum", {}, ["lattice.M=" + "9" * 5000]))
+# integers past the float range reach the size rule, which counts in Python integers
+@example(("spectrum", {}, [f"lattice.M={10**400}"]))
+@example(("sweep", {}, [f"grid.points={10**400}"]))
+@example(("ccr-check", {}, [f"margin={10**400}"]))
 def test_any_config_parses_or_raises_config_error(config):
     experiment, raw, overrides = config
     # the CLI's path: the command line sets the experiment unless the object does

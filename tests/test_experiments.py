@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,9 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("fig4", ["output.path=sub/"], "output.path"),
         ("sweep", ["lattice.a=2"], "lattice.a"),
         ("fig1", ["lattice.a=1e-300"], "lattice.a"),
+        ("sweep", ["grid.points=1000000000000"], "grid.points"),
+        ("dynamics", ["time.dt=1e-9"], "time.dt"),
+        ("spectrum", ["lattice.M=1000000"], "lattice.M"),
     ],
     ids=[
         "lattice.M",
@@ -321,6 +325,9 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "output.path-directory",
         "sweep-lattice.a",
         "fig1-lattice.a",
+        "grid.points-memory",
+        "time.dt-memory",
+        "lattice.M-memory",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
@@ -543,9 +550,8 @@ class _Recording(dict):
 
 
 SMALL = {"lattice": {"M": 5}}
-
-
-@pytest.mark.parametrize(
+# every experiment at its defaults, and spectrum with each kind of its blocks
+RUNS = pytest.mark.parametrize(
     "experiment, blocks",
     [
         *[(name, {}) for name in experiments.EXPERIMENTS],
@@ -564,15 +570,58 @@ SMALL = {"lattice": {"M": 5}}
         "spectrum-custom-hopping",
     ],
 )
+
+
+@RUNS
 def test_every_runner_reads_exactly_its_schema(experiment, blocks):
-    # a schema key the runner never reads would be accepted and echoed as if used;
-    # output.* is read by run_experiment, not by the runner
+    # a schema key the run never reads would be accepted and echoed as if used; a run
+    # reads its keys while its plan is built and while the runner executes the plan;
+    # output.* is read by run_experiment, not by either
     cfg = parse_config(json.dumps({"experiment": experiment, **blocks}))
     seen = set()
-    experiments._RUNNERS[experiment](_Recording(cfg.params, seen))
+    experiments._RUNNERS[experiment](experiments._plan(experiment, _Recording(cfg.params, seen)))
     schema = experiments._SCHEMAS[experiment]
     expected = {path for path in _schema_reads(schema, cfg.params) if path.split(".")[0] != "output"}
     assert seen == expected
+
+
+@RUNS
+def test_size_rule_bound_is_at_most_the_measured_peak(experiment, blocks, tmp_path):
+    # the size rule refuses only runs that cannot fit: its bound on the bytes a run
+    # holds at once stays at or below the peak that tracemalloc measures in the run
+    cfg = parse_config(json.dumps({"experiment": experiment, **blocks}))
+    need, _ = experiments._size(experiments._plan(experiment, cfg.params))
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < need <= peak
+
+
+def test_size_rule_refuses_before_building_the_window():
+    # 2 * 10^6 + 1 sites: refused from the plan's O(1) objects, before any O(N) check
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="'lattice.M': the run would hold at least"):
+            parse_config('{"experiment": "spectrum", "lattice": {"M": 1000000}}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_cli_output_path_stays_inside_out(tmp_path, capsys):
+    # an absolute output.path, or one that leaves --out, is refused while parsing, and
+    # nothing but the failure manifest is written
+    inside = tmp_path / "inside"
+    for path in (tmp_path / "abs.csv", "../esc.csv", "sub/../../esc.csv"):
+        args = ["spectrum", "--out", str(inside), "--set", "lattice.M=3"]
+        assert main([*args, "--set", f"output.path={path}"]) == 2
+        assert "'output.path'" in capsys.readouterr().err
+        assert json.loads((inside / "spectrum_manifest.json").read_text())["config"] is None
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["inside", "spectrum_manifest.json"]
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5", "dynamics", "ccr-check"])

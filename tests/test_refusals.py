@@ -1,5 +1,7 @@
 """Every library refusal that no experiment reaches raises its documented error."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ from latticeccr import (
 from latticeccr import spectral
 
 SPEC = LatticeSpec(4, 1.0)
+
+
+def _spectrum_to(path):
+    """A spectrum config whose dataset is written to path."""
+    return json.dumps({"experiment": "spectrum", "lattice": {"M": 3}, "output": {"path": path}})
 
 
 def _taken(path):
@@ -56,6 +63,17 @@ REFUSALS = {
         "j_max",
     ),
     "config-not-object": (lambda d: parse_config("[1]"), ConfigError, "JSON object"),
+    # a dataset path must stay inside the output directory
+    "output-path-absolute": (
+        lambda d: parse_config(_spectrum_to(str(d / "x.csv"))),
+        ConfigError,
+        "'output.path' must name a file inside",
+    ),
+    "output-path-outside": (
+        lambda d: parse_config(_spectrum_to("sub/../../x.csv")),
+        ConfigError,
+        "'output.path' must name a file inside",
+    ),
     "dataset-format": (
         lambda d: emit_dataset([], ["a"], str(d / "x.xml"), fmt="xml"),
         ValueError,
