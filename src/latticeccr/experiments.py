@@ -25,6 +25,7 @@ from .ccr import _interior, ccr_defect
 from .dynamics import CHUNK, LEAK_FAIL, LEAK_WARN, GaussianPacket, make_gaussian, run_timeseries
 from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, build_hamiltonian
 from .spectral import (
+    _even_states,
     diagnose_states,
     eigensolve,
     harmonic_sweep,
@@ -506,9 +507,10 @@ def emit_dataset(rows, columns, path: str, fmt: str = "csv") -> str:
 # ---------------------------------------------------------------------------
 # experiment bodies: each executes its plan and returns (rows, derived)
 
-def _solve(plan: _Plan, hop: Hopping, pot: Potential):
-    ham = build_hamiltonian(plan.spec, hop, pot)
-    return eigensolve(ham, tol=plan.params["tolerances"]["eigensolve"])
+def _solve(plan: _Plan, hop: Hopping, pot: Potential, even_only=False):
+    """eigensolve of the plan's Hamiltonian, or with even_only its _even_states."""
+    ham, tol = build_hamiltonian(plan.spec, hop, pot), plan.params["tolerances"]["eigensolve"]
+    return _even_states(ham, tol) if even_only else eigensolve(ham, tol=tol)
 
 
 def _timeseries(plan: _Plan, hop: Hopping, pot: Potential, packets):
@@ -558,14 +560,13 @@ def _run_fig1(plan):
 
 
 def _run_fig2(plan):
+    # odd states have S_n = 0: only the even block's vectors are solved
     rows, n_cut = [], plan.params["n_cut"]
+    signs = (-1.0) ** np.abs(plan.spec.sites)
     for _, hop, pot in plan.solves:
-        sr = _solve(plan, hop, pot)
-        rows.extend(
-            [pot.curvature, d.index, d.overlap]
-            for d in diagnose_states(sr, plan.spec)
-            if d.parity == "even" and d.index <= n_cut
-        )
+        index, _, vecs = _solve(plan, hop, pot, even_only=True)
+        overlap = np.abs(signs @ vecs)
+        rows.extend([pot.curvature, int(n), float(s)] for n, s in zip(index, overlap) if n <= n_cut)
     return rows, {"c_values": plan.params["c_values"], "n_cut": n_cut}
 
 
@@ -579,20 +580,20 @@ def _run_fig3(plan):
     # how many ladder states lie inside depends on the solved spectrum, not on the parse
     ladder = _named(("lattice.M", "F"), wannier_stark_analysis, ws, spec, linear.force)
 
-    # even states have mirror lobes at +-m, so match the lobe's distance from the centre
-    harm = _solve(plan, hop, harmonic)
-    even = [d.index for d in diagnose_states(harm, spec) if d.parity == "even"]
-    lobes = spec.sites[np.argmax(np.abs(harm.eigenvectors[:, even]), axis=0)]
-    best = even[int(np.argmin(np.abs(np.abs(lobes) - abs(target))))]
+    # even states have mirror lobes at +-m, so match the lobe's distance from the centre;
+    # only the even block's vectors are solved
+    even, _, harm = _solve(plan, hop, harmonic, even_only=True)
+    lobes = spec.sites[np.argmax(np.abs(harm), axis=0)]
+    best = int(np.argmin(np.abs(np.abs(lobes) - abs(target))))
     rows = [
-        [int(m), np.sqrt(2.0) * ws.eigenvectors[i, ws_idx].real, harm.eigenvectors[i, best].real]
+        [int(m), np.sqrt(2.0) * ws.eigenvectors[i, ws_idx].real, harm[i, best]]
         for i, m in enumerate(spec.sites)
     ]
     derived = {
         "ws_state_index": ws_idx,
         "ws_center": float(centers[ws_idx]),
         "ws_energy": float(ws.eigenvalues[ws_idx]),
-        "harmonic_state_index": best,
+        "harmonic_state_index": int(even[best]),
         "ladder_mean_spacing": ladder.mean_spacing,
         "ladder_max_spacing_deviation": ladder.max_spacing_deviation,
         "expected_spacing": spec.spacing * linear.force,

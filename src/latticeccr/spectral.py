@@ -4,7 +4,9 @@ eigensolve wraps LAPACK's Hermitian decomposition behind a contract
 (residual and orthonormality tolerances, deterministic eigenvector phases),
 solving reflection-symmetric Hamiltonians as two parity blocks; eigenvalues
 solves the same blocks for their eigenvalues alone, held to the trace and
-Frobenius identities.
+Frobenius identities. _even_states, for runs that read only even states
+(fig2, fig3's harmonic potential), solves the even block under eigensolve's
+contract and the odd block for its eigenvalues alone.
 """
 
 from __future__ import annotations
@@ -120,6 +122,26 @@ def _blocks(ham: OperatorMatrix) -> list[np.ndarray]:
     return [even, (a - b)[1:, 1:]]
 
 
+def _merge(vals_e: np.ndarray, vals_o: np.ndarray):
+    """Ascending merge of the even and odd blocks' eigenvalues, the even value
+    first on an exact tie: the merged list and the positions the even and the
+    odd values take in it."""
+    vals = np.concatenate([vals_e, vals_o])
+    order = np.argsort(vals, kind="stable")
+    slot = np.empty(len(vals), dtype=int)
+    slot[order] = np.arange(len(vals))
+    return vals[order], slot[: len(vals_e)], slot[len(vals_e) :]
+
+
+def _put_even(vecs: np.ndarray, cols, vecs_e: np.ndarray) -> None:
+    """Write the even block's eigenvectors, embedded in the site basis, into
+    the columns cols of vecs (N rows)."""
+    c = len(vecs) // 2
+    vecs[c, cols] = vecs_e[0]
+    vecs[c + 1 :, cols] = vecs_e[1:] / np.sqrt(2.0)
+    vecs[c - 1 :: -1, cols] = vecs[c + 1 :, cols]
+
+
 def _eigh(ham: OperatorMatrix, bound: float):
     """Ascending eigenvalues, eigenvectors and residual of ham from the eigh of
     each of its _blocks, with the contract checked per block. Parity-block
@@ -133,18 +155,39 @@ def _eigh(ham: OperatorMatrix, bound: float):
     (vals_e, vecs_e), (vals_o, vecs_o) = solved
     n = ham.dimension
     c = n // 2
-    vals = np.concatenate([vals_e, vals_o])
-    order = np.argsort(vals, kind="stable")
-    slot = np.empty(n, dtype=int)
-    slot[order] = np.arange(n)
-    se, so = slot[: c + 1], slot[c + 1 :]
+    vals, se, so = _merge(vals_e, vals_o)
     vecs = np.zeros((n, n))
-    vecs[c, se] = vecs_e[0]
-    vecs[c + 1 :, se] = vecs_e[1:] / np.sqrt(2.0)
-    vecs[c - 1 :: -1, se] = vecs[c + 1 :, se]
+    _put_even(vecs, se, vecs_e)
     vecs[c + 1 :, so] = vecs_o / np.sqrt(2.0)
     vecs[c - 1 :: -1, so] = -vecs[c + 1 :, so]
-    return vals[order], vecs, residual
+    return vals, vecs, residual
+
+
+def _even_states(ham: OperatorMatrix, tol: float = 1e-10):
+    """The even-parity states of a Hamiltonian that _blocks splits, without
+    the odd block's eigenvectors: their indices in eigensolve's ascending
+    order, their eigenvalues and their phase-fixed site-basis vectors, equal
+    to eigensolve(ham, tol)'s columns at those indices. (The odd eigenvalues
+    come from eigvalsh, not eigh: an index can differ from eigensolve's only
+    where an even and an odd eigenvalue lie within rounding of each other.)
+
+    The even block is held to eigensolve's residual and orthonormality
+    contract; the odd block is solved for its eigenvalues alone and held to
+    the trace and Frobenius identities, as in eigenvalues. Raises ValueError
+    when ham has no parity split.
+    """
+    blocks = _blocks(ham)
+    if len(blocks) == 1:
+        raise ValueError("no parity split: the matrix is not a real odd-size mirror-symmetric one")
+    even, odd = blocks
+    bound = _contract_bound(ham, tol)
+    vals_e, vecs_e = np.linalg.eigh(even)
+    _check_contract(even, vals_e, vecs_e, bound)
+    vals_o = np.linalg.eigvalsh(odd)
+    _check_sums(odd, vals_o, bound)
+    vecs = np.empty((ham.dimension, len(vals_e)))
+    _put_even(vecs, slice(None), vecs_e)
+    return _merge(vals_e, vals_o)[1], vals_e, _fix_phases(vecs)
 
 
 def _contract_bound(ham: OperatorMatrix, tol: float) -> float:

@@ -436,8 +436,10 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
         ("sweep", ["tolerances.eigensolve=1e-30"]),
         ("fig1", ["tolerances.eigensolve=1e-30"]),
         ("dynamics", ["tolerances.eigensolve=1e-30"]),
+        ("fig2", ["tolerances.eigensolve=1e-30"]),
+        ("fig3", ["tolerances.eigensolve=1e-30"]),
     ],
-    ids=["spectrum", "sweep", "fig1", "dynamics"],
+    ids=["spectrum", "sweep", "fig1", "dynamics", "fig2", "fig3"],
 )
 def test_cli_tolerance_exit_code(experiment, assignments, tmp_path, capsys):
     overrides = [arg for assignment in assignments for arg in ("--set", assignment)]

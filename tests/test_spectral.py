@@ -22,7 +22,13 @@ from latticeccr import (
     threshold_estimate,
     wannier_stark_analysis,
 )
-from latticeccr.spectral import PARITY_TOL, _check_contract, _fix_phases, eigenvalues
+from latticeccr.spectral import (
+    PARITY_TOL,
+    _check_contract,
+    _even_states,
+    _fix_phases,
+    eigenvalues,
+)
 
 
 def harmonic_spectrum(half_width, a, c, hop=None):
@@ -227,7 +233,8 @@ def _shift_pair(delta):
     return shift
 
 
-@pytest.mark.parametrize(
+# a wrong eigenvalue and the identity it fails
+_WRONG_EIGENVALUE = pytest.mark.parametrize(
     "shift, identity",
     [
         (_shift_one(1e-4), "trace identity"),
@@ -236,6 +243,9 @@ def _shift_pair(delta):
     ],
     ids=["shifted", "nan", "trace-preserving"],
 )
+
+
+@_WRONG_EIGENVALUE
 def test_eigenvalues_contract_rejects_a_wrong_block_eigenvalue(shift, identity, monkeypatch):
     # bound = 1e-10 * |H|_max * N, about 1.04e-6 here: a shift of 1e-4 is 96 times it
     ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
@@ -254,6 +264,76 @@ def test_eigenvalues_contract_near_the_float_range():
         assert not np.isfinite(np.sum(big.matrix**2))
     ref = eigenvalues(ham) * 2.0**530
     assert np.all(np.abs(eigenvalues(big) - ref) <= 1e-12 * ref)
+
+
+def _assert_even_columns(ham, sr):
+    index, vals, vecs = _even_states(ham)
+    even = np.flatnonzero(np.all(sr.eigenvectors == sr.eigenvectors[::-1], axis=0))
+    assert np.array_equal(index, even)
+    assert np.array_equal(vals, sr.eigenvalues[even])
+    assert np.array_equal(vecs, sr.eigenvectors[:, even])
+
+
+_M100 = LatticeSpec(100, 1.0)
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        Potential.harmonic(1.0),
+        Potential.harmonic(0.1),
+        Potential.harmonic(0.01),
+        Potential.custom(1e-6 * _M100.sites**4),
+    ],
+    ids=["fig2-c1", "fig2-c0.1", "fig2-c0.01-and-fig3", "mirror-custom"],
+)
+def test_even_states_are_eigensolves_even_columns(pot):
+    # no even and odd eigenvalue lie within 4e-5 of each other here, far above the 5e-12
+    # by which the odd block's eigvalsh and eigh values differ, so the indices agree
+    ham = build_hamiltonian(_M100, Hopping.quadratic(), pot)
+    _assert_even_columns(ham, eigensolve(ham))
+
+
+def test_even_states_are_eigensolves_even_columns_wide(parity_solve):
+    _assert_even_columns(*parity_solve)
+
+
+def test_even_states_tie_puts_even_first():
+    # diag(2, 5, 2): the even block holds 2 and 5, the odd block 2
+    index, vals, vecs = _even_states(OperatorMatrix(np.diag([2.0, 5.0, 2.0])))
+    assert np.array_equal(index, [0, 2]) and np.array_equal(vals, [2.0, 5.0])
+    r = 1 / np.sqrt(2.0)
+    assert np.array_equal(vecs, [[r, 0.0], [0.0, 1.0], [r, 0.0]])
+
+
+def test_even_states_need_a_parity_split():
+    ham = build_hamiltonian(_M100, Hopping.quadratic(), Potential.linear(0.4))
+    with pytest.raises(ValueError, match="no parity split"):
+        _even_states(ham)
+
+
+def test_even_states_hold_the_even_block_to_the_contract(monkeypatch):
+    ham = build_hamiltonian(_M100, Hopping.quadratic(), Potential.harmonic(0.01))
+    original = np.linalg.eigh
+
+    def shifted(mat):
+        vals, vecs = original(mat)
+        return vals + 1e-4, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(ToleranceError, match="eigensolve residual"):
+        _even_states(ham)
+
+
+@_WRONG_EIGENVALUE
+def test_even_states_hold_the_odd_eigenvalues_to_the_identities(shift, identity, monkeypatch):
+    # the odd block has no vectors, so a wrong odd eigenvalue must fail the identities
+    ham = build_hamiltonian(_M100, Hopping.quadratic(), Potential.harmonic(0.01))
+    _even_states(ham)
+    shapes = _record_eigvalsh(monkeypatch, shift)
+    with pytest.raises(ToleranceError, match=identity):
+        _even_states(ham)
+    assert shapes == [(100, 100)]
 
 
 def test_jacobi_against_lapack():
