@@ -4,6 +4,13 @@ Propagation is spectral (expand in the precomputed eigenbasis, advance the
 phases), so unitarity is exact to rounding and no integrator error enters
 the comparisons between exact dynamics and the trajectories predicted by
 assuming the canonical commutation relation.
+
+Packets that share an eigenbasis propagate together: the quasi-momentum is
+built once, each chunk of CHUNK times gets its exp(-i E t) block once, and
+each packet in turn multiplies it by its coefficients, takes one GEMM and
+reduces its block to the observables, so one packet's amplitudes are held at
+a time. Every packet's observables, warnings and errors are bit for bit
+those of run_timeseries on it alone, the packets taken in order.
 """
 
 from __future__ import annotations
@@ -77,32 +84,59 @@ def make_gaussian(spec: LatticeSpec, packet: GaussianPacket) -> StateVector:
     return StateVector(amp).normalize()
 
 
-def _evolve(psi0: StateVector, sr: SpectrumResult, times: np.ndarray):
-    """Yield (start, block) over chunks of at most CHUNK times, where
-    block[:, j] holds _UNIT times the amplitudes of psi0 at times[start + j].
+def _coefficients(states, sr: SpectrumResult) -> list:
+    """_UNIT times each state's coefficients in the eigenbasis of sr."""
+    back = sr.eigenvectors.conj().T
+    coeffs = []
+    for psi in states:
+        if len(psi.amplitudes) != sr.dimension:
+            raise ValueError("state dimension does not match the spectrum")
+        coeff = back @ psi.amplitudes
+        coeff *= _UNIT
+        coeffs.append(coeff)
+    return coeffs
 
-    psi0 is expanded in the eigenbasis of its Hamiltonian once; each block is
-    then one GEMM V @ (exp(-i E t) * coeff), a real one on the interleaved
-    real and imaginary parts when the eigenvectors V are real.
-    """
-    if len(psi0.amplitudes) != sr.dimension:
-        raise ValueError("state dimension does not match the spectrum")
-    vecs = sr.eigenvectors
-    coeff = vecs.conj().T @ psi0.amplitudes
-    coeff *= _UNIT
+
+def _phases(sr: SpectrumResult, times: np.ndarray):
+    """Yield (start, exp(-i E t)) over chunks of at most CHUNK times: row j of the
+    block for eigenvalue j, column i for times[start + i]."""
     for start in range(0, len(times), CHUNK):
-        phased = -1j * np.outer(sr.eigenvalues, times[start : start + CHUNK])
-        np.exp(phased, out=phased)
-        phased *= coeff[:, None]
-        if np.iscomplexobj(vecs):
-            yield start, vecs @ phased
-        else:
-            yield start, (vecs @ phased.view(np.float64)).view(complex)
+        phases = -1j * np.outer(sr.eigenvalues, times[start : start + CHUNK])
+        np.exp(phases, out=phases)
+        yield start, phases
+
+
+def _block(vecs: np.ndarray, phases: np.ndarray, coeff: np.ndarray, last: bool) -> np.ndarray:
+    """_UNIT psi at a chunk's times, from its _phases block and _coefficients: one GEMM
+    V @ (exp(-i E t) * coeff), a real one on the interleaved real and imaginary parts
+    when the eigenvectors V are real. With last, phases itself takes the product: the
+    chunk's last packet needs no copy of it."""
+    phased = np.multiply(phases, coeff[:, None], out=phases if last else None)
+    if np.iscomplexobj(vecs):
+        return vecs @ phased
+    return (vecs @ phased.view(np.float64)).view(complex)
+
+
+def _observables(block: np.ndarray, x: np.ndarray, s_mat: np.ndarray, signs: np.ndarray):
+    """<x>, <k>, |S|, the norm and the larger boundary amplitude at each time of a block
+    of _UNIT psi, each sum scaled back; s_mat is S of the quasi-momentum k = i S."""
+    parts = block.view(np.float64)
+    u, v = parts[:, 0::2], np.ascontiguousarray(parts[:, 1::2])  # BLAS needs unit stride
+    prob = u * u + v * v
+    return (
+        x @ prob / _UNIT**2,
+        -2.0 * (u * (s_mat @ v)).sum(axis=0) / _UNIT**2,  # <k> = -2 u.(S v) for psi = u + i v
+        np.abs((signs @ parts).view(complex)) / _UNIT,
+        np.sqrt(prob.sum(axis=0)) / _UNIT,
+        np.maximum(np.abs(block[0]), np.abs(block[-1])) / _UNIT,
+    )
 
 
 def propagate(psi0: StateVector, sr: SpectrumResult, t: float) -> StateVector:
     """Evolve a state to time t in the eigenbasis of its Hamiltonian."""
-    ((_, block),) = _evolve(psi0, sr, np.array([t], dtype=float))
+    (coeff,) = _coefficients([psi0], sr)
+    ((_, phases),) = _phases(sr, np.array([t], dtype=float))
+    block = _block(sr.eigenvectors, phases, coeff, last=True)
     return StateVector(block[:, 0] / _UNIT, normalized=psi0.normalized)
 
 
@@ -189,74 +223,108 @@ def run_timeseries(
     otherwise. Boundary amplitude above leak_warn, initially or during the
     run, issues a warning; above leak_fail the run aborts with LeakageError.
     """
+    (run,) = _run_packets(spec, hop, pot, [packet], t_grid, sr, leak_warn, leak_fail)
+    return run
+
+
+def _run_packets(spec, hop, pot, packets, t_grid, sr, leak_warn, leak_fail, oracle=0) -> list:
+    """run_timeseries of each packet in turn, as one propagation in the spectrum sr: one
+    quasi-momentum build, each chunk's exp(-i E t) block made once and taken by every
+    packet, and one packet's amplitudes held at a time. Only the packet at index oracle
+    (None: none) gets x_ccr and x_exact_oracle.
+
+    Warnings and errors come as from the packets run one by one: each packet's warnings
+    in config order up to the first packet that fails, then that packet's error; a packet
+    after it is not propagated further.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise ValueError("t_grid must be a non-empty 1-D array")
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must ascend from t >= 0")
 
-    psi0 = make_gaussian(spec, packet)
-    edge = max(abs(psi0.amplitudes[0]), abs(psi0.amplitudes[-1]))
-    if edge > leak_warn:
-        warnings.warn(
-            f"initial packet has boundary amplitude {edge:.2e} > {leak_warn:.0e}", stacklevel=2
-        )
+    psis, failure = [], None  # failure: (index of the first packet that fails, its error)
+    for i, packet in enumerate(packets):
+        try:
+            psis.append(make_gaussian(spec, packet))
+        except ValueError as err:
+            failure = i, err
+            break
     x = spec.positions
     kop = build_quasi_momentum(spec).matrix
-    x0, k0 = expectation(psi0, x).real, expectation(psi0, kop).real
-    # kop = i S with S real antisymmetric, so <k> = -2 u.(S v) for amplitudes u + i v
-    s_mat = np.ascontiguousarray(kop.imag)
+    if oracle is not None and oracle < len(psis):
+        x0, k0 = expectation(psis[oracle], x).real, expectation(psis[oracle], kop).real
+    s_mat = np.ascontiguousarray(kop.imag)  # kop = i S, S real antisymmetric
     del kop
+    try:
+        coeffs = _coefficients(psis, sr)
+    except ValueError as err:  # every packet has the window's dimension: the first fails
+        coeffs, failure = [], (0, err)
 
-    x_mean = np.empty(len(t_grid))
-    k_mean = np.empty(len(t_grid))
-    s_abs = np.empty(len(t_grid))
-    norm = np.empty(len(t_grid))
-    boundary = 0.0
+    series = np.empty((4, len(psis), len(t_grid)))  # x_mean, k_mean, s_abs and norm
+    x_mean, k_mean, s_abs, norm = series
+    boundary = [0.0] * len(psis)
     half = spec.half_width
     signs = (-1.0) ** np.abs(spec.sites)
-    for start, block in _evolve(psi0, sr, t_grid):  # block = _UNIT psi: scale each sum back
-        stop = start + block.shape[1]
-        parts = block.view(np.float64)
-        u, v = parts[:, 0::2], np.ascontiguousarray(parts[:, 1::2])  # BLAS needs unit stride
-        prob = u * u + v * v
-        x_mean[start:stop] = x @ prob / _UNIT**2
-        k_mean[start:stop] = -2.0 * (u * (s_mat @ v)).sum(axis=0) / _UNIT**2
-        s_abs[start:stop] = np.abs((signs @ parts).view(complex)) / _UNIT
-        norm[start:stop] = np.sqrt(prob.sum(axis=0)) / _UNIT
-        edge = np.maximum(np.abs(block[0]), np.abs(block[-1])) / _UNIT
-        drift = np.abs(norm[start:stop] - 1.0) > 1e-10
-        leak = edge > leak_fail
-        bad = np.flatnonzero(drift | leak)
-        if len(bad):
-            i = bad[0]
-            t = t_grid[start + i]
-            if drift[i]:
-                raise ToleranceError(f"norm drifted to {norm[start + i]:.12f} at t = {t:g}")
-            raise LeakageError(
-                f"boundary amplitude {edge[i]:.2e} at t = {t:g} exceeds {leak_fail:.0e} "
-                f"(window half_width {half} too small)"
+    vecs, live = sr.eigenvectors, len(coeffs)  # packets live < first failure propagate on
+    for start, phases in _phases(sr, t_grid) if live else ():
+        for i in range(live):  # one packet's block at a time, freed as _observables returns
+            last = i + 1 == live  # the chunk's last packet phases the shared block in place
+            *values, edge = _observables(_block(vecs, phases, coeffs[i], last), x, s_mat, signs)
+            stop = start + len(edge)
+            series[:, i, start:stop] = values
+            drift = np.abs(norm[i, start:stop] - 1.0) > 1e-10
+            leak = edge > leak_fail
+            bad = np.flatnonzero(drift | leak)
+            if len(bad):
+                j = bad[0]
+                t = t_grid[start + j]
+                if drift[j]:
+                    err = ToleranceError(f"norm drifted to {norm[i, start + j]:.12f} at t = {t:g}")
+                else:
+                    err = LeakageError(
+                        f"boundary amplitude {edge[j]:.2e} at t = {t:g} exceeds "
+                        f"{leak_fail:.0e} (window half_width {half} too small)"
+                    )
+                failure, live = (i, err), i
+                break
+            boundary[i] = max(boundary[i], edge.max())
+        if not live:
+            break
+
+    runs = []
+    for i, psi0 in enumerate(psis):
+        edge = max(abs(psi0.amplitudes[0]), abs(psi0.amplitudes[-1]))
+        if edge > leak_warn:
+            warnings.warn(
+                f"initial packet has boundary amplitude {edge:.2e} > {leak_warn:.0e}",
+                stacklevel=3,
             )
-        boundary = max(boundary, edge.max())
-    if boundary > leak_warn:
-        warnings.warn(
-            f"boundary amplitude reached {boundary:.2e} > {leak_warn:.0e}", stacklevel=2
+        if failure and failure[0] == i:
+            break
+        if boundary[i] > leak_warn:
+            warnings.warn(
+                f"boundary amplitude reached {boundary[i]:.2e} > {leak_warn:.0e}", stacklevel=3
+            )
+        x_ccr = x_exact = None
+        if i == oracle and pot.kind == "harmonic":
+            x_ccr = ccr_position_harmonic(x0, k0, pot.curvature, t_grid)
+        elif i == oracle and pot.kind == "linear":
+            x_exact = exact_position_linear(psi0, spec, hop, pot.force, t_grid)
+            cosine = hop.kind == "cosine"
+            x_ccr = x_exact if cosine else ccr_position_linear(x0, k0, pot.force, t_grid)
+        runs.append(
+            TimeSeries(
+                times=t_grid,
+                x_mean=x_mean[i],
+                k_mean=k_mean[i],
+                s_abs=s_abs[i],
+                norm=norm[i],
+                x_ccr=x_ccr,
+                x_exact_oracle=x_exact,
+                boundary_max=boundary[i],
+            )
         )
-
-    x_ccr = x_exact = None
-    if pot.kind == "harmonic":
-        x_ccr = ccr_position_harmonic(x0, k0, pot.curvature, t_grid)
-    elif pot.kind == "linear":
-        x_exact = exact_position_linear(psi0, spec, hop, pot.force, t_grid)
-        x_ccr = x_exact if hop.kind == "cosine" else ccr_position_linear(x0, k0, pot.force, t_grid)
-
-    return TimeSeries(
-        times=t_grid,
-        x_mean=x_mean,
-        k_mean=k_mean,
-        s_abs=s_abs,
-        norm=norm,
-        x_ccr=x_ccr,
-        x_exact_oracle=x_exact,
-        boundary_max=boundary,
-    )
+    if failure:
+        raise failure[1]
+    return runs

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .ccr import _interior, ccr_defect
-from .dynamics import CHUNK, LEAK_FAIL, LEAK_WARN, GaussianPacket, make_gaussian, run_timeseries
+from .dynamics import CHUNK, LEAK_FAIL, LEAK_WARN, GaussianPacket, _run_packets, make_gaussian
 from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, build_hamiltonian
 from .spectral import (
     _even_states,
@@ -372,9 +372,11 @@ def _plan(experiment: str, params: dict) -> _Plan:
 def _size(plan: _Plan) -> tuple:
     """The size rule's lower bound on the bytes a run holds at once, with the config keys
     behind it: the larger of two stages, each held whole at one moment. The solve holds 8
-    bytes per entry of plan.dense N x N matrices and 16 per amplitude of two propagation
-    blocks of min(CHUNK, points) times; the emission 8 per time and per dataset cell.
-    Python integers throughout, so that no config value overflows it."""
+    bytes per entry of plan.dense N x N matrices and, while it propagates, 16 per amplitude
+    of two blocks of min(CHUNK, points) times: the chunk's exp(-i E t) block, shared by the
+    eigenbasis's packets, and the amplitudes of the one packet being reduced. The emission
+    holds 8 per time and per dataset cell. Python integers throughout, so that no config
+    value overflows it."""
     n = plan.spec.n_sites
     solve = 8 * n * n * plan.dense + 32 * n * min(CHUNK, plan.points)
     emission = 8 * (plan.points + plan.rows * len(plan.columns))
@@ -452,22 +454,56 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # dataset emission
 
-def _cell(value):
-    """One dataset cell as a plain Python value; floats keep 12 significant
-    digits and negative zero becomes 0.0."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(f"{float(value) + 0.0:.11e}")
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
 
 
-def _csv_token(cell) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.11e}"
-    return cell if isinstance(cell, str) else json.dumps(cell)
+def _kind(cls) -> str:
+    """How emit_dataset writes a cell of type cls: as a str, bool, int or float."""
+    if issubclass(cls, str):
+        return "str"
+    if issubclass(cls, (bool, np.bool_)):
+        return "bool"
+    return "int" if issubclass(cls, (int, np.integer)) else "float"
+
+
+def _converted(cells, kind: str, fmt: str) -> tuple:
+    """(conversion, values): the %-conversion that writes cells of one kind, and the values
+    it takes. A str is written as is in CSV and quoted in JSON, a bool as true or false, a
+    float with 12 significant digits and negative zero as zero; in JSON as the shortest
+    text of that rounded value."""
+    if kind == "str":
+        return "%s", list(cells) if fmt == "csv" else list(map(json.dumps, cells))
+    if kind == "bool":
+        return "%s", ["true" if cell else "false" for cell in cells]
+    if kind == "int":
+        return "%d", [int(cell) for cell in cells]
+    values = [float(cell) + 0.0 for cell in cells]
+    if fmt == "csv":
+        return "%.11e", values
+    rounded = map(float, ("%.11e " * len(values) % tuple(values)).split())
+    return "%s", [_JSON_FLOATS.get(t, t) for t in map(repr, rounded)]
+
+
+def _column(cells, fmt: str) -> tuple:
+    """_converted for one column's cells; a column of mixed kinds, which no experiment
+    writes, is converted cell by cell and written as text."""
+    kind_of = {cls: _kind(cls) for cls in set(map(type, cells))}
+    kinds = set(kind_of.values())
+    if len(kinds) == 1:
+        return _converted(cells, kinds.pop(), fmt)
+    texts = []
+    for cell in cells:
+        conversion, (value,) = _converted([cell], kind_of[type(cell)], fmt)
+        texts.append(conversion % value)
+    return "%s", texts
+
+
+def _json_list(items, indent: int) -> str:
+    """A list of JSON texts laid out as json.dumps(..., indent=2) lays it out at indent."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -490,16 +526,24 @@ def emit_dataset(rows, columns, path: str, fmt: str = "csv") -> str:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown dataset format {fmt!r}")
-    cells = []
+    rows = list(rows)
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row with {len(row)} cells does not fit {len(columns)} columns")
-        cells.append([_cell(v) for v in row])
+    # the cells row by row, converted column by column and written by one %-format
+    width, conversions = len(columns), []
+    cells = [None] * (len(rows) * width)
+    for j, column in enumerate(zip(*rows)):
+        conversion, cells[j::width] = _column(column, fmt)
+        conversions.append(conversion)
+    _, header = _converted(list(columns), "str", fmt)  # the column names
     if fmt == "csv":
-        text = "".join(",".join(map(_csv_token, row)) + "\n" for row in [columns, *cells])
-    else:
-        body = {"columns": list(columns), "rows": cells}
-        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        layout = "%s\n" + (",".join(conversions) + "\n") * len(rows)
+        text = layout % (",".join(header), *cells)
+    else:  # json.dumps({"columns": ..., "rows": ...}, indent=2, sort_keys=True), line for line
+        body = _json_list([_json_list(conversions, 4)] * len(rows), 2)
+        layout = f'{{\n  "columns": %s,\n  "rows": {body}\n}}\n'
+        text = layout % (_json_list(header, 2), *cells)
     _write_atomic(path, text)
     return path
 
@@ -513,15 +557,13 @@ def _solve(plan: _Plan, hop: Hopping, pot: Potential, even_only=False):
     return _even_states(ham, tol) if even_only else eigensolve(ham, tol=tol)
 
 
-def _timeseries(plan: _Plan, hop: Hopping, pot: Potential, packets):
-    """The plan's time grid and one TimeSeries per packet, from one eigensolve."""
+def _timeseries(plan: _Plan, hop: Hopping, pot: Potential, packets, oracle=0):
+    """The plan's time grid and one TimeSeries per packet, all propagated in one eigensolve;
+    only the packet at index oracle (None: none) carries the CCR model and the oracle."""
     tgrid = np.arange(plan.points) * plan.params["time"]["dt"]
     sr, tol = _solve(plan, hop, pot), plan.params["tolerances"]
-    runs = [
-        run_timeseries(plan.spec, hop, pot, packet, tgrid, sr, tol["leak_warn"], tol["leak_fail"])
-        for packet in packets
-    ]
-    return tgrid, runs
+    leak = tol["leak_warn"], tol["leak_fail"]
+    return tgrid, _run_packets(plan.spec, hop, pot, packets, tgrid, sr, *leak, oracle)
 
 
 def _run_spectrum(plan):
@@ -603,8 +645,9 @@ def _run_fig3(plan):
 
 def _run_fig4(plan):
     params, ((_, hop, pot),) = plan.params, plan.solves
-    tgrid, runs = _timeseries(plan, hop, pot, [packet for _, packet in plan.packets])
-    oracle = runs[params["b"].index(params["oracle_b"])]
+    index = params["b"].index(params["oracle_b"])
+    tgrid, runs = _timeseries(plan, hop, pot, [packet for _, packet in plan.packets], index)
+    oracle = runs[index]
     series = [tgrid, *(r.x_mean for r in runs), oracle.x_ccr, oracle.x_exact_oracle]
     series += [r.s_abs for r in runs]
     derived = {
@@ -619,7 +662,7 @@ def _run_fig5(plan):
     spec, ((_, quad, pot), (_, cos, _)) = plan.spec, plan.solves
     *packets, nn_packet = [packet for _, packet in plan.packets]
     tgrid, runs = _timeseries(plan, quad, pot, packets)
-    _, (nn,) = _timeseries(plan, cos, pot, [nn_packet])
+    _, (nn,) = _timeseries(plan, cos, pot, [nn_packet], None)
     root = np.sqrt(pot.curvature)
     series = [tgrid, root * tgrid, *(r.x_mean for r in runs), runs[0].x_ccr, nn.x_mean]
     derived = {

@@ -26,7 +26,7 @@ from latticeccr import (
     propagate,
     run_timeseries,
 )
-from latticeccr.dynamics import CHUNK
+from latticeccr.dynamics import CHUNK, LEAK_WARN, _run_packets
 
 
 def moments(psi, spec):
@@ -368,6 +368,38 @@ def test_tolerance_error_names_first_time(leaky_system):
         with pytest.raises(ToleranceError) as err:
             run_timeseries(spec, hop, pot, wide, grid, bad)
     assert str(err.value) == message
+
+
+def _recorded(call):
+    """call()'s warnings as (category, text), in order, and the text of its error."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(Exception) as err:
+            call()
+    return [(w.category, str(w.message)) for w in seen], type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "third", [GaussianPacket(0, 0.005), GaussianPacket(30, 0.2)], ids=["leaks-first", "outside"]
+)
+def test_packets_together_warn_and_fail_as_one_by_one(leaky_system, third):
+    # the second packet leaks in the second block; the third leaks at t = 0 or lies outside
+    # the window. Run together, the packets warn and fail as run one by one in order: the
+    # first packet's warnings, the second's initial warning and then its LeakageError
+    spec, hop, pot, sr = leaky_system
+    packets = [GaussianPacket(-8, 0.2), GaussianPacket(0, 0.02), third]
+    grid = np.arange(2 * CHUNK + 5) * 0.03
+
+    def one_by_one():
+        for packet in packets:
+            run_timeseries(spec, hop, pot, packet, grid, sr, leak_fail=1e-3)
+
+    alone = _recorded(one_by_one)
+    together = _recorded(lambda: _run_packets(spec, hop, pot, packets, grid, sr, LEAK_WARN, 1e-3))
+    assert together == alone
+    warned, error, text = together
+    assert error is LeakageError and text.startswith("boundary amplitude 1.01e-03 at t = 5.61")
+    assert [message.split(" ")[0] for _, message in warned] == ["boundary", "initial"]
 
 
 def plain_observables(spec, psi0, sr, times):

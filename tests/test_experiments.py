@@ -1,8 +1,10 @@
 """Config parsing, dataset determinism, figure recipes, CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from latticeccr import (
     LatticeSpec,
     ccr_defect,
     emit_dataset,
+    TimeSeries,
     make_gaussian,
     parse_config,
     run_experiment,
+    run_timeseries,
 )
 from latticeccr import experiments, lattice, spectral
 from latticeccr.cli import main
+from latticeccr.dynamics import _run_packets
 from latticeccr.experiments import _time_points
 
 
@@ -120,6 +125,101 @@ def test_emit_dataset_bool_cells(tmp_path):
     assert cells == [True, False] and all(type(cell) is bool for cell in cells)
 
 
+# Every kind of cell: str, bool and np.bool_, int and np.int64, float and np.float64 with
+# NaN, +-inf and -0.0; a column mixing int and float; 9.9999999999995, whose 12 digits
+# round up to 1.00000000000e+01; 5e-324, the smallest subnormal. The bytes are those of
+# the per-cell emitter that json.dumps(indent=2) wrote before cells went column by column.
+LITERAL_ROWS = [
+    ["even", True, 1, 2, 9.9999999999995],
+    ["odd", np.bool_(False), np.int64(-3), 0.5, -0.0],
+    ['q"uote', False, 0, np.int64(7), np.float64(np.nan)],
+    ["", np.True_, 12345678901234567890, 1e16, np.inf],
+    ["z", True, -1, np.float64(2.5e-7), -np.inf],
+    ["sub", False, 2, 5e-324, np.float64(-123456.7890123456)],
+]
+LITERAL_CSV = (
+    b"label,flag,n,mixed,x\n"
+    b"even,true,1,2,1.00000000000e+01\n"
+    b"odd,false,-3,5.00000000000e-01,0.00000000000e+00\n"
+    b'q"uote,false,0,7,nan\n'
+    b",true,12345678901234567890,1.00000000000e+16,inf\n"
+    b"z,true,-1,2.50000000000e-07,-inf\n"
+    b"sub,false,2,4.94065645841e-324,-1.23456789012e+05\n"
+)
+LITERAL_JSON = (
+    b'{\n'
+    b'  "columns": [\n'
+    b'    "label",\n'
+    b'    "flag",\n'
+    b'    "n",\n'
+    b'    "mixed",\n'
+    b'    "x"\n'
+    b'  ],\n'
+    b'  "rows": [\n'
+    b'    [\n'
+    b'      "even",\n'
+    b'      true,\n'
+    b'      1,\n'
+    b'      2,\n'
+    b'      10.0\n'
+    b'    ],\n'
+    b'    [\n'
+    b'      "odd",\n'
+    b'      false,\n'
+    b'      -3,\n'
+    b'      0.5,\n'
+    b'      0.0\n'
+    b'    ],\n'
+    b'    [\n'
+    b'      "q\\"uote",\n'
+    b'      false,\n'
+    b'      0,\n'
+    b'      7,\n'
+    b'      NaN\n'
+    b'    ],\n'
+    b'    [\n'
+    b'      "",\n'
+    b'      true,\n'
+    b'      12345678901234567890,\n'
+    b'      1e+16,\n'
+    b'      Infinity\n'
+    b'    ],\n'
+    b'    [\n'
+    b'      "z",\n'
+    b'      true,\n'
+    b'      -1,\n'
+    b'      2.5e-07,\n'
+    b'      -Infinity\n'
+    b'    ],\n'
+    b'    [\n'
+    b'      "sub",\n'
+    b'      false,\n'
+    b'      2,\n'
+    b'      5e-324,\n'
+    b'      -123456.789012\n'
+    b'    ]\n'
+    b'  ]\n'
+    b'}\n'
+)
+
+
+def test_emit_dataset_literal_bytes(tmp_path):
+    columns = ["label", "flag", "n", "mixed", "x"]
+    emit_dataset(LITERAL_ROWS, columns, str(tmp_path / "d.csv"))
+    assert (tmp_path / "d.csv").read_bytes() == LITERAL_CSV
+    emit_dataset(LITERAL_ROWS, columns, str(tmp_path / "d.json"), fmt="json")
+    assert (tmp_path / "d.json").read_bytes() == LITERAL_JSON
+    # no rows, and rows without cells
+    emit_dataset([], ["a", "b"], str(tmp_path / "e.json"), fmt="json")
+    want = b'{\n  "columns": [\n    "a",\n    "b"\n  ],\n  "rows": []\n}\n'
+    assert (tmp_path / "e.json").read_bytes() == want
+    emit_dataset([[], []], [], str(tmp_path / "z.json"), fmt="json")
+    want = b'{\n  "columns": [],\n  "rows": [\n    [],\n    []\n  ]\n}\n'
+    assert (tmp_path / "z.json").read_bytes() == want
+    emit_dataset([[], []], [], str(tmp_path / "z.csv"))
+    assert (tmp_path / "z.csv").read_bytes() == b"\n\n\n"
+
+
 def test_emit_dataset_json_round_trip(tmp_path):
     path = str(tmp_path / "d.json")
     emit_dataset([[1, 0.5], [2, 0.25]], ["n", "v"], path, fmt="json")
@@ -188,6 +288,39 @@ def test_fig4_schema_and_oracle(tmp_path):
     data = np.array(rows, dtype=float)
     assert np.abs(data[:, 2] - data[:, 4]).max() < 1e-6  # propagation vs oracle
     assert manifest.derived["bloch_period"] == pytest.approx(15.70796, abs=1e-5)
+
+
+@pytest.mark.parametrize("figure", ["fig4", "fig5"])
+def test_packets_propagate_together_bit_for_bit(figure):
+    # each eigenbasis's default packets, propagated together, give the TimeSeries and the
+    # warnings of run_timeseries on each packet in turn; only the oracle packet has models
+    plan = experiments._plan(figure, parse_config(json.dumps({"experiment": figure})).params)
+    tgrid = np.arange(plan.points) * plan.params["time"]["dt"]
+    leak = plan.params["tolerances"]["leak_warn"], plan.params["tolerances"]["leak_fail"]
+    packets = [packet for _, packet in plan.packets]
+    groups = [packets] if figure == "fig4" else [packets[:-1], packets[-1:]]  # fig5: nn last
+    compared = 0
+    for (_, hop, pot), group in zip(plan.solves, groups, strict=True):
+        sr = experiments._solve(plan, hop, pot)
+        with warnings.catch_warnings(record=True) as alone_warned:
+            warnings.simplefilter("always")
+            alone = [run_timeseries(plan.spec, hop, pot, p, tgrid, sr, *leak) for p in group]
+        for oracle in range(len(group)):
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                runs = _run_packets(plan.spec, hop, pot, group, tgrid, sr, *leak, oracle)
+            assert [str(w.message) for w in warned] == [str(w.message) for w in alone_warned]
+            compared += len(warned)
+            for i, (got, want) in enumerate(zip(runs, alone, strict=True)):
+                for field in dataclasses.fields(TimeSeries):
+                    value, expected = getattr(got, field.name), getattr(want, field.name)
+                    if i != oracle and field.name in ("x_ccr", "x_exact_oracle"):
+                        assert value is None
+                    elif expected is None:
+                        assert value is None, field.name
+                    else:
+                        assert np.array_equal(value, expected), (i, field.name)
+    assert compared > 0  # the default runs warn of their boundary amplitudes
 
 
 def test_fig5_schema(tmp_path):
