@@ -11,6 +11,15 @@ each packet in turn multiplies it by its coefficients, takes one GEMM and
 reduces its block to the observables, so one packet's amplitudes are held at
 a time. Every packet's observables, warnings and errors are bit for bit
 those of run_timeseries on it alone, the packets taken in order.
+
+The phases come from the time grid's structure. On a grid t_k = k dt (the
+CLI's) of more than CHUNK times, e^{-iE(t_s + tau)} = e^{-iE t_s} e^{-iE tau}:
+the block exp(-i E tau) at the first chunk's times is made once per run, and
+each chunk takes only its column exp(-i E t_s), N exps instead of N * CHUNK;
+exact_position_linear sums its bracket the same way, one GEMV per chunk. The
+product differs from the direct exp(-i E t) by O(eps (1 + |E| t)), the direct
+form's own bound. On any other grid, on one of at most CHUNK times and for
+propagate's single time, the phases are the direct ones, bit for bit.
 """
 
 from __future__ import annotations
@@ -97,21 +106,36 @@ def _coefficients(states, sr: SpectrumResult) -> list:
     return coeffs
 
 
+def _factored(times: np.ndarray) -> bool:
+    """Whether times is the grid k * dt of more than CHUNK points, on which each chunk's
+    phases factor into the first chunk's block and one column per chunk."""
+    return len(times) > CHUNK and np.array_equal(times, np.arange(len(times)) * times[1])
+
+
 def _phases(sr: SpectrumResult, times: np.ndarray):
-    """Yield (start, exp(-i E t)) over chunks of at most CHUNK times: row j of the
-    block for eigenvalue j, column i for times[start + i]."""
+    """Yield (start, block, column) over chunks of at most CHUNK times, the chunk's
+    exp(-i E t) being block * column[:, None]: row j for eigenvalue j, column i for
+    times[start + i]. On a _factored grid block is exp(-i E tau) at the first chunk's
+    times tau, made once and shared, and column is exp(-i E t_start); on any other grid
+    block is the chunk's direct exp(-i E t) and column is None."""
+    energies = sr.eigenvalues
+    factored = _factored(times)
     for start in range(0, len(times), CHUNK):
-        phases = -1j * np.outer(sr.eigenvalues, times[start : start + CHUNK])
-        np.exp(phases, out=phases)
-        yield start, phases
+        if not (start and factored):
+            block = -1j * np.outer(energies, times[start : start + CHUNK])
+            np.exp(block, out=block)
+        column = np.exp(-1j * (energies * times[start])) if factored else None
+        yield start, block[:, : len(times) - start], column
 
 
-def _block(vecs: np.ndarray, phases: np.ndarray, coeff: np.ndarray, last: bool) -> np.ndarray:
-    """_UNIT psi at a chunk's times, from its _phases block and _coefficients: one GEMM
-    V @ (exp(-i E t) * coeff), a real one on the interleaved real and imaginary parts
-    when the eigenvectors V are real. With last, phases itself takes the product: the
-    chunk's last packet needs no copy of it."""
-    phased = np.multiply(phases, coeff[:, None], out=phases if last else None)
+def _block(vecs: np.ndarray, phases: np.ndarray, column, coeff: np.ndarray, last: bool):
+    """_UNIT psi at a chunk's times, from its _phases block and column and _coefficients:
+    one GEMM V @ (block * (coeff * column)), a real one on the interleaved real and
+    imaginary parts when the eigenvectors V are real. A shared block (with a column) is
+    multiplied out of place; without one, with last, phases itself takes the product:
+    the chunk's last packet needs no copy of it."""
+    scale = coeff if column is None else coeff * column
+    phased = np.multiply(phases, scale[:, None], out=phases if last and column is None else None)
     if np.iscomplexobj(vecs):
         return vecs @ phased
     return (vecs @ phased.view(np.float64)).view(complex)
@@ -135,8 +159,8 @@ def _observables(block: np.ndarray, x: np.ndarray, s_mat: np.ndarray, signs: np.
 def propagate(psi0: StateVector, sr: SpectrumResult, t: float) -> StateVector:
     """Evolve a state to time t in the eigenbasis of its Hamiltonian."""
     (coeff,) = _coefficients([psi0], sr)
-    ((_, phases),) = _phases(sr, np.array([t], dtype=float))
-    block = _block(sr.eigenvectors, phases, coeff, last=True)
+    ((_, phases, column),) = _phases(sr, np.array([t], dtype=float))
+    block = _block(sr.eigenvectors, phases, column, coeff, last=True)
     return StateVector(block[:, 0] / _UNIT, normalized=psi0.normalized)
 
 
@@ -167,7 +191,19 @@ def exact_position_linear(
     weights = amps * t_exp
     times = np.atleast_1d(np.asarray(t, dtype=float))
     series = np.empty(len(times))
-    # The len(t) x R bracket is built in blocks of CHUNK rows, memory O(CHUNK * R).
+    if force and _factored(times):
+        # The offset form: at t_s + tau the bracket's sum is the first chunk's block
+        # e^{-i a n F tau} times the chunk's column weights * e^{-i a n F t_s}, minus the
+        # weights' sum: one GEMV per chunk, each over all CHUNK rows (numpy sums a one-row
+        # product by another kernel), so the series is that of the chunks' products whole.
+        block = np.exp(-1j * a * force * np.outer(times[:CHUNK], n))
+        total = weights.sum()
+        for start in range(0, len(times), CHUNK):
+            column = weights * np.exp(-1j * a * force * times[start] * n)
+            sums = (block @ column)[: len(times) - start]
+            series[start : start + CHUNK] = 2.0 * (sums - total).real
+        return x0 - series / force
+    # Otherwise the len(t) x R bracket is built in blocks of CHUNK rows, memory O(CHUNK * R).
     # A last block under CHUNK/2 rows joins the one before it: with R = 1 numpy
     # multiplies very short arrays in a scalar loop that rounds differently, and
     # the series stays bit-identical to the bracket built in one piece.
@@ -267,10 +303,12 @@ def _run_packets(spec, hop, pot, packets, t_grid, sr, leak_warn, leak_fail, orac
     half = spec.half_width
     signs = (-1.0) ** np.abs(spec.sites)
     vecs, live = sr.eigenvectors, len(coeffs)  # packets live < first failure propagate on
-    for start, phases in _phases(sr, t_grid) if live else ():
+    for start, phases, column in _phases(sr, t_grid) if live else ():
         for i in range(live):  # one packet's block at a time, freed as _observables returns
-            last = i + 1 == live  # the chunk's last packet phases the shared block in place
-            *values, edge = _observables(_block(vecs, phases, coeffs[i], last), x, s_mat, signs)
+            last = i + 1 == live  # the chunk's last packet may phase the block in place
+            *values, edge = _observables(
+                _block(vecs, phases, column, coeffs[i], last), x, s_mat, signs
+            )
             stop = start + len(edge)
             series[:, i, start:stop] = values
             drift = np.abs(norm[i, start:stop] - 1.0) > 1e-10

@@ -26,7 +26,7 @@ from latticeccr import (
     propagate,
     run_timeseries,
 )
-from latticeccr.dynamics import CHUNK, LEAK_WARN, _run_packets
+from latticeccr.dynamics import CHUNK, LEAK_WARN, _phases, _run_packets
 
 
 def moments(psi, spec):
@@ -139,20 +139,95 @@ def test_exact_position_matches_propagation(linear_system):
 @pytest.mark.parametrize("steps", [1, 3, CHUNK + 1, CHUNK + CHUNK // 2 + 1, 5 * CHUNK + 2])
 def test_exact_position_blocks_match_one_piece(hop, steps):
     # the bracket is built in blocks of rows; the series is bit-identical to
-    # the bracket built whole (with one-row blocks it is not at this a and F)
+    # the bracket built whole (with one-row blocks it is not at this a and F).
+    # These grids are k * dt: over CHUNK points the whole is the offset form,
+    # every chunk's GEMV of the first chunk's block made at once. Centred at 0
+    # the packet has x0 near 0, so the series keeps the chunk sums' last bits
+    spec, force = LatticeSpec(32, 0.7), -0.55
+    ts = np.linspace(0.0, 30.0, steps)
+    assert steps < 2 or np.array_equal(ts, np.arange(steps) * ts[1])
+    for center in (3, 0):
+        psi = make_gaussian(spec, GaussianPacket(center, 0.05, k0=0.4))
+        want = one_piece_bracket(psi, spec, hop, force, ts, offset=steps > CHUNK)
+        assert np.array_equal(exact_position_linear(psi, spec, hop, force, ts), want)
+
+
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=["R1", "R64"])
+@pytest.mark.parametrize("steps", [CHUNK + 1, CHUNK + CHUNK // 2 + 1, 5 * CHUNK + 2])
+def test_exact_position_blocks_match_one_piece_off_the_step_grid(hop, steps):
+    # a grid that is not k * dt takes the direct bracket in blocks of rows, bit for bit
     spec, force = LatticeSpec(32, 0.7), -0.55
     psi = make_gaussian(spec, GaussianPacket(3, 0.05, k0=0.4))
-    ts = np.linspace(0.0, 30.0, steps)
+    ts = np.linspace(0.0, 30.0, steps) ** 1.01
+    assert not np.array_equal(ts, np.arange(steps) * ts[1])
+    want = one_piece_bracket(psi, spec, hop, force, ts, offset=False)
+    assert np.array_equal(exact_position_linear(psi, spec, hop, force, ts), want)
+
+
+def bracket_weights(psi, spec, hop):
+    """The hopping ranges n and the weights t_n <T_n> of exact_position_linear's bracket."""
     _, amps = hop.terms(spec)
     n = np.arange(1, len(amps) + 1)
     amp = psi.amplitudes
-    t_exp = np.array([np.vdot(amp[r:], amp[:-r]) for r in n])
-    bracket = -1j * spec.spacing * force * np.outer(ts, n)
+    return n, amps * np.array([np.vdot(amp[r:], amp[:-r]) for r in n])
+
+
+def one_piece_bracket(psi, spec, hop, force, ts, offset):
+    """exact_position_linear's series with the bracket built in one piece: direct,
+    (e^{-i a n F t} - 1) weights summed by row, or in the offset form, the first
+    CHUNK rows' e^{-i a n F tau} times each chunk's column weights e^{-i a n F t_s}."""
+    n, weights = bracket_weights(psi, spec, hop)
+    x0 = expectation(psi, spec.positions).real
+    phase = -1j * spec.spacing * force
+    if offset:
+        block = np.exp(phase * np.outer(ts[:CHUNK], n))
+        columns = weights * np.exp(phase * ts[::CHUNK, None] * n)
+        sums = np.matmul(block, columns[:, :, None]).ravel()[: len(ts)]
+        return x0 - 2.0 * (sums - weights.sum()).real / force
+    bracket = phase * np.outer(ts, n)
     np.exp(bracket, out=bracket)
     bracket -= 1.0
-    bracket *= amps * t_exp
-    want = expectation(psi, spec.positions).real - 2.0 * np.real(bracket).sum(axis=1) / force
-    assert np.array_equal(exact_position_linear(psi, spec, hop, force, ts), want)
+    bracket *= weights
+    return x0 - 2.0 * np.real(bracket).sum(axis=1) / force
+
+
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=lambda h: h.kind)
+def test_factored_forms_stay_within_the_direct_bound(hop):
+    # the long-evolution Bloch grid, k * dt over CHUNK points with |E| t up to 5.5e3: the
+    # phases block * column stay within 4 eps (1 + |E| t) of the direct exp(-i E t), and the
+    # oracle's offset form within 4 eps of |x| plus its bracket's weights times (1 + a n |F| t)
+    spec, force = LatticeSpec(288, 1.0), 0.5
+    sr = eigensolve(build_hamiltonian(spec, hop, Potential.linear(force)))
+    times = np.arange(3 * 400 + 1) * (2 * np.pi / force / 400)
+    eps = np.finfo(float).eps
+    for start, block, column in _phases(sr, times):
+        assert column is not None
+        et = np.outer(sr.eigenvalues, times[start : start + CHUNK])
+        err = np.abs(block * column[:, None] - np.exp(-1j * et))
+        assert np.all(err <= 4 * eps * (1 + np.abs(et)))
+    psi = make_gaussian(spec, GaussianPacket(10, 0.05, k0=0.3))
+    want = one_piece_bracket(psi, spec, hop, force, times, offset=False)
+    n, weights = bracket_weights(psi, spec, hop)
+    rates = spec.spacing * n * abs(force)
+    spread = 2 * (np.abs(weights) * (1 + rates * times[:, None])).sum(axis=1)
+    err = np.abs(exact_position_linear(psi, spec, hop, force, times) - want)
+    assert np.all(err <= 4 * eps * (np.abs(want) + spread / abs(force)))
+    assert err.max() > 0  # the offset form was taken
+
+
+def test_phases_off_the_step_grid_are_the_direct_ones():
+    # a grid that is not k * dt, a k * dt grid of CHUNK points and propagate's single time
+    # take the direct exp(-i E t), chunk by chunk and bit for bit
+    spec = LatticeSpec(40, 1.0)
+    sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.linear(0.5)))
+    for times in (np.linspace(0.0, 40.0, 2 * CHUNK + 9) ** 1.01, np.arange(CHUNK) * 0.1, [12.5]):
+        times = np.asarray(times)
+        starts = []
+        for start, block, column in _phases(sr, times):
+            direct = np.exp(-1j * np.outer(sr.eigenvalues, times[start : start + CHUNK]))
+            assert column is None and np.array_equal(block, direct)
+            starts.append(start)
+        assert starts == list(range(0, len(times), CHUNK))
 
 
 def test_exact_position_free_limit():
@@ -404,8 +479,9 @@ def test_packets_together_warn_and_fail_as_one_by_one(leaky_system, third):
 
 def plain_observables(spec, psi0, sr, times):
     """run_timeseries' observables from blocks of the plain amplitudes psi, not
-    2^128 psi: the unscaled block loop, the reference for the scaled one. Also
-    returns the number of subnormal real components over the blocks."""
+    2^128 psi: the unscaled block loop on the phases of _phases, the reference for
+    the scaled one. Also returns the number of subnormal real components over the
+    blocks."""
     vecs = sr.eigenvectors
     assert not np.iscomplexobj(vecs)
     coeff = vecs.T @ psi0.amplitudes
@@ -413,10 +489,8 @@ def plain_observables(spec, psi0, sr, times):
     signs = (-1.0) ** np.abs(spec.sites)
     out = {name: np.empty(len(times)) for name in ("x_mean", "k_mean", "s_abs", "norm")}
     boundary, subnormal = 0.0, 0
-    for start in range(0, len(times), CHUNK):
-        phased = -1j * np.outer(sr.eigenvalues, times[start : start + CHUNK])
-        np.exp(phased, out=phased)
-        phased *= coeff[:, None]
+    for start, phases, column in _phases(sr, times):
+        phased = phases * (coeff if column is None else coeff * column)[:, None]
         block = (vecs @ phased.view(np.float64)).view(complex)
         stop = start + block.shape[1]
         parts = block.view(np.float64)

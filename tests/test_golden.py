@@ -61,13 +61,19 @@ GOLDEN = {
     "fig3.csv": "c1c0b3e79e49dcf57f193d34ab4c909f597bfb50657a86bd69570e1c01851971",
     "fig3.json": "c825055a78ebee5ee0689a0488f59401c58dbb0e92ca13077984e2c316132f52",
     "fig3_manifest.json": "218179ad3d1291f4434b1fd33ca583b4cea119031e78ec9b1110fcb66573ec78",
-    "fig4.csv": "63395f81cca59790e686d9360ae8d242dd1257f496a91ccf0e0f1c774748bffc",
-    "fig4.json": "957380d7b7cdfe6478049be3f5eadbfa85e14df9f55e00636e5a8aef2906e474",
+    # fig4 and fig5 run over CHUNK times, so their second chunk's phases are the first
+    # chunk's block times exp(-i E t_s), and the oracle sums by one GEMV per chunk.
+    # fig4: 105 cells; 90 s_abs_b0.02 and 12 s_abs_b0.2 values by at most 4.4e-15
+    # absolute, 3 x_exact cells by one unit in the 12th printed digit (1e-14)
+    "fig4.csv": "b8c02fc70655a777e3a5276e924b2bf96d45d849fc10018c9600436c4df91d5e",
+    "fig4.json": "59be4b9e2989a06ce377cbf07494e9ec48c4268f0edc2523e1caeb2cac9613fe",
     "fig4_manifest.json": "3791c11626773af41abfefd5334f5ec3e5d89c071f1983359dab3e7b9b382456",
     # fig5: 171 cells, at most 1e-10 absolute on <x> values up to 40, one unit
     # in the 12th digit; boundary_max by 1.3e-11 relative
-    "fig5.csv": "aa0edfa3a0e34f9c1081623d5804f217dd5b0c073659b4e49261986d99678eea",
-    "fig5.json": "86e9ea5f5b26ea3a84393d6170c6e9fee23437a173301fc220fba676c8446ed4",
+    # the factored phases then moved 15 x_mean cells by one unit in the 12th digit
+    # (at most 1e-10 absolute, 4.2e-12 relative)
+    "fig5.csv": "a366b12d3e16dffeadc690c4bc04f1e779e6bb656336ed0aab6bcd8842819245",
+    "fig5.json": "6eefecd8a5b5d9712708745982fce9fbaee474e28a5455613bd53daac29d2d7f",
     "fig5_manifest.json": "eb9fda12eb2c62743234d65d7c3f413f5ac2fec7376427c951b46f019abd05b7",
     # spectrum: 317 cells. With exact parity the 100 odd states' s_n fall from
     # up to 3.9e-10 to at most 5.3e-16 and all 201 centers from up to 5.1e-8 to

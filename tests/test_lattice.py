@@ -303,6 +303,29 @@ def test_blocked_hermiticity_check_sees_the_last_partial_block():
             OperatorMatrix(bad)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # NaN - NaN
+@pytest.mark.parametrize("kind", [float, complex])
+def test_tiled_hermiticity_check_is_the_whole_matrix_maximum(kind):
+    # only the tiles on and above the diagonal are read; |A - A^dagger| takes bitwise-equal
+    # values on mirrored entries, so the maximum is that of the whole matrix, NaN included
+    b = HERMITICITY_BLOCK
+    n = 2 * b + 45
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(n, n)).astype(kind)
+    if kind is complex:
+        base += 1j * rng.normal(size=(n, n))
+    base = base + base.conj().T
+    # below the diagonal of an off-diagonal tile, both ways round; in a diagonal tile;
+    # in the last, partial tile column; a NaN
+    for row, col, delta in ((5, b + 2, 3e-12), (b + 2, 5, -7e-12), (b + 9, b + 4, 1e-12),
+                            (n - 1, 2, 5e-13), (b + 7, 2 * b + 3, np.nan)):
+        bad = base.copy()
+        bad[row, col] += delta
+        want = np.abs(bad - bad.conj().T).max()  # base is Hermitian bit for bit: want > 0
+        got = _hermiticity_defect(bad)
+        assert got == want > 0 or np.isnan(got) and np.isnan(want), (row, col)
+
+
 def test_hamiltonian_checked_once(monkeypatch):
     calls = []
 
