@@ -32,7 +32,8 @@ def evolve(hop):
     kinetic energy, the exact Heisenberg curve for nearest-neighbour hopping."""
     pot = Potential.linear(force)
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
-    return run_timeseries(spec, hop, pot, GaussianPacket(0, 0.02), grid, sr)
+    (ts,) = run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.02)], grid, sr)
+    return ts
 
 
 ts = evolve(Hopping.quadratic())

@@ -33,8 +33,8 @@ print()
 
 runs = {}
 for n0 in (20, 30, 40):
-    runs[n0] = run_timeseries(
-        spec, Hopping.quadratic(), pot, GaussianPacket(-n0, 0.2), grid, sr=sr
+    (runs[n0],) = run_timeseries(
+        spec, Hopping.quadratic(), pot, [GaussianPacket(-n0, 0.2)], grid, sr=sr
     )
 
 header = "  sqrt(c) t " + "".join(f"   x(n0={n0:2d})  CCR(n0={n0:2d})" for n0 in runs)

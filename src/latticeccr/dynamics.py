@@ -10,7 +10,7 @@ built once, each chunk of CHUNK times gets its exp(-i E t) block once, and
 each packet in turn multiplies it by its coefficients, takes one GEMM and
 reduces its block to the observables, so one packet's amplitudes are held at
 a time. Every packet's observables, warnings and errors are bit for bit
-those of run_timeseries on it alone, the packets taken in order.
+those of run_timeseries on [packet] alone, the packets taken in order.
 
 The phases come from the time grid's structure. On a grid t_k = k dt (the
 CLI's) of more than CHUNK times, e^{-iE(t_s + tau)} = e^{-iE t_s} e^{-iE tau}:
@@ -243,35 +243,28 @@ def run_timeseries(
     spec: LatticeSpec,
     hop: Hopping,
     pot: Potential,
-    packet: GaussianPacket,
+    packets: list[GaussianPacket],
     t_grid,
     sr: SpectrumResult,
     leak_warn: float = LEAK_WARN,
     leak_fail: float = LEAK_FAIL,
-) -> TimeSeries:
-    """Propagate a Gaussian packet in the spectrum sr of the Hamiltonian
-    (hop, pot) and record observables at each grid time.
+    oracle=0,
+) -> list[TimeSeries]:
+    """Propagate Gaussian packets in the spectrum sr of the Hamiltonian (hop, pot) and
+    record each one's observables at each grid time: one TimeSeries per packet, in order.
 
-    x_ccr is the CCR prediction for that Hamiltonian: ccr_position_harmonic
-    for a harmonic potential; for a linear one x_exact_oracle, the
-    closed-form Heisenberg solution, with cosine hopping (whose CCR
-    trajectory is exact) and ccr_position_linear with any other; None
-    otherwise. Boundary amplitude above leak_warn, initially or during the
-    run, issues a warning; above leak_fail the run aborts with LeakageError.
-    """
-    (run,) = _run_packets(spec, hop, pot, [packet], t_grid, sr, leak_warn, leak_fail)
-    return run
+    The packets share one quasi-momentum build and each chunk's exp(-i E t) block, and one
+    packet's amplitudes are held at a time. Only the packet at index oracle (None: none)
+    gets x_ccr and x_exact_oracle. x_ccr is the CCR prediction for the Hamiltonian:
+    ccr_position_harmonic for a harmonic potential; for a linear one x_exact_oracle, the
+    closed-form Heisenberg solution, with cosine hopping (whose CCR trajectory is exact)
+    and ccr_position_linear with any other; None otherwise.
 
-
-def _run_packets(spec, hop, pot, packets, t_grid, sr, leak_warn, leak_fail, oracle=0) -> list:
-    """run_timeseries of each packet in turn, as one propagation in the spectrum sr: one
-    quasi-momentum build, each chunk's exp(-i E t) block made once and taken by every
-    packet, and one packet's amplitudes held at a time. Only the packet at index oracle
-    (None: none) gets x_ccr and x_exact_oracle.
-
-    Warnings and errors come as from the packets run one by one: each packet's warnings
-    in config order up to the first packet that fails, then that packet's error; a packet
-    after it is not propagated further.
+    Boundary amplitude above leak_warn, initially or during the run, issues a warning;
+    above leak_fail the run aborts with LeakageError, and a norm drift above 1e-10 with
+    ToleranceError. Warnings and errors come as from the packets run one by one: each
+    packet's warnings in order up to the first packet that fails, then that packet's
+    error; a packet after it is not propagated further.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -336,13 +329,13 @@ def _run_packets(spec, hop, pot, packets, t_grid, sr, leak_warn, leak_fail, orac
         if edge > leak_warn:
             warnings.warn(
                 f"initial packet has boundary amplitude {edge:.2e} > {leak_warn:.0e}",
-                stacklevel=3,
+                stacklevel=2,
             )
         if failure and failure[0] == i:
             break
         if boundary[i] > leak_warn:
             warnings.warn(
-                f"boundary amplitude reached {boundary[i]:.2e} > {leak_warn:.0e}", stacklevel=3
+                f"boundary amplitude reached {boundary[i]:.2e} > {leak_warn:.0e}", stacklevel=2
             )
         x_ccr = x_exact = None
         if i == oracle and pot.kind == "harmonic":

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .ccr import _interior, ccr_defect
-from .dynamics import CHUNK, LEAK_FAIL, LEAK_WARN, GaussianPacket, _run_packets, make_gaussian
+from .dynamics import CHUNK, LEAK_FAIL, LEAK_WARN, GaussianPacket, make_gaussian, run_timeseries
 from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, build_hamiltonian
 from .spectral import (
     _even_states,
@@ -443,10 +443,13 @@ def parse_config(text: str) -> ExperimentConfig:
     body = {k: v for k, v in raw.items() if k != "experiment"}
     params = _validate_tree(body, _SCHEMAS[experiment])
     out = params["output"]
-    path = out["path"] = f"{experiment}.csv" if out["path"] is None else out["path"]
+    path = out["path"] = f"{experiment}.{out['format']}" if out["path"] is None else out["path"]
     outside = os.path.isabs(path) or os.path.normpath(path).split(os.sep)[0] == ".."
     if outside or os.path.basename(path) in ("", ".", ".."):
         raise ConfigError(f"config key 'output.path' must name a file inside --out, got {path!r}")
+    suffix, fmt = os.path.splitext(path)[1].lower(), out["format"]
+    if suffix in (".csv", ".json") and suffix != "." + fmt:
+        raise ConfigError(f"config key 'output.path' {path!r} contradicts output.format {fmt!r}")
     _check_plan(_plan(experiment, params))
     return ExperimentConfig(experiment=experiment, params=params)
 
@@ -563,7 +566,7 @@ def _timeseries(plan: _Plan, hop: Hopping, pot: Potential, packets, oracle=0):
     tgrid = np.arange(plan.points) * plan.params["time"]["dt"]
     sr, tol = _solve(plan, hop, pot), plan.params["tolerances"]
     leak = tol["leak_warn"], tol["leak_fail"]
-    return tgrid, _run_packets(plan.spec, hop, pot, packets, tgrid, sr, *leak, oracle)
+    return tgrid, run_timeseries(plan.spec, hop, pot, packets, tgrid, sr, *leak, oracle)
 
 
 def _run_spectrum(plan):

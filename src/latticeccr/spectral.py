@@ -3,10 +3,11 @@
 eigensolve wraps LAPACK's Hermitian decomposition behind a contract
 (residual and orthonormality tolerances, deterministic eigenvector phases),
 solving reflection-symmetric Hamiltonians as two parity blocks; eigenvalues
-solves the same blocks for their eigenvalues alone, held to the trace and
-Frobenius identities. _even_states, for runs that read only even states
+solves the same blocks for their eigenvalues alone, each held to the trace
+and Frobenius identities. _even_states, for runs that read only even states
 (fig2, fig3's harmonic potential), solves the even block under eigensolve's
-contract and the odd block for its eigenvalues alone.
+contract and the odd block for its eigenvalues alone. All three are one
+pipeline, _decompose: blocks, one LAPACK call and one check per block, merge.
 """
 
 from __future__ import annotations
@@ -88,9 +89,15 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 def _check_contract(mat, vals, vecs, bound: float) -> float:
     """Residual max |H V - V diag(E)| of an eigendecomposition, after checking
-    it and the orthonormality defect max |V^dagger V - I| against bound."""
-    residual = float(np.abs(mat @ vecs - vecs * vals[None, :]).max())
-    orth = float(np.abs(vecs.conj().T @ vecs - np.eye(len(vals))).max())
+    it and the orthonormality defect max |V^dagger V - I| against bound; both
+    are formed in place, V diag(E) in the Gram matrix's buffer."""
+    real = not np.iscomplexobj(vecs)
+    work = vecs.conj().T @ vecs
+    work.reshape(-1)[:: len(vals) + 1] -= 1.0  # V^dagger V - I
+    orth = float(np.abs(work, out=work if real else None).max())
+    resid = mat @ vecs
+    resid -= np.multiply(vecs, vals[None, :], out=work)
+    residual = float(np.abs(resid, out=resid if real else None).max())
     if not residual <= bound:
         raise ToleranceError(f"eigensolve residual {residual:.3e} exceeds {bound:.3e}")
     if not orth <= bound:
@@ -122,45 +129,51 @@ def _blocks(ham: OperatorMatrix) -> list[np.ndarray]:
     return [even, (a - b)[1:, 1:]]
 
 
-def _merge(vals_e: np.ndarray, vals_o: np.ndarray):
-    """Ascending merge of the even and odd blocks' eigenvalues, the even value
-    first on an exact tie: the merged list and the positions the even and the
-    odd values take in it."""
-    vals = np.concatenate([vals_e, vals_o])
+def _merge(parts: list):
+    """Ascending merge of the blocks' eigenvalue lists, an earlier block's value
+    first on an exact tie: the merged list and, per block, the positions its
+    values take in it."""
+    vals = np.concatenate(parts)
     order = np.argsort(vals, kind="stable")
     slot = np.empty(len(vals), dtype=int)
     slot[order] = np.arange(len(vals))
-    return vals[order], slot[: len(vals_e)], slot[len(vals_e) :]
+    return vals[order], np.split(slot, np.cumsum([len(p) for p in parts])[:-1])
 
 
-def _put_even(vecs: np.ndarray, cols, vecs_e: np.ndarray) -> None:
-    """Write the even block's eigenvectors, embedded in the site basis, into
-    the columns cols of vecs (N rows)."""
-    c = len(vecs) // 2
-    vecs[c, cols] = vecs_e[0]
-    vecs[c + 1 :, cols] = vecs_e[1:] / np.sqrt(2.0)
-    vecs[c - 1 :: -1, cols] = vecs[c + 1 :, cols]
+def _decompose(ham: OperatorMatrix, tol: float, vectors: int):
+    """Solve each of _blocks(ham) once, against the bound tol * max(1, |H|_max) * N: the
+    leading `vectors` blocks by eigh, held to _check_contract, and the others by eigvalsh,
+    each held to the trace and Frobenius identities (_check_sums).
 
-
-def _eigh(ham: OperatorMatrix, bound: float):
-    """Ascending eigenvalues, eigenvectors and residual of ham from the eigh of
-    each of its _blocks, with the contract checked per block. Parity-block
-    vectors are embedded in the site basis; on an exact tie the even state
-    comes first."""
+    Returns (vals, slots, vecs, residual). vals are the blocks' eigenvalues merged
+    ascending, the even value first on an exact tie, and slots[i] the positions block i's
+    values take in vals. vecs are the solved blocks' phase-fixed site-basis eigenvectors
+    (None when no block is solved): a whole matrix's are eigh's own array, both parity
+    blocks' columns follow vals, the even block's alone follow its own values. residual
+    is their largest residual (0.0 when no block is solved).
+    """
     blocks = _blocks(ham)
-    solved = [np.linalg.eigh(block) for block in blocks]
-    residual = max(_check_contract(block, *pair, bound) for block, pair in zip(blocks, solved))
-    if len(solved) == 1:
-        return (*solved[0], residual)
-    (vals_e, vecs_e), (vals_o, vecs_o) = solved
-    n = ham.dimension
-    c = n // 2
-    vals, se, so = _merge(vals_e, vals_o)
-    vecs = np.zeros((n, n))
-    _put_even(vecs, se, vecs_e)
-    vecs[c + 1 :, so] = vecs_o / np.sqrt(2.0)
-    vecs[c - 1 :: -1, so] = -vecs[c + 1 :, so]
-    return vals, vecs, residual
+    bound = tol * (max(1.0, float(np.abs(ham.matrix).max())) * ham.dimension)
+    solved = [np.linalg.eigh(block) for block in blocks[:vectors]]
+    checked = (_check_contract(block, *pair, bound) for block, pair in zip(blocks, solved))
+    residual = max(checked, default=0.0)
+    parts = [vals for vals, _ in solved]
+    for block in blocks[vectors:]:
+        parts.append(np.linalg.eigvalsh(block))
+        _check_sums(block, parts[-1], bound)
+    vals, slots = _merge(parts)
+    if not solved:
+        return vals, slots, None, residual
+    vecs = solved[0][1]
+    if len(blocks) == 2:  # the bases of _blocks: e_c and (e_{c+j} +- e_{c-j})/sqrt(2)
+        c, even = ham.dimension // 2, vecs
+        vecs = np.zeros((ham.dimension, sum(len(v) for v, _ in solved)))
+        cols = slots if len(solved) == 2 else [slice(None)]
+        vecs[c, cols[0]] = even[0]
+        for (_, part), col, sign in zip(solved, cols, (1.0, -1.0)):
+            half = part[-c:] / np.sqrt(2.0)
+            vecs[c + 1 :, col], vecs[c - 1 :: -1, col] = half, sign * half
+    return vals, slots, _fix_phases(vecs), residual
 
 
 def _even_states(ham: OperatorMatrix, tol: float = 1e-10):
@@ -174,24 +187,12 @@ def _even_states(ham: OperatorMatrix, tol: float = 1e-10):
     The even block is held to eigensolve's residual and orthonormality
     contract; the odd block is solved for its eigenvalues alone and held to
     the trace and Frobenius identities, as in eigenvalues. Raises ValueError
-    when ham has no parity split.
+    when ham has no parity split (after solving it whole).
     """
-    blocks = _blocks(ham)
-    if len(blocks) == 1:
+    vals, slots, vecs, _ = _decompose(ham, tol, vectors=1)
+    if len(slots) == 1:
         raise ValueError("no parity split: the matrix is not a real odd-size mirror-symmetric one")
-    even, odd = blocks
-    bound = _contract_bound(ham, tol)
-    vals_e, vecs_e = np.linalg.eigh(even)
-    _check_contract(even, vals_e, vecs_e, bound)
-    vals_o = np.linalg.eigvalsh(odd)
-    _check_sums(odd, vals_o, bound)
-    vecs = np.empty((ham.dimension, len(vals_e)))
-    _put_even(vecs, slice(None), vecs_e)
-    return _merge(vals_e, vals_o)[1], vals_e, _fix_phases(vecs)
-
-
-def _contract_bound(ham: OperatorMatrix, tol: float) -> float:
-    return tol * (max(1.0, float(np.abs(ham.matrix).max())) * ham.dimension)
+    return slots[0], vals[slots[0]], vecs
 
 
 def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
@@ -209,8 +210,8 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     and an odd eigenvalue are exactly equal the even state comes first.
     Every other matrix is decomposed whole.
     """
-    vals, vecs, residual = _eigh(ham, _contract_bound(ham, tol))
-    return SpectrumResult(eigenvalues=vals, eigenvectors=_fix_phases(vecs), residual_norm=residual)
+    vals, _, vecs, residual = _decompose(ham, tol, vectors=2)
+    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residual_norm=residual)
 
 
 def eigenvalues(ham: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:
@@ -219,15 +220,13 @@ def eigenvalues(ham: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:
 
     The matrix is split into the same blocks as in eigensolve, and the lists
     of two parity blocks merge with the even value first on an exact tie. With
-    no vectors there is no residual, so the contract is the two exact
+    no vectors there is no residual, so each block is held to the two exact
     identities sum(E) = tr H and sum(E^2) = ||H||_F^2: raises ToleranceError,
-    naming the identity, if |sum(E) - tr H| exceeds
-    bound = tol * max(1, |H|_max) * N or |sum(E^2) - ||H||_F^2| exceeds
-    bound * max(1, max |E|).
+    naming the identity, if for a block |sum(E) - tr H| exceeds
+    bound = tol * max(1, |H|_max) * N (H the whole matrix) or
+    |sum(E^2) - ||H||_F^2| exceeds bound * max(1, max |E|).
     """
-    vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _blocks(ham)]), kind="stable")
-    _check_sums(ham.matrix, vals, _contract_bound(ham, tol))
-    return vals
+    return _decompose(ham, tol, vectors=0)[0]
 
 
 def _check_sums(mat: np.ndarray, vals: np.ndarray, bound: float) -> None:

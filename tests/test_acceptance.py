@@ -89,7 +89,7 @@ def bloch_run():
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
     period = 2 * np.pi / 0.4
     grid = np.arange(0.0, 2 * period + 1e-9, 0.125)
-    ts = run_timeseries(spec, hop, pot, GaussianPacket(0, 0.02), grid, sr=sr)
+    (ts,) = run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.02)], grid, sr=sr)
     return spec, hop, pot, sr, period, ts
 
 
@@ -101,8 +101,8 @@ def harmonic_motion():
     grid = np.arange(0.0, 250.0 + 1e-9, 1.0)
     runs = {
         n0: run_timeseries(
-            spec, Hopping.quadratic(), pot, GaussianPacket(-n0, 0.2), grid, sr=sr
-        )
+            spec, Hopping.quadratic(), pot, [GaussianPacket(-n0, 0.2)], grid, sr=sr
+        )[0]
         for n0 in (20, 30, 40)
     }
     return grid, runs
@@ -346,7 +346,7 @@ def test_criterion_10_periodic_kinetic_exactness():
     hop, pot = Hopping.cosine(), Potential.linear(0.4)
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
     grid = np.arange(0.0, 2 * 2 * np.pi / 0.4 + 1e-9, 0.125)
-    ts = run_timeseries(spec, hop, pot, GaussianPacket(0, 0.02), grid, sr=sr)
+    (ts,) = run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.02)], grid, sr=sr)
     worst = np.abs(ts.x_mean - ts.x_ccr).max()
     assert worst < 1e-6
     report("10 (accidental CCR exactness)", f"max |propagated - CCR| = {worst:.1e}")

@@ -26,7 +26,7 @@ from latticeccr import (
     propagate,
     run_timeseries,
 )
-from latticeccr.dynamics import CHUNK, LEAK_WARN, _phases, _run_packets
+from latticeccr.dynamics import CHUNK, LEAK_WARN, _phases
 
 
 def moments(psi, spec):
@@ -65,14 +65,14 @@ def test_packet_leakage_warning():
     hop, pot = Hopping.quadratic(), Potential.constant(0.0)
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
     with pytest.warns(UserWarning, match="initial packet has boundary amplitude"):
-        run_timeseries(spec, hop, pot, GaussianPacket(0, 0.01), [0.0], sr=sr, leak_fail=1.0)
+        run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.01)], [0.0], sr=sr, leak_fail=1.0)
     # the check follows leak_warn, not the 1e-10 default
     packet = GaussianPacket(0, 0.1)
     edge = abs(make_gaussian(spec, packet).amplitudes[0])
     assert 1e-10 < edge < 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_timeseries(spec, hop, pot, packet, [0.0], sr=sr, leak_warn=1e-3)
+        run_timeseries(spec, hop, pot, [packet], [0.0], sr=sr, leak_warn=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +295,8 @@ def test_ccr_periodic_kinetic_equals_exact_cosine_solution():
     spec = LatticeSpec(64, 1.0)
     hop, pot = Hopping.cosine(), Potential.linear(0.4)
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
-    ts = run_timeseries(spec, hop, pot, GaussianPacket(0, 0.05), np.linspace(0.0, 30.0, 121), sr)
+    grid = np.linspace(0.0, 30.0, 121)
+    (ts,) = run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.05)], grid, sr)
     assert ts.x_ccr is ts.x_exact_oracle
 
 
@@ -303,15 +304,15 @@ def test_run_timeseries_grid_validation(linear_system):
     spec, hop, pot, sr = linear_system
     packet = GaussianPacket(0, 0.2)
     with pytest.raises(ValueError):
-        run_timeseries(spec, hop, pot, packet, [], sr=sr)
+        run_timeseries(spec, hop, pot, [packet], [], sr=sr)
     with pytest.raises(ValueError):
-        run_timeseries(spec, hop, pot, packet, [0.0, 0.0, 1.0], sr=sr)
+        run_timeseries(spec, hop, pot, [packet], [0.0, 0.0, 1.0], sr=sr)
 
 
 def test_run_timeseries_linear_observables(linear_system):
     spec, hop, pot, sr = linear_system
-    ts = run_timeseries(
-        spec, hop, pot, GaussianPacket(0, 0.2), np.arange(0.0, 16.0, 0.5), sr=sr, leak_fail=1e-5
+    (ts,) = run_timeseries(
+        spec, hop, pot, [GaussianPacket(0, 0.2)], np.arange(0.0, 16.0, 0.5), sr=sr, leak_fail=1e-5
     )
     assert np.abs(ts.norm - 1.0).max() < 1e-10
     assert np.abs(ts.x_mean - ts.x_exact_oracle).max() < 1e-6
@@ -327,7 +328,7 @@ def test_run_timeseries_zone_edge_overlap_peaks():
     grid = np.arange(0.0, 2 * np.pi / 0.4 + 1e-9, 0.125)
     peaks = {}
     for b in (0.2, 0.02):
-        ts = run_timeseries(spec, hop, pot, GaussianPacket(0, b), grid, sr=sr, leak_fail=1e-5)
+        (ts,) = run_timeseries(spec, hop, pot, [GaussianPacket(0, b)], grid, sr=sr, leak_fail=1e-5)
         half = len(grid) // 2
         peaks[b] = (grid[np.argmax(ts.s_abs[:half])], ts.s_abs.max())
     turning = np.pi / 0.4
@@ -345,7 +346,7 @@ def test_run_timeseries_leakage_error():
     with pytest.warns(UserWarning):
         with pytest.raises(LeakageError):
             run_timeseries(
-                spec, hop, pot, GaussianPacket(0, 0.005), np.arange(0.0, 8.0, 0.5), sr=sr
+                spec, hop, pot, [GaussianPacket(0, 0.005)], np.arange(0.0, 8.0, 0.5), sr=sr
             )
 
 
@@ -354,9 +355,10 @@ def test_run_timeseries_model_auto_selection():
     grid = np.arange(0.0, 5.0, 0.5)
 
     def run(hop, pot, packet):
-        return run_timeseries(
-            spec, hop, pot, packet, grid, sr=eigensolve(build_hamiltonian(spec, hop, pot))
+        (ts,) = run_timeseries(
+            spec, hop, pot, [packet], grid, sr=eigensolve(build_hamiltonian(spec, hop, pot))
         )
+        return ts
 
     harm = run(Hopping.quadratic(), Potential.harmonic(0.01), GaussianPacket(5, 0.2))
     cos = run(Hopping.cosine(), Potential.linear(0.4), GaussianPacket(0, 0.2))
@@ -373,7 +375,7 @@ def test_run_timeseries_blocks_match_per_time_propagation(linear_system):
     packet = GaussianPacket(3, 0.1, k0=0.4)
     rng = np.random.default_rng(5)
     grid = np.cumsum(rng.uniform(0.01, 0.2, 2 * CHUNK + 5))
-    ts = run_timeseries(spec, hop, pot, packet, grid, sr, leak_fail=1.0)
+    (ts,) = run_timeseries(spec, hop, pot, [packet], grid, sr, leak_fail=1.0)
     psi0 = make_gaussian(spec, packet)
     kop = build_quasi_momentum(spec)
     states = [propagate(psi0, sr, t) for t in grid]
@@ -395,8 +397,8 @@ def test_complex_eigenvectors_give_the_same_evolution(linear_system):
     phases = np.exp(1j * np.linspace(0.0, 3.0, sr.dimension))
     rotated = SpectrumResult(sr.eigenvalues, sr.eigenvectors * phases, sr.residual_norm)
     grid = np.linspace(0.0, 12.0, CHUNK + 7)
-    real, cplx = (
-        run_timeseries(spec, hop, pot, GaussianPacket(0, 0.2), grid, s, leak_fail=1.0)
+    ((real,), (cplx,)) = (
+        run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.2)], grid, s, leak_fail=1.0)
         for s in (sr, rotated)
     )
     for name in ("x_mean", "k_mean", "s_abs", "norm"):
@@ -422,7 +424,7 @@ def test_leakage_error_names_first_time_in_a_later_block(leaky_system):
     )
     with pytest.warns(UserWarning):
         with pytest.raises(LeakageError) as err:
-            run_timeseries(spec, hop, pot, GaussianPacket(0, 0.02), grid, sr, leak_fail=1e-3)
+            run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.02)], grid, sr, leak_fail=1e-3)
     assert str(err.value) == message
 
 
@@ -433,15 +435,15 @@ def test_tolerance_error_names_first_time(leaky_system):
     grid = 0.15 + np.arange(2 * CHUNK + 5) * 0.05
     message = "norm drifted to 1.002001000000 at t = 0.15"
     with pytest.raises(ToleranceError) as err:
-        run_timeseries(spec, hop, pot, GaussianPacket(0, 0.2), grid, bad)
+        run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.2)], grid, bad)
     assert str(err.value) == message
     # a packet that also leaks from the first time on: the norm check wins the tie
     wide = GaussianPacket(0, 0.005)
     with pytest.warns(UserWarning, match="initial packet"):
         with pytest.raises(LeakageError, match="at t = 0.15 exceeds"):
-            run_timeseries(spec, hop, pot, wide, grid, sr)
+            run_timeseries(spec, hop, pot, [wide], grid, sr)
         with pytest.raises(ToleranceError) as err:
-            run_timeseries(spec, hop, pot, wide, grid, bad)
+            run_timeseries(spec, hop, pot, [wide], grid, bad)
     assert str(err.value) == message
 
 
@@ -467,10 +469,10 @@ def test_packets_together_warn_and_fail_as_one_by_one(leaky_system, third):
 
     def one_by_one():
         for packet in packets:
-            run_timeseries(spec, hop, pot, packet, grid, sr, leak_fail=1e-3)
+            run_timeseries(spec, hop, pot, [packet], grid, sr, leak_fail=1e-3)
 
     alone = _recorded(one_by_one)
-    together = _recorded(lambda: _run_packets(spec, hop, pot, packets, grid, sr, LEAK_WARN, 1e-3))
+    together = _recorded(lambda: run_timeseries(spec, hop, pot, packets, grid, sr, LEAK_WARN, 1e-3))
     assert together == alone
     warned, error, text = together
     assert error is LeakageError and text.startswith("boundary amplitude 1.01e-03 at t = 5.61")
@@ -509,7 +511,7 @@ def assert_matches_plain_blocks(spec, hop, force, packet, times):
     pot = Potential.linear(force)
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
     with np.errstate(over="raise", invalid="raise"):
-        ts = run_timeseries(spec, hop, pot, packet, times, sr, leak_warn=1.0, leak_fail=1.0)
+        (ts,) = run_timeseries(spec, hop, pot, [packet], times, sr, leak_warn=1.0, leak_fail=1.0)
         want, boundary, subnormal = plain_observables(spec, make_gaussian(spec, packet), sr, times)
     for name, values in want.items():
         assert np.array_equal(getattr(ts, name), values), name

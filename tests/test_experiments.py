@@ -23,7 +23,6 @@ from latticeccr import (
 )
 from latticeccr import experiments, lattice, spectral
 from latticeccr.cli import main
-from latticeccr.dynamics import _run_packets
 from latticeccr.experiments import _time_points
 
 
@@ -304,11 +303,11 @@ def test_packets_propagate_together_bit_for_bit(figure):
         sr = experiments._solve(plan, hop, pot)
         with warnings.catch_warnings(record=True) as alone_warned:
             warnings.simplefilter("always")
-            alone = [run_timeseries(plan.spec, hop, pot, p, tgrid, sr, *leak) for p in group]
+            alone = [run_timeseries(plan.spec, hop, pot, [p], tgrid, sr, *leak)[0] for p in group]
         for oracle in range(len(group)):
             with warnings.catch_warnings(record=True) as warned:
                 warnings.simplefilter("always")
-                runs = _run_packets(plan.spec, hop, pot, group, tgrid, sr, *leak, oracle)
+                runs = run_timeseries(plan.spec, hop, pot, group, tgrid, sr, *leak, oracle)
             assert [str(w.message) for w in warned] == [str(w.message) for w in alone_warned]
             compared += len(warned)
             for i, (got, want) in enumerate(zip(runs, alone, strict=True)):
@@ -757,6 +756,23 @@ def test_cli_output_path_stays_inside_out(tmp_path, capsys):
         assert "'output.path'" in capsys.readouterr().err
         assert json.loads((inside / "spectrum_manifest.json").read_text())["config"] is None
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["inside", "spectrum_manifest.json"]
+
+
+def test_cli_output_path_follows_output_format(tmp_path, capsys):
+    # the default dataset takes the format's suffix, and a .csv or .json path that
+    # contradicts output.format is refused while parsing, naming output.path
+    args = ["spectrum", "--out", str(tmp_path), "--set", "lattice.M=3"]
+    assert main([*args, "--set", "output.format=json"]) == 0
+    assert json.loads((tmp_path / "spectrum.json").read_text())["columns"][0] == "n"
+    manifest = json.loads((tmp_path / "spectrum_manifest.json").read_text())
+    assert manifest["config"]["output"] == {"format": "json", "path": "spectrum.json"}
+    for path, fmt in (("s.csv", "json"), ("s.json", "csv"), ("s.JSON", "csv")):
+        assert main([*args, "--set", f"output.path={path}", "--set", f"output.format={fmt}"]) == 2
+        assert "'output.path'" in capsys.readouterr().err
+    assert main([*args, "--set", "output.path=s.dat", "--set", "output.format=json"]) == 0
+    assert json.loads((tmp_path / "s.dat").read_text())["columns"][0] == "n"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["s.dat", "s_manifest.json", "spectrum.json", "spectrum_manifest.json"]
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5", "dynamics", "ccr-check"])

@@ -256,6 +256,21 @@ def test_eigenvalues_contract_rejects_a_wrong_block_eigenvalue(shift, identity, 
         eigenvalues(ham)
 
 
+def test_eigenvalues_contract_rejects_opposite_errors_in_the_two_blocks(monkeypatch):
+    # +1e-4 on the even block's lowest eigenvalue and -1e-4 on the odd block's keep the
+    # whole matrix's trace and move its Frobenius sum by less than that identity's bound;
+    # each block's own trace identity is off by 96 times the bound
+    ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
+
+    def shift(vals):
+        return _shift_one(1e-4 if len(vals) == 101 else -1e-4)(vals)
+
+    shapes = _record_eigvalsh(monkeypatch, shift)
+    with pytest.raises(ToleranceError, match="trace identity"):
+        eigenvalues(ham)
+    assert shapes[0] == (101, 101)
+
+
 def test_eigenvalues_contract_near_the_float_range():
     # entries near 1e160 square past the float range; the scaled check must still pass
     ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
