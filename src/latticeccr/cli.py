@@ -10,8 +10,9 @@ leakage failure. Every run, failed ones included, leaves
 run's manifest is the one its run made when it started, with the resolved
 config, started_utc, and the warnings and wall time up to the failure, plus
 the exit code and reason (a config that did not parse is written as
-<experiment>_manifest.json with config null). Warnings are printed to stderr
-on failed runs as well.
+<experiment>_manifest.json with config null, unless that file holds the
+manifest of a run whose config parsed, which stays in place). Warnings are
+printed to stderr on failed runs as well.
 """
 
 from __future__ import annotations

@@ -5,25 +5,26 @@ phases), so unitarity is exact to rounding and no integrator error enters
 the comparisons between exact dynamics and the trajectories predicted by
 assuming the canonical commutation relation.
 
-Packets that share an eigenbasis propagate together: the quasi-momentum is
-built once, each chunk of CHUNK times gets its exp(-i E t) block once, and
-each packet in turn multiplies it by its coefficients, takes one GEMM and
-reduces its block to the observables, so one packet's amplitudes are held at
-a time. Every packet's observables, warnings and errors are bit for bit
-those of run_timeseries on [packet] alone, the packets taken in order.
+Packets that share an eigenbasis share one quasi-momentum build and then
+propagate one at a time, in order: each packet's chunks of CHUNK times are
+phased, multiplied by its coefficients in one GEMM and reduced to the
+observables, so one packet's amplitudes are held at a time, and each packet
+warns and fails as it runs, as run_timeseries on [packet] alone.
 
 The phases come from the time grid's structure. On a grid t_k = k dt (the
 CLI's) of more than CHUNK times, e^{-iE(t_s + tau)} = e^{-iE t_s} e^{-iE tau}:
-the block exp(-i E tau) at the first chunk's times is made once per run, and
-each chunk takes only its column exp(-i E t_s), N exps instead of N * CHUNK;
-exact_position_linear sums its bracket the same way, one GEMV per chunk. The
-product differs from the direct exp(-i E t) by O(eps (1 + |E| t)), the direct
-form's own bound. On any other grid, on one of at most CHUNK times and for
-propagate's single time, the phases are the direct ones, bit for bit.
+the block exp(-i E tau) at the first chunk's times is made once per packet,
+and each chunk takes only its column exp(-i E t_s), N exps instead of
+N * CHUNK; exact_position_linear sums its bracket the same way, one GEMV per
+chunk. The product differs from the direct exp(-i E t) by O(eps (1 + |E| t)),
+the direct form's own bound. On any other grid, on one of at most CHUNK
+times and for propagate's single time, the phases are the direct ones, bit
+for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -93,17 +94,13 @@ def make_gaussian(spec: LatticeSpec, packet: GaussianPacket) -> StateVector:
     return StateVector(amp).normalize()
 
 
-def _coefficients(states, sr: SpectrumResult) -> list:
-    """_UNIT times each state's coefficients in the eigenbasis of sr."""
-    back = sr.eigenvectors.conj().T
-    coeffs = []
-    for psi in states:
-        if len(psi.amplitudes) != sr.dimension:
-            raise ValueError("state dimension does not match the spectrum")
-        coeff = back @ psi.amplitudes
-        coeff *= _UNIT
-        coeffs.append(coeff)
-    return coeffs
+def _coefficients(psi: StateVector, sr: SpectrumResult) -> np.ndarray:
+    """_UNIT times the state's coefficients in the eigenbasis of sr."""
+    if len(psi.amplitudes) != sr.dimension:
+        raise ValueError("state dimension does not match the spectrum")
+    coeff = sr.eigenvectors.conj().T @ psi.amplitudes
+    coeff *= _UNIT
+    return coeff
 
 
 def _factored(times: np.ndarray) -> bool:
@@ -116,8 +113,8 @@ def _phases(sr: SpectrumResult, times: np.ndarray):
     """Yield (start, block, column) over chunks of at most CHUNK times, the chunk's
     exp(-i E t) being block * column[:, None]: row j for eigenvalue j, column i for
     times[start + i]. On a _factored grid block is exp(-i E tau) at the first chunk's
-    times tau, made once and shared, and column is exp(-i E t_start); on any other grid
-    block is the chunk's direct exp(-i E t) and column is None."""
+    times tau, made once and shared by the chunks, and column is exp(-i E t_start); on any
+    other grid block is the chunk's direct exp(-i E t) and column is None."""
     energies = sr.eigenvalues
     factored = _factored(times)
     for start in range(0, len(times), CHUNK):
@@ -128,14 +125,13 @@ def _phases(sr: SpectrumResult, times: np.ndarray):
         yield start, block[:, : len(times) - start], column
 
 
-def _block(vecs: np.ndarray, phases: np.ndarray, column, coeff: np.ndarray, last: bool):
+def _block(vecs: np.ndarray, phases: np.ndarray, column, coeff: np.ndarray):
     """_UNIT psi at a chunk's times, from its _phases block and column and _coefficients:
     one GEMM V @ (block * (coeff * column)), a real one on the interleaved real and
     imaginary parts when the eigenvectors V are real. A shared block (with a column) is
-    multiplied out of place; without one, with last, phases itself takes the product:
-    the chunk's last packet needs no copy of it."""
+    multiplied out of place; a chunk's own block (without one) takes the product itself."""
     scale = coeff if column is None else coeff * column
-    phased = np.multiply(phases, scale[:, None], out=phases if last and column is None else None)
+    phased = np.multiply(phases, scale[:, None], out=phases if column is None else None)
     if np.iscomplexobj(vecs):
         return vecs @ phased
     return (vecs @ phased.view(np.float64)).view(complex)
@@ -158,9 +154,9 @@ def _observables(block: np.ndarray, x: np.ndarray, s_mat: np.ndarray, signs: np.
 
 def propagate(psi0: StateVector, sr: SpectrumResult, t: float) -> StateVector:
     """Evolve a state to time t in the eigenbasis of its Hamiltonian."""
-    (coeff,) = _coefficients([psi0], sr)
+    coeff = _coefficients(psi0, sr)
     ((_, phases, column),) = _phases(sr, np.array([t], dtype=float))
-    block = _block(sr.eigenvectors, phases, column, coeff, last=True)
+    block = _block(sr.eigenvectors, phases, column, coeff)
     return StateVector(block[:, 0] / _UNIT, normalized=psi0.normalized)
 
 
@@ -253,7 +249,7 @@ def run_timeseries(
     """Propagate Gaussian packets in the spectrum sr of the Hamiltonian (hop, pot) and
     record each one's observables at each grid time: one TimeSeries per packet, in order.
 
-    The packets share one quasi-momentum build and each chunk's exp(-i E t) block, and one
+    The packets share one quasi-momentum build and then propagate one at a time, so one
     packet's amplitudes are held at a time. Only the packet at index oracle (None: none)
     gets x_ccr and x_exact_oracle. x_ccr is the CCR prediction for the Hamiltonian:
     ccr_position_harmonic for a harmonic potential; for a linear one x_exact_oracle, the
@@ -262,9 +258,9 @@ def run_timeseries(
 
     Boundary amplitude above leak_warn, initially or during the run, issues a warning;
     above leak_fail the run aborts with LeakageError, and a norm drift above 1e-10 with
-    ToleranceError. Warnings and errors come as from the packets run one by one: each
-    packet's warnings in order up to the first packet that fails, then that packet's
-    error; a packet after it is not propagated further.
+    ToleranceError. Each packet warns and fails in its turn, so warnings and errors come
+    as from the packets run one by one: the first error ends the run, after the warnings
+    of the packets before it, and no packet after it is propagated.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -272,70 +268,51 @@ def run_timeseries(
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must ascend from t >= 0")
 
-    psis, failure = [], None  # failure: (index of the first packet that fails, its error)
-    for i, packet in enumerate(packets):
-        try:
-            psis.append(make_gaussian(spec, packet))
-        except ValueError as err:
-            failure = i, err
-            break
     x = spec.positions
     kop = build_quasi_momentum(spec).matrix
-    if oracle is not None and oracle < len(psis):
-        x0, k0 = expectation(psis[oracle], x).real, expectation(psis[oracle], kop).real
+    if oracle is not None and oracle < len(packets):
+        with contextlib.suppress(ValueError):  # a packet outside the window fails in its turn
+            psi0 = make_gaussian(spec, packets[oracle])
+            x0, k0 = expectation(psi0, x).real, expectation(psi0, kop).real
     s_mat = np.ascontiguousarray(kop.imag)  # kop = i S, S real antisymmetric
     del kop
-    try:
-        coeffs = _coefficients(psis, sr)
-    except ValueError as err:  # every packet has the window's dimension: the first fails
-        coeffs, failure = [], (0, err)
 
-    series = np.empty((4, len(psis), len(t_grid)))  # x_mean, k_mean, s_abs and norm
-    x_mean, k_mean, s_abs, norm = series
-    boundary = [0.0] * len(psis)
-    half = spec.half_width
     signs = (-1.0) ** np.abs(spec.sites)
-    vecs, live = sr.eigenvectors, len(coeffs)  # packets live < first failure propagate on
-    for start, phases, column in _phases(sr, t_grid) if live else ():
-        for i in range(live):  # one packet's block at a time, freed as _observables returns
-            last = i + 1 == live  # the chunk's last packet may phase the block in place
-            *values, edge = _observables(
-                _block(vecs, phases, column, coeffs[i], last), x, s_mat, signs
-            )
-            stop = start + len(edge)
-            series[:, i, start:stop] = values
-            drift = np.abs(norm[i, start:stop] - 1.0) > 1e-10
-            leak = edge > leak_fail
-            bad = np.flatnonzero(drift | leak)
-            if len(bad):
-                j = bad[0]
-                t = t_grid[start + j]
-                if drift[j]:
-                    err = ToleranceError(f"norm drifted to {norm[i, start + j]:.12f} at t = {t:g}")
-                else:
-                    err = LeakageError(
-                        f"boundary amplitude {edge[j]:.2e} at t = {t:g} exceeds "
-                        f"{leak_fail:.0e} (window half_width {half} too small)"
-                    )
-                failure, live = (i, err), i
-                break
-            boundary[i] = max(boundary[i], edge.max())
-        if not live:
-            break
-
     runs = []
-    for i, psi0 in enumerate(psis):
+    for i, packet in enumerate(packets):
+        psi0 = make_gaussian(spec, packet)
         edge = max(abs(psi0.amplitudes[0]), abs(psi0.amplitudes[-1]))
         if edge > leak_warn:
             warnings.warn(
                 f"initial packet has boundary amplitude {edge:.2e} > {leak_warn:.0e}",
                 stacklevel=2,
             )
-        if failure and failure[0] == i:
-            break
-        if boundary[i] > leak_warn:
+        coeff = _coefficients(psi0, sr)
+        x_mean, k_mean, s_abs, norm = series = np.empty((4, len(t_grid)))
+        boundary = 0.0
+        for start, phases, column in _phases(sr, t_grid):
+            # one chunk's amplitudes at a time, freed as _observables returns
+            *values, edge = _observables(
+                _block(sr.eigenvectors, phases, column, coeff), x, s_mat, signs
+            )
+            stop = start + len(edge)
+            series[:, start:stop] = values
+            drift = np.abs(norm[start:stop] - 1.0) > 1e-10
+            bad = np.flatnonzero(drift | (edge > leak_fail))
+            if len(bad):
+                j = bad[0]
+                t = t_grid[start + j]
+                if drift[j]:
+                    raise ToleranceError(f"norm drifted to {norm[start + j]:.12f} at t = {t:g}")
+                raise LeakageError(
+                    f"boundary amplitude {edge[j]:.2e} at t = {t:g} exceeds "
+                    f"{leak_fail:.0e} (window half_width {spec.half_width} too small)"
+                )
+            boundary = max(boundary, edge.max())
+        del phases, column  # no phase block is held across the next packet's _coefficients
+        if boundary > leak_warn:
             warnings.warn(
-                f"boundary amplitude reached {boundary[i]:.2e} > {leak_warn:.0e}", stacklevel=2
+                f"boundary amplitude reached {boundary:.2e} > {leak_warn:.0e}", stacklevel=2
             )
         x_ccr = x_exact = None
         if i == oracle and pot.kind == "harmonic":
@@ -347,15 +324,13 @@ def run_timeseries(
         runs.append(
             TimeSeries(
                 times=t_grid,
-                x_mean=x_mean[i],
-                k_mean=k_mean[i],
-                s_abs=s_abs[i],
-                norm=norm[i],
+                x_mean=x_mean,
+                k_mean=k_mean,
+                s_abs=s_abs,
+                norm=norm,
                 x_ccr=x_ccr,
                 x_exact_oracle=x_exact,
-                boundary_max=boundary[i],
+                boundary_max=boundary,
             )
         )
-    if failure:
-        raise failure[1]
     return runs

@@ -184,10 +184,23 @@ class RunManifest:
     def write(self, out_dir: str) -> None:
         """Write atomically to out_dir as <dataset stem>_manifest.json, the
         dataset being the configured output.path (<experiment>.csv while the
-        config has not parsed)."""
+        config has not parsed). A manifest whose config did not parse leaves
+        in place a manifest there whose config did."""
         dataset = self.config["output"]["path"] if self.config else f"{self.experiment}.csv"
         path = os.path.splitext(os.path.join(out_dir, dataset))[0] + "_manifest.json"
+        if self.config is None and _parsed_manifest(path):
+            return
         _write_atomic(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+
+
+def _parsed_manifest(path: str) -> bool:
+    """Whether path holds the manifest of a run whose config parsed."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            old = json.load(handle)
+    except (OSError, ValueError):  # no file there, or not JSON
+        return False
+    return isinstance(old, dict) and old.get("config") is not None
 
 
 def _validate_tree(raw: dict, schema: dict, prefix: str = "") -> dict:
@@ -373,10 +386,9 @@ def _size(plan: _Plan) -> tuple:
     """The size rule's lower bound on the bytes a run holds at once, with the config keys
     behind it: the larger of two stages, each held whole at one moment. The solve holds 8
     bytes per entry of plan.dense N x N matrices and, while it propagates, 16 per amplitude
-    of two blocks of min(CHUNK, points) times: the chunk's exp(-i E t) block, shared by the
-    eigenbasis's packets, and the amplitudes of the one packet being reduced. The emission
-    holds 8 per time and per dataset cell. Python integers throughout, so that no config
-    value overflows it."""
+    of two blocks of min(CHUNK, points) times: the chunk's exp(-i E t) block and the
+    amplitudes of the one packet being reduced. The emission holds 8 per time and per
+    dataset cell. Python integers throughout, so that no config value overflows it."""
     n = plan.spec.n_sites
     solve = 8 * n * n * plan.dense + 32 * n * min(CHUNK, plan.points)
     emission = 8 * (plan.points + plan.rows * len(plan.columns))

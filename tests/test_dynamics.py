@@ -479,6 +479,41 @@ def test_packets_together_warn_and_fail_as_one_by_one(leaky_system, third):
     assert [message.split(" ")[0] for _, message in warned] == ["boundary", "initial"]
 
 
+def test_packets_in_another_window_fail_as_one_by_one(leaky_system):
+    # the spectrum of a smaller window: the first packet warns of its initial boundary
+    # amplitude and then fails on the dimension; the later ones, the last outside the
+    # window, add nothing
+    spec, hop, pot, _ = leaky_system
+    other = eigensolve(build_hamiltonian(LatticeSpec(20, 1.0), hop, pot))
+    packets = [GaussianPacket(0, 0.005), GaussianPacket(0, 0.2), GaussianPacket(30, 0.2)]
+    grid = np.arange(CHUNK + 5) * 0.03
+
+    def one_by_one():
+        for packet in packets:
+            run_timeseries(spec, hop, pot, [packet], grid, other)
+
+    alone = _recorded(one_by_one)
+    together = _recorded(lambda: run_timeseries(spec, hop, pot, packets, grid, other))
+    assert together == alone
+    warned, error, text = together
+    assert error is ValueError and text == "state dimension does not match the spectrum"
+    assert [message.split(" ")[0] for _, message in warned] == ["initial"]
+
+
+def test_packets_together_match_alone_on_direct_phases(linear_system):
+    # a grid of three chunks that is not k * dt takes each chunk's direct phases; every
+    # packet's observables are bit for bit those of the packet run alone
+    spec, hop, pot, sr = linear_system
+    grid = 0.15 + np.arange(2 * CHUNK + 5) * 0.05
+    packets = [GaussianPacket(-10, 0.2), GaussianPacket(0, 0.05, k0=0.4), GaussianPacket(12, 0.1)]
+    together = run_timeseries(spec, hop, pot, packets, grid, sr, 1.0, 1.0)
+    for packet, ts in zip(packets, together, strict=True):
+        (alone,) = run_timeseries(spec, hop, pot, [packet], grid, sr, 1.0, 1.0, None)
+        for name in ("x_mean", "k_mean", "s_abs", "norm"):
+            assert np.array_equal(getattr(ts, name), getattr(alone, name)), name
+        assert ts.boundary_max == alone.boundary_max
+
+
 def plain_observables(spec, psi0, sr, times):
     """run_timeseries' observables from blocks of the plain amplitudes psi, not
     2^128 psi: the unscaled block loop on the phases of _phases, the reference for

@@ -769,6 +769,10 @@ def test_cli_output_path_follows_output_format(tmp_path, capsys):
     for path, fmt in (("s.csv", "json"), ("s.json", "csv"), ("s.JSON", "csv")):
         assert main([*args, "--set", f"output.path={path}", "--set", f"output.format={fmt}"]) == 2
         assert "'output.path'" in capsys.readouterr().err
+    # a run refused while parsing leaves the parsed run's manifest in place
+    manifest = json.loads((tmp_path / "spectrum_manifest.json").read_text())
+    assert manifest["config"]["output"] == {"format": "json", "path": "spectrum.json"}
+    assert manifest["error"] is None
     assert main([*args, "--set", "output.path=s.dat", "--set", "output.format=json"]) == 0
     assert json.loads((tmp_path / "s.dat").read_text())["columns"][0] == "n"
     names = sorted(p.name for p in tmp_path.iterdir())

@@ -63,6 +63,11 @@ REFUSALS = {
         "j_max",
     ),
     "config-not-object": (lambda d: parse_config("[1]"), ConfigError, "JSON object"),
+    "config-block-not-object": (
+        lambda d: parse_config('{"experiment": "spectrum", "lattice": 5}'),
+        ConfigError,
+        "^config key 'lattice' must be an object$",
+    ),
     # a dataset path must stay inside the output directory
     "output-path-absolute": (
         lambda d: parse_config(_spectrum_to(str(d / "x.csv"))),
