@@ -11,15 +11,15 @@ phased, multiplied by its coefficients in one GEMM and reduced to the
 observables, so one packet's amplitudes are held at a time, and each packet
 warns and fails as it runs, as run_timeseries on [packet] alone.
 
-The phases come from the time grid's structure. On a grid t_k = k dt (the
-CLI's) of more than CHUNK times, e^{-iE(t_s + tau)} = e^{-iE t_s} e^{-iE tau}:
-the block exp(-i E tau) at the first chunk's times is made once per packet,
-and each chunk takes only its column exp(-i E t_s), N exps instead of
-N * CHUNK; exact_position_linear sums its bracket the same way, one GEMV per
-chunk. The product differs from the direct exp(-i E t) by O(eps (1 + |E| t)),
-the direct form's own bound. On any other grid, on one of at most CHUNK
-times and for propagate's single time, the phases are the direct ones, bit
-for bit.
+The phases follow one rule on every time grid: in a chunk whose first time
+is t_s (0 for the first chunk), e^{-iEt} is the block exp(-i E (t - t_s))
+times the column exp(-i E t_s), so the first chunk's phases, and propagate's
+single time, are the direct exp(-i E t). On a grid t_k = k dt (the CLI's)
+every chunk's block equals the first chunk's, so it is made once per packet
+and each later chunk takes only its column, N exps instead of N * CHUNK;
+exact_position_linear sums its bracket by the same rule, one GEMV per chunk.
+The product differs from the direct exp(-i E t) by O(eps (1 + |E| t)), the
+direct form's own bound.
 """
 
 from __future__ import annotations
@@ -103,35 +103,34 @@ def _coefficients(psi: StateVector, sr: SpectrumResult) -> np.ndarray:
     return coeff
 
 
-def _factored(times: np.ndarray) -> bool:
-    """Whether times is the grid k * dt of more than CHUNK points, on which each chunk's
-    phases factor into the first chunk's block and one column per chunk."""
-    return len(times) > CHUNK and np.array_equal(times, np.arange(len(times)) * times[1])
+def _chunks(times: np.ndarray):
+    """Yield (start, t_s, tau) over chunks of at most CHUNK times: t_s is the chunk's first
+    time (0 for the first chunk) and tau the chunk's times less t_s, or None on the grid
+    k * dt of more than CHUNK points, where every chunk's tau is the first chunk's."""
+    step = len(times) > CHUNK and np.array_equal(times, np.arange(len(times)) * times[1])
+    for start in range(0, len(times), CHUNK):
+        origin = times[start] if start else 0.0
+        yield start, origin, None if start and step else times[start : start + CHUNK] - origin
 
 
 def _phases(sr: SpectrumResult, times: np.ndarray):
-    """Yield (start, block, column) over chunks of at most CHUNK times, the chunk's
-    exp(-i E t) being block * column[:, None]: row j for eigenvalue j, column i for
-    times[start + i]. On a _factored grid block is exp(-i E tau) at the first chunk's
-    times tau, made once and shared by the chunks, and column is exp(-i E t_start); on any
-    other grid block is the chunk's direct exp(-i E t) and column is None."""
+    """Yield (start, block, column) over _chunks, the chunk's exp(-i E t) being
+    block * column[:, None]: row j for eigenvalue j, column i for times[start + i]. block
+    is exp(-i E tau), made once on a k * dt grid and shared, and column exp(-i E t_s)."""
     energies = sr.eigenvalues
-    factored = _factored(times)
-    for start in range(0, len(times), CHUNK):
-        if not (start and factored):
-            block = -1j * np.outer(energies, times[start : start + CHUNK])
+    for start, origin, tau in _chunks(times):
+        if tau is not None:
+            block = -1j * np.outer(energies, tau)
             np.exp(block, out=block)
-        column = np.exp(-1j * (energies * times[start])) if factored else None
-        yield start, block[:, : len(times) - start], column
+        yield start, block[:, : len(times) - start], np.exp(-1j * (energies * origin))
 
 
-def _block(vecs: np.ndarray, phases: np.ndarray, column, coeff: np.ndarray):
+def _block(vecs: np.ndarray, phases: np.ndarray, column: np.ndarray, coeff: np.ndarray):
     """_UNIT psi at a chunk's times, from its _phases block and column and _coefficients:
     one GEMM V @ (block * (coeff * column)), a real one on the interleaved real and
-    imaginary parts when the eigenvectors V are real. A shared block (with a column) is
-    multiplied out of place; a chunk's own block (without one) takes the product itself."""
-    scale = coeff if column is None else coeff * column
-    phased = np.multiply(phases, scale[:, None], out=phases if column is None else None)
+    imaginary parts when the eigenvectors V are real. A shared block is kept: the product
+    is made out of place."""
+    phased = phases * (coeff * column)[:, None]
     if np.iscomplexobj(vecs):
         return vecs @ phased
     return (vecs @ phased.view(np.float64)).view(complex)
@@ -175,8 +174,9 @@ def exact_position_linear(
         x(t) = x - sum_{n>0} [ t_n T_n (e^{-i a n F t} - 1)/F + h.c. ],
 
     with t_n the hopping amplitudes (the coefficient of T_n in H is -t_n).
-    Manifestly periodic with the Bloch period 2 pi/(a F); at F = 0 the
-    bracket takes its limit -i a n t, which is free motion.
+    Manifestly periodic with the Bloch period 2 pi/(a F). The bracket follows _phases'
+    rule, one GEMV per chunk of the rows e^{-i a n F (t - t_s)} against t_n <T_n>
+    e^{-i a n F t_s}; at F = 0 it takes its limit -i a n t, which is free motion.
     """
     a = spec.spacing
     _, amps = hop.terms(spec)
@@ -186,33 +186,17 @@ def exact_position_linear(
     x0 = np.real(expectation(psi0, spec.positions))
     weights = amps * t_exp
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    series = np.empty(len(times))
-    if force and _factored(times):
-        # The offset form: at t_s + tau the bracket's sum is the first chunk's block
-        # e^{-i a n F tau} times the chunk's column weights * e^{-i a n F t_s}, minus the
-        # weights' sum: one GEMV per chunk, each over all CHUNK rows (numpy sums a one-row
-        # product by another kernel), so the series is that of the chunks' products whole.
-        block = np.exp(-1j * a * force * np.outer(times[:CHUNK], n))
-        total = weights.sum()
-        for start in range(0, len(times), CHUNK):
-            column = weights * np.exp(-1j * a * force * times[start] * n)
-            sums = (block @ column)[: len(times) - start]
+    if force:
+        phase, total = -1j * a * force, weights.sum()
+        series = np.empty(len(times))
+        for start, origin, tau in _chunks(times):
+            if tau is not None:
+                block = np.exp(phase * np.outer(tau, n))
+            sums = (block @ (weights * np.exp(phase * origin * n)))[: len(times) - start]
             series[start : start + CHUNK] = 2.0 * (sums - total).real
-        return x0 - series / force
-    # Otherwise the len(t) x R bracket is built in blocks of CHUNK rows, memory O(CHUNK * R).
-    # A last block under CHUNK/2 rows joins the one before it: with R = 1 numpy
-    # multiplies very short arrays in a scalar loop that rounds differently, and
-    # the series stays bit-identical to the bracket built in one piece.
-    edges = [*range(0, max(len(times) - CHUNK // 2, 1), CHUNK), len(times)]
-    for start, stop in zip(edges, edges[1:]):
-        # -i a n F t, or at F = 0 the bracket's limit -i a n t; updated in place
-        bracket = -1j * a * (force or 1.0) * np.outer(times[start:stop], n)
-        if force:
-            np.exp(bracket, out=bracket)
-            bracket -= 1.0
-        bracket *= weights
-        series[start:stop] = 2.0 * np.real(bracket).sum(axis=1)
-    out = x0 - (series / force if force else series)
+        out = x0 - series / force
+    else:
+        out = x0 - 2.0 * times * np.real(-1j * a * n * weights).sum()
     return out if np.ndim(t) else float(out[0])
 
 
@@ -251,10 +235,11 @@ def run_timeseries(
 
     The packets share one quasi-momentum build and then propagate one at a time, so one
     packet's amplitudes are held at a time. Only the packet at index oracle (None: none)
-    gets x_ccr and x_exact_oracle. x_ccr is the CCR prediction for the Hamiltonian:
-    ccr_position_harmonic for a harmonic potential; for a linear one x_exact_oracle, the
-    closed-form Heisenberg solution, with cosine hopping (whose CCR trajectory is exact)
-    and ccr_position_linear with any other; None otherwise.
+    gets x_ccr and x_exact_oracle; any other index but 0 for no packets is a ValueError.
+    x_ccr is the CCR prediction for the Hamiltonian: ccr_position_harmonic for a harmonic
+    potential; for a linear one x_exact_oracle, the closed-form Heisenberg solution, with
+    cosine hopping (whose CCR trajectory is exact) and ccr_position_linear with any other;
+    None otherwise.
 
     Boundary amplitude above leak_warn, initially or during the run, issues a warning;
     above leak_fail the run aborts with LeakageError, and a norm drift above 1e-10 with
@@ -267,10 +252,12 @@ def run_timeseries(
         raise ValueError("t_grid must be a non-empty 1-D array")
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must ascend from t >= 0")
+    if oracle is not None and not 0 <= oracle < max(len(packets), 1):
+        raise ValueError(f"oracle must index one of the {len(packets)} packets, got {oracle}")
 
     x = spec.positions
     kop = build_quasi_momentum(spec).matrix
-    if oracle is not None and oracle < len(packets):
+    if oracle is not None and packets:
         with contextlib.suppress(ValueError):  # a packet outside the window fails in its turn
             psi0 = make_gaussian(spec, packets[oracle])
             x0, k0 = expectation(psi0, x).real, expectation(psi0, kop).real

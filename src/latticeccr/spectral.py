@@ -250,6 +250,12 @@ def _check_sums(mat: np.ndarray, vals: np.ndarray, bound: float) -> None:
         )
 
 
+def _check_window(sr: SpectrumResult, spec: LatticeSpec) -> None:
+    """Refuse a spectrum whose eigenvectors do not live on spec's window."""
+    if len(sr.eigenvectors) != spec.n_sites:
+        raise ValueError(f"spectrum of {len(sr.eigenvectors)} sites on a window of {spec.n_sites}")
+
+
 def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDiagnostics]:
     """Parity, |S_n| and <x> for every eigenstate.
 
@@ -258,6 +264,7 @@ def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDia
     parity states for reflection-symmetric Hamiltonians, so nothing is
     re-projected here and a state of an asymmetric potential keeps "none".
     """
+    _check_window(sr, spec)
     vecs = sr.eigenvectors
     reflected = vecs[::-1, :]
     even_err = np.linalg.norm(vecs - reflected, axis=0)
@@ -333,6 +340,7 @@ def degenerate_pairs(sr: SpectrumResult, spec: LatticeSpec, gap_tol: float) -> l
 
     Each pair is tagged with the distance between the centers of its
     left/right localized combinations (v_j +- v_{j+1})/sqrt(2)."""
+    _check_window(sr, spec)
     vals, vecs = sr.eigenvalues, sr.eigenvectors
     x = spec.positions
     out = []
@@ -361,6 +369,7 @@ def wannier_stark_analysis(sr: SpectrumResult, spec: LatticeSpec, force: float) 
     """
     if force == 0:
         raise ValueError("Wannier-Stark analysis needs a nonzero force")
+    _check_window(sr, spec)
     m = spec.sites
     w = spec.half_width // 4
     centers = np.real(np.sum(m[:, None] * np.abs(sr.eigenvectors) ** 2, axis=0))

@@ -138,29 +138,29 @@ def test_exact_position_matches_propagation(linear_system):
 @pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=["R1", "R64"])
 @pytest.mark.parametrize("steps", [1, 3, CHUNK + 1, CHUNK + CHUNK // 2 + 1, 5 * CHUNK + 2])
 def test_exact_position_blocks_match_one_piece(hop, steps):
-    # the bracket is built in blocks of rows; the series is bit-identical to
-    # the bracket built whole (with one-row blocks it is not at this a and F).
-    # These grids are k * dt: over CHUNK points the whole is the offset form,
-    # every chunk's GEMV of the first chunk's block made at once. Centred at 0
-    # the packet has x0 near 0, so the series keeps the chunk sums' last bits
+    # the bracket is summed chunk by chunk; the series is bit-identical to the one rule's
+    # with its rows and columns built whole. These grids are k * dt: over CHUNK points
+    # every chunk takes the first chunk's rows. Centred at 0 the packet has x0 near 0, so
+    # the series keeps the chunk sums' last bits
     spec, force = LatticeSpec(32, 0.7), -0.55
     ts = np.linspace(0.0, 30.0, steps)
     assert steps < 2 or np.array_equal(ts, np.arange(steps) * ts[1])
     for center in (3, 0):
         psi = make_gaussian(spec, GaussianPacket(center, 0.05, k0=0.4))
-        want = one_piece_bracket(psi, spec, hop, force, ts, offset=steps > CHUNK)
+        want = one_rule_series(psi, spec, hop, force, ts)
         assert np.array_equal(exact_position_linear(psi, spec, hop, force, ts), want)
 
 
 @pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=["R1", "R64"])
 @pytest.mark.parametrize("steps", [CHUNK + 1, CHUNK + CHUNK // 2 + 1, 5 * CHUNK + 2])
 def test_exact_position_blocks_match_one_piece_off_the_step_grid(hop, steps):
-    # a grid that is not k * dt takes the direct bracket in blocks of rows, bit for bit
+    # a grid that is not k * dt: each chunk takes its own rows from its first time, down
+    # to a last chunk of one row, bit for bit
     spec, force = LatticeSpec(32, 0.7), -0.55
     psi = make_gaussian(spec, GaussianPacket(3, 0.05, k0=0.4))
     ts = np.linspace(0.0, 30.0, steps) ** 1.01
     assert not np.array_equal(ts, np.arange(steps) * ts[1])
-    want = one_piece_bracket(psi, spec, hop, force, ts, offset=False)
+    want = one_rule_series(psi, spec, hop, force, ts)
     assert np.array_equal(exact_position_linear(psi, spec, hop, force, ts), want)
 
 
@@ -172,60 +172,89 @@ def bracket_weights(psi, spec, hop):
     return n, amps * np.array([np.vdot(amp[r:], amp[:-r]) for r in n])
 
 
-def one_piece_bracket(psi, spec, hop, force, ts, offset):
-    """exact_position_linear's series with the bracket built in one piece: direct,
-    (e^{-i a n F t} - 1) weights summed by row, or in the offset form, the first
-    CHUNK rows' e^{-i a n F tau} times each chunk's column weights e^{-i a n F t_s}."""
+def one_rule_series(psi, spec, hop, force, ts):
+    """exact_position_linear's series by the one phase rule, its rows and columns each built
+    whole: at t in the chunk from t_s (0 for the first chunk) the row e^{-i a n F (t - t_s)},
+    on a k * dt grid over CHUNK times the first chunk's rows for every chunk, against the
+    column weights e^{-i a n F t_s}, less the weights' sum."""
     n, weights = bracket_weights(psi, spec, hop)
     x0 = expectation(psi, spec.positions).real
     phase = -1j * spec.spacing * force
-    if offset:
+    origins = ts[::CHUNK].copy()
+    origins[0] = 0.0
+    columns = weights * np.exp(phase * origins[:, None] * n)
+    if len(ts) > CHUNK and np.array_equal(ts, np.arange(len(ts)) * ts[1]):
         block = np.exp(phase * np.outer(ts[:CHUNK], n))
-        columns = weights * np.exp(phase * ts[::CHUNK, None] * n)
         sums = np.matmul(block, columns[:, :, None]).ravel()[: len(ts)]
-        return x0 - 2.0 * (sums - weights.sum()).real / force
-    bracket = phase * np.outer(ts, n)
+    else:
+        rows = np.exp(phase * np.outer(ts - np.repeat(origins, CHUNK)[: len(ts)], n))
+        pieces = np.split(rows, range(CHUNK, len(ts), CHUNK))
+        sums = np.concatenate([piece @ column for piece, column in zip(pieces, columns)])
+    return x0 - 2.0 * (sums - weights.sum()).real / force
+
+
+def direct_series(psi, spec, hop, force, ts):
+    """exact_position_linear's series from the direct bracket (e^{-i a n F t} - 1) weights,
+    built whole and summed by row."""
+    n, weights = bracket_weights(psi, spec, hop)
+    x0 = expectation(psi, spec.positions).real
+    bracket = -1j * spec.spacing * force * np.outer(ts, n)
     np.exp(bracket, out=bracket)
     bracket -= 1.0
     bracket *= weights
     return x0 - 2.0 * np.real(bracket).sum(axis=1) / force
 
 
-@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=lambda h: h.kind)
-def test_factored_forms_stay_within_the_direct_bound(hop):
-    # the long-evolution Bloch grid, k * dt over CHUNK points with |E| t up to 5.5e3: the
-    # phases block * column stay within 4 eps (1 + |E| t) of the direct exp(-i E t), and the
-    # oracle's offset form within 4 eps of |x| plus its bracket's weights times (1 + a n |F| t)
+def assert_within_direct_bound(hop, times):
+    """On the long-evolution Bloch window, the phases block * column stay within
+    4 eps (1 + |E| t) of the direct exp(-i E t), and the oracle within 4 eps of |x| plus
+    its bracket's weights times (1 + a n |F| t) of the direct bracket's series."""
     spec, force = LatticeSpec(288, 1.0), 0.5
     sr = eigensolve(build_hamiltonian(spec, hop, Potential.linear(force)))
-    times = np.arange(3 * 400 + 1) * (2 * np.pi / force / 400)
     eps = np.finfo(float).eps
     for start, block, column in _phases(sr, times):
-        assert column is not None
         et = np.outer(sr.eigenvalues, times[start : start + CHUNK])
         err = np.abs(block * column[:, None] - np.exp(-1j * et))
         assert np.all(err <= 4 * eps * (1 + np.abs(et)))
     psi = make_gaussian(spec, GaussianPacket(10, 0.05, k0=0.3))
-    want = one_piece_bracket(psi, spec, hop, force, times, offset=False)
+    want = direct_series(psi, spec, hop, force, times)
     n, weights = bracket_weights(psi, spec, hop)
     rates = spec.spacing * n * abs(force)
     spread = 2 * (np.abs(weights) * (1 + rates * times[:, None])).sum(axis=1)
     err = np.abs(exact_position_linear(psi, spec, hop, force, times) - want)
     assert np.all(err <= 4 * eps * (np.abs(want) + spread / abs(force)))
-    assert err.max() > 0  # the offset form was taken
+    assert err.max() > 0  # the oracle's sum is not the direct bracket's
+
+
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=lambda h: h.kind)
+def test_factored_forms_stay_within_the_direct_bound(hop):
+    # the long-evolution Bloch grid, k * dt over CHUNK points with |E| t up to 5.5e3
+    assert_within_direct_bound(hop, np.arange(3 * 400 + 1) * (2 * np.pi / 0.5 / 400))
+
+
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=lambda h: h.kind)
+def test_offset_forms_off_the_step_grid_stay_within_the_direct_bound(hop):
+    # three chunks that are not k * dt, each offset from its own first time
+    times = np.linspace(0.0, 40.0, 2 * CHUNK + 9) ** 1.01
+    assert not np.array_equal(times, np.arange(len(times)) * times[1])
+    assert_within_direct_bound(hop, times)
 
 
 def test_phases_off_the_step_grid_are_the_direct_ones():
-    # a grid that is not k * dt, a k * dt grid of CHUNK points and propagate's single time
-    # take the direct exp(-i E t), chunk by chunk and bit for bit
+    # a grid that is not k * dt, a k * dt grid of CHUNK points and propagate's single time:
+    # bit for bit, each chunk's block is the direct exp(-i E (t - t_s)) of its own times and
+    # its column exp(-i E t_s), t_s its first time and 0 for the first chunk, whose block is
+    # thus the direct exp(-i E t)
     spec = LatticeSpec(40, 1.0)
     sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.linear(0.5)))
     for times in (np.linspace(0.0, 40.0, 2 * CHUNK + 9) ** 1.01, np.arange(CHUNK) * 0.1, [12.5]):
         times = np.asarray(times)
         starts = []
         for start, block, column in _phases(sr, times):
-            direct = np.exp(-1j * np.outer(sr.eigenvalues, times[start : start + CHUNK]))
-            assert column is None and np.array_equal(block, direct)
+            origin = times[start] if start else 0.0
+            offsets = times[start : start + CHUNK] - origin
+            assert np.array_equal(block, np.exp(-1j * np.outer(sr.eigenvalues, offsets)))
+            assert np.array_equal(column, np.exp(-1j * (sr.eigenvalues * origin)))
             starts.append(start)
         assert starts == list(range(0, len(times), CHUNK))
 
@@ -307,6 +336,18 @@ def test_run_timeseries_grid_validation(linear_system):
         run_timeseries(spec, hop, pot, [packet], [], sr=sr)
     with pytest.raises(ValueError):
         run_timeseries(spec, hop, pot, [packet], [0.0, 0.0, 1.0], sr=sr)
+
+
+def test_run_timeseries_refuses_an_oracle_past_the_packets(linear_system):
+    # an index below 0 or past the packets; with no packets only the default 0 runs
+    spec, hop, pot, sr = linear_system
+    packet, grid = GaussianPacket(0, 0.2), [0.0, 1.0]
+    for packets, oracle in (([packet], -1), ([packet], 1), ([packet], 5), ([], -1), ([], 1)):
+        with pytest.raises(ValueError, match=f"of the {len(packets)} packets, got {oracle}"):
+            run_timeseries(spec, hop, pot, packets, grid, sr, oracle=oracle)
+    assert run_timeseries(spec, hop, pot, [], grid, sr) == []
+    runs = [run_timeseries(spec, hop, pot, [packet], grid, sr, oracle=i) for i in (0, None)]
+    assert runs[0][0].x_exact_oracle is not None and runs[1][0].x_exact_oracle is None
 
 
 def test_run_timeseries_linear_observables(linear_system):
@@ -501,8 +542,8 @@ def test_packets_in_another_window_fail_as_one_by_one(leaky_system):
 
 
 def test_packets_together_match_alone_on_direct_phases(linear_system):
-    # a grid of three chunks that is not k * dt takes each chunk's direct phases; every
-    # packet's observables are bit for bit those of the packet run alone
+    # a grid of three chunks that is not k * dt takes each chunk's own phases, direct from
+    # its first time; every packet's observables are bit for bit those of the packet alone
     spec, hop, pot, sr = linear_system
     grid = 0.15 + np.arange(2 * CHUNK + 5) * 0.05
     packets = [GaussianPacket(-10, 0.2), GaussianPacket(0, 0.05, k0=0.4), GaussianPacket(12, 0.1)]
@@ -527,7 +568,7 @@ def plain_observables(spec, psi0, sr, times):
     out = {name: np.empty(len(times)) for name in ("x_mean", "k_mean", "s_abs", "norm")}
     boundary, subnormal = 0.0, 0
     for start, phases, column in _phases(sr, times):
-        phased = phases * (coeff if column is None else coeff * column)[:, None]
+        phased = phases * (coeff * column)[:, None]
         block = (vecs @ phased.view(np.float64)).view(complex)
         stop = start + block.shape[1]
         parts = block.view(np.float64)

@@ -517,3 +517,20 @@ def test_wannier_stark_needs_force_and_states():
     two = SpectrumResult(np.array([-4.0, 4.0]), edges, 0.0)
     with pytest.raises(ValueError, match="need at least 3"):
         wannier_stark_analysis(two, spec, force=0.4)
+
+
+@pytest.mark.parametrize(
+    "analyse",
+    [
+        diagnose_states,
+        lambda sr, spec: degenerate_pairs(sr, spec, gap_tol=1.0),
+        lambda sr, spec: wannier_stark_analysis(sr, spec, force=0.4),
+    ],
+    ids=["diagnose_states", "degenerate_pairs", "wannier_stark_analysis"],
+)
+def test_diagnostics_refuse_a_spectrum_of_another_window(analyse):
+    hop, pot = Hopping.cosine(), Potential.linear(0.4)
+    sr = eigensolve(build_hamiltonian(LatticeSpec(20, 1.0), hop, pot))
+    for other in (LatticeSpec(10, 1.0), LatticeSpec(30, 1.0)):
+        with pytest.raises(ValueError, match=f"41 sites on a window of {other.n_sites}"):
+            analyse(sr, other)
