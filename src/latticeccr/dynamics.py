@@ -9,7 +9,9 @@ Packets that share an eigenbasis share one quasi-momentum build and then
 propagate one at a time, in order: each packet's chunks of CHUNK times are
 phased, multiplied by its coefficients in one GEMM and reduced to the
 observables, so one packet's amplitudes are held at a time, and each packet
-warns and fails as it runs, as run_timeseries on [packet] alone.
+warns and fails as it runs, as run_timeseries on [packet] alone. Each packet
+then gets its own CCR model and Heisenberg oracle from its own initial moments,
+so its record does not depend on the other packets or its place among them.
 
 The phases follow one rule on every time grid: in a chunk whose first time
 is t_s (0 for the first chunk), e^{-iEt} is the block exp(-i E (t - t_s))
@@ -24,7 +26,6 @@ direct form's own bound.
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -66,11 +67,11 @@ class GaussianPacket:
 class TimeSeries:
     """Sampled observables of one propagation run.
 
-    x_ccr holds the CCR prediction for the Hamiltonian (None unless the
-    potential is harmonic or linear); x_exact_oracle holds the closed-form
-    Heisenberg solution, recorded for every linear potential. boundary_max
-    records the largest boundary-site amplitude seen, the truncation-honesty
-    figure of merit.
+    x_ccr holds the CCR prediction for the Hamiltonian from this packet's
+    initial <x> and <k> (None unless the potential is harmonic or linear);
+    x_exact_oracle holds this packet's closed-form Heisenberg solution, recorded
+    for every linear potential. boundary_max records the largest boundary-site
+    amplitude seen, the truncation-honesty figure of merit.
     """
 
     times: np.ndarray
@@ -228,18 +229,17 @@ def run_timeseries(
     sr: SpectrumResult,
     leak_warn: float = LEAK_WARN,
     leak_fail: float = LEAK_FAIL,
-    oracle=0,
 ) -> list[TimeSeries]:
     """Propagate Gaussian packets in the spectrum sr of the Hamiltonian (hop, pot) and
     record each one's observables at each grid time: one TimeSeries per packet, in order.
 
     The packets share one quasi-momentum build and then propagate one at a time, so one
-    packet's amplitudes are held at a time. Only the packet at index oracle (None: none)
-    gets x_ccr and x_exact_oracle; any other index but 0 for no packets is a ValueError.
-    x_ccr is the CCR prediction for the Hamiltonian: ccr_position_harmonic for a harmonic
-    potential; for a linear one x_exact_oracle, the closed-form Heisenberg solution, with
-    cosine hopping (whose CCR trajectory is exact) and ccr_position_linear with any other;
-    None otherwise.
+    packet's amplitudes are held at a time, and each TimeSeries is that of the packet run
+    alone. Each packet's x_ccr is the CCR prediction for the Hamiltonian from the packet's
+    own <x> and <k> at t = 0: ccr_position_harmonic for a harmonic potential; for a linear
+    one x_exact_oracle, the packet's closed-form Heisenberg solution, with cosine hopping
+    (whose CCR trajectory is exact) and ccr_position_linear with any other; None otherwise.
+    A grid that is empty, not finite or not ascending from t >= 0 is a ValueError.
 
     Boundary amplitude above leak_warn, initially or during the run, issues a warning;
     above leak_fail the run aborts with LeakageError, and a norm drift above 1e-10 with
@@ -250,23 +250,16 @@ def run_timeseries(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise ValueError("t_grid must be a non-empty 1-D array")
+    if not np.isfinite(t_grid).all():
+        raise ValueError(f"t_grid must be finite, got {t_grid[~np.isfinite(t_grid)][0]}")
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must ascend from t >= 0")
-    if oracle is not None and not 0 <= oracle < max(len(packets), 1):
-        raise ValueError(f"oracle must index one of the {len(packets)} packets, got {oracle}")
 
     x = spec.positions
-    kop = build_quasi_momentum(spec).matrix
-    if oracle is not None and packets:
-        with contextlib.suppress(ValueError):  # a packet outside the window fails in its turn
-            psi0 = make_gaussian(spec, packets[oracle])
-            x0, k0 = expectation(psi0, x).real, expectation(psi0, kop).real
-    s_mat = np.ascontiguousarray(kop.imag)  # kop = i S, S real antisymmetric
-    del kop
-
+    s_mat = np.ascontiguousarray(build_quasi_momentum(spec).matrix.imag)  # k = i S, S real
     signs = (-1.0) ** np.abs(spec.sites)
     runs = []
-    for i, packet in enumerate(packets):
+    for packet in packets:
         psi0 = make_gaussian(spec, packet)
         edge = max(abs(psi0.amplitudes[0]), abs(psi0.amplitudes[-1]))
         if edge > leak_warn:
@@ -302,9 +295,12 @@ def run_timeseries(
                 f"boundary amplitude reached {boundary:.2e} > {leak_warn:.0e}", stacklevel=2
             )
         x_ccr = x_exact = None
-        if i == oracle and pot.kind == "harmonic":
+        if pot.kind in ("harmonic", "linear"):  # the packet's <x> and <k> = -2 u.(S v)
+            amp = psi0.amplitudes
+            x0, k0 = expectation(psi0, x).real, -2.0 * amp.real @ (s_mat @ amp.imag)
+        if pot.kind == "harmonic":
             x_ccr = ccr_position_harmonic(x0, k0, pot.curvature, t_grid)
-        elif i == oracle and pot.kind == "linear":
+        elif pot.kind == "linear":
             x_exact = exact_position_linear(psi0, spec, hop, pot.force, t_grid)
             cosine = hop.kind == "cosine"
             x_ccr = x_exact if cosine else ccr_position_linear(x0, k0, pot.force, t_grid)

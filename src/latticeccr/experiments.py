@@ -522,10 +522,10 @@ def _json_list(items, indent: int) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    tmp, data = path + ".tmp", text.encode("ascii")  # a cell that is not ASCII opens no file
     try:
         with open(tmp, "wb") as handle:
-            handle.write(text.encode("ascii"))
+            handle.write(data)
         os.replace(tmp, path)
     except OSError as err:
         with contextlib.suppress(OSError):  # there is no temp file if open failed
@@ -572,13 +572,13 @@ def _solve(plan: _Plan, hop: Hopping, pot: Potential, even_only=False):
     return _even_states(ham, tol) if even_only else eigensolve(ham, tol=tol)
 
 
-def _timeseries(plan: _Plan, hop: Hopping, pot: Potential, packets, oracle=0):
-    """The plan's time grid and one TimeSeries per packet, all propagated in one eigensolve;
-    only the packet at index oracle (None: none) carries the CCR model and the oracle."""
+def _timeseries(plan: _Plan, hop: Hopping, pot: Potential, packets):
+    """The plan's time grid and one TimeSeries per packet, all propagated in one eigensolve,
+    each with its own CCR model and Heisenberg oracle."""
     tgrid = np.arange(plan.points) * plan.params["time"]["dt"]
     sr, tol = _solve(plan, hop, pot), plan.params["tolerances"]
     leak = tol["leak_warn"], tol["leak_fail"]
-    return tgrid, run_timeseries(plan.spec, hop, pot, packets, tgrid, sr, *leak, oracle)
+    return tgrid, run_timeseries(plan.spec, hop, pot, packets, tgrid, sr, *leak)
 
 
 def _run_spectrum(plan):
@@ -660,9 +660,8 @@ def _run_fig3(plan):
 
 def _run_fig4(plan):
     params, ((_, hop, pot),) = plan.params, plan.solves
-    index = params["b"].index(params["oracle_b"])
-    tgrid, runs = _timeseries(plan, hop, pot, [packet for _, packet in plan.packets], index)
-    oracle = runs[index]
+    tgrid, runs = _timeseries(plan, hop, pot, [packet for _, packet in plan.packets])
+    oracle = runs[params["b"].index(params["oracle_b"])]
     series = [tgrid, *(r.x_mean for r in runs), oracle.x_ccr, oracle.x_exact_oracle]
     series += [r.s_abs for r in runs]
     derived = {
@@ -677,7 +676,7 @@ def _run_fig5(plan):
     spec, ((_, quad, pot), (_, cos, _)) = plan.spec, plan.solves
     *packets, nn_packet = [packet for _, packet in plan.packets]
     tgrid, runs = _timeseries(plan, quad, pot, packets)
-    _, (nn,) = _timeseries(plan, cos, pot, [nn_packet], None)
+    _, (nn,) = _timeseries(plan, cos, pot, [nn_packet])
     root = np.sqrt(pot.curvature)
     series = [tgrid, root * tgrid, *(r.x_mean for r in runs), runs[0].x_ccr, nn.x_mean]
     derived = {

@@ -35,8 +35,8 @@ class LatticeSpec:
     spacing: float = 1.0
 
     def __post_init__(self):
-        if self.half_width < 1:
-            raise ValueError(f"half_width must be >= 1, got {self.half_width}")
+        if not isinstance(self.half_width, (int, np.integer)) or self.half_width < 1:
+            raise ValueError(f"half_width must be an integer >= 1, got {self.half_width}")
         if not (self.spacing > 0):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
         square = float(self.spacing) * float(self.spacing)  # a float's ** 2 raises on overflow

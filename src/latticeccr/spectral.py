@@ -316,6 +316,8 @@ def harmonic_sweep(
     """
     if curvature <= 0:
         raise ValueError("curvature must be positive")
+    if not isinstance(states_per_point, (int, np.integer)) or states_per_point < 1:
+        raise ValueError(f"states_per_point must be an integer >= 1, got {states_per_point}")
     hop = Hopping.quadratic() if hopping is None else hopping
     rows_x, rows_n, rows_e, rows_ref = [], [], [], []
     for a in a_values:

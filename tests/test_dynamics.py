@@ -26,6 +26,7 @@ from latticeccr import (
     propagate,
     run_timeseries,
 )
+from latticeccr import dynamics
 from latticeccr.dynamics import CHUNK, LEAK_WARN, _phases
 
 
@@ -336,18 +337,46 @@ def test_run_timeseries_grid_validation(linear_system):
         run_timeseries(spec, hop, pot, [packet], [], sr=sr)
     with pytest.raises(ValueError):
         run_timeseries(spec, hop, pot, [packet], [0.0, 0.0, 1.0], sr=sr)
+    assert run_timeseries(spec, hop, pot, [], [0.0, 1.0], sr) == []
 
 
-def test_run_timeseries_refuses_an_oracle_past_the_packets(linear_system):
-    # an index below 0 or past the packets; with no packets only the default 0 runs
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_run_timeseries_refuses_a_non_finite_time(linear_system, bad, where):
+    # NaN compares false and +inf ascends, so the ascending check alone lets both through
     spec, hop, pot, sr = linear_system
-    packet, grid = GaussianPacket(0, 0.2), [0.0, 1.0]
-    for packets, oracle in (([packet], -1), ([packet], 1), ([packet], 5), ([], -1), ([], 1)):
-        with pytest.raises(ValueError, match=f"of the {len(packets)} packets, got {oracle}"):
-            run_timeseries(spec, hop, pot, packets, grid, sr, oracle=oracle)
-    assert run_timeseries(spec, hop, pot, [], grid, sr) == []
-    runs = [run_timeseries(spec, hop, pot, [packet], grid, sr, oracle=i) for i in (0, None)]
-    assert runs[0][0].x_exact_oracle is not None and runs[1][0].x_exact_oracle is None
+    grid = [0.0, 1.0, 2.0]
+    grid[where] = bad
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.2)], grid, sr)
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "linear"])
+def test_ccr_models_take_each_packets_own_k0(kind, monkeypatch):
+    # the k0 handed to the CCR model, -2 u.(S v) for psi = u + i v, is <k> of the
+    # quasi-momentum matrix within 4 eps relative, for kicked packets on two windows
+    models = {"harmonic": "ccr_position_harmonic", "linear": "ccr_position_linear"}
+    model = getattr(dynamics, models[kind])
+    seen = []
+
+    def recorded(x0, k0, *rest):
+        seen.append(k0)
+        return model(x0, k0, *rest)
+
+    monkeypatch.setattr(dynamics, models[kind], recorded)
+    pot = Potential.harmonic(0.01) if kind == "harmonic" else Potential.linear(0.4)
+    hop, kicks = Hopping.quadratic(), ((-10, 0.2, 0.7), (15, 0.05, -1.9), (0, 0.02, 0.3))
+    packets = [GaussianPacket(center, falloff, k0=k0) for center, falloff, k0 in kicks]
+    for half_width in (96, 288):
+        spec = LatticeSpec(half_width, 1.0)
+        sr = eigensolve(build_hamiltonian(spec, hop, pot))
+        seen.clear()
+        run_timeseries(spec, hop, pot, packets, [0.0, 1.0], sr)
+        assert len(seen) == len(packets)
+        kop = build_quasi_momentum(spec)
+        for packet, k0 in zip(packets, seen):
+            want = expectation(make_gaussian(spec, packet), kop).real
+            assert abs(k0 - want) <= 4 * np.finfo(float).eps * abs(want), (packet, k0, want)
 
 
 def test_run_timeseries_linear_observables(linear_system):
@@ -549,8 +578,8 @@ def test_packets_together_match_alone_on_direct_phases(linear_system):
     packets = [GaussianPacket(-10, 0.2), GaussianPacket(0, 0.05, k0=0.4), GaussianPacket(12, 0.1)]
     together = run_timeseries(spec, hop, pot, packets, grid, sr, 1.0, 1.0)
     for packet, ts in zip(packets, together, strict=True):
-        (alone,) = run_timeseries(spec, hop, pot, [packet], grid, sr, 1.0, 1.0, None)
-        for name in ("x_mean", "k_mean", "s_abs", "norm"):
+        (alone,) = run_timeseries(spec, hop, pot, [packet], grid, sr, 1.0, 1.0)
+        for name in ("x_mean", "k_mean", "s_abs", "norm", "x_ccr", "x_exact_oracle"):
             assert np.array_equal(getattr(ts, name), getattr(alone, name)), name
         assert ts.boundary_max == alone.boundary_max
 

@@ -292,7 +292,7 @@ def test_fig4_schema_and_oracle(tmp_path):
 @pytest.mark.parametrize("figure", ["fig4", "fig5"])
 def test_packets_propagate_together_bit_for_bit(figure):
     # each eigenbasis's default packets, propagated together, give the TimeSeries and the
-    # warnings of run_timeseries on each packet in turn; only the oracle packet has models
+    # warnings of run_timeseries on each packet in turn, each with its own models
     plan = experiments._plan(figure, parse_config(json.dumps({"experiment": figure})).params)
     tgrid = np.arange(plan.points) * plan.params["time"]["dt"]
     leak = plan.params["tolerances"]["leak_warn"], plan.params["tolerances"]["leak_fail"]
@@ -304,21 +304,19 @@ def test_packets_propagate_together_bit_for_bit(figure):
         with warnings.catch_warnings(record=True) as alone_warned:
             warnings.simplefilter("always")
             alone = [run_timeseries(plan.spec, hop, pot, [p], tgrid, sr, *leak)[0] for p in group]
-        for oracle in range(len(group)):
-            with warnings.catch_warnings(record=True) as warned:
-                warnings.simplefilter("always")
-                runs = run_timeseries(plan.spec, hop, pot, group, tgrid, sr, *leak, oracle)
-            assert [str(w.message) for w in warned] == [str(w.message) for w in alone_warned]
-            compared += len(warned)
-            for i, (got, want) in enumerate(zip(runs, alone, strict=True)):
-                for field in dataclasses.fields(TimeSeries):
-                    value, expected = getattr(got, field.name), getattr(want, field.name)
-                    if i != oracle and field.name in ("x_ccr", "x_exact_oracle"):
-                        assert value is None
-                    elif expected is None:
-                        assert value is None, field.name
-                    else:
-                        assert np.array_equal(value, expected), (i, field.name)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            runs = run_timeseries(plan.spec, hop, pot, group, tgrid, sr, *leak)
+        assert [str(w.message) for w in warned] == [str(w.message) for w in alone_warned]
+        compared += len(warned)
+        for i, (got, want) in enumerate(zip(runs, alone, strict=True)):
+            assert got.x_ccr is not None  # fig4's and fig5's potentials have a CCR model
+            for field in dataclasses.fields(TimeSeries):
+                value, expected = getattr(got, field.name), getattr(want, field.name)
+                if expected is None:
+                    assert value is None, (i, field.name)
+                else:
+                    assert np.array_equal(value, expected), (i, field.name)
     assert compared > 0  # the default runs warn of their boundary amplitudes
 
 

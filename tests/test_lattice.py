@@ -31,6 +31,10 @@ def test_lattice_spec_validation():
         LatticeSpec(0, 1.0)
     with pytest.raises(ValueError):
         LatticeSpec(4, -0.5)
+    for half_width in (2.5, 3.0, np.float64(3.0)):  # sites would be half-integers or floats
+        with pytest.raises(ValueError, match="half_width must be an integer"):
+            LatticeSpec(half_width)
+    assert LatticeSpec(np.int64(3)).n_sites == 7
     for a in (1e-200, 1e-160, 1e200, np.inf):  # a^2 or 1/a^2 under- or overflows
         with pytest.raises(ValueError, match="spacing"):
             LatticeSpec(3, a)

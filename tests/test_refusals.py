@@ -89,6 +89,12 @@ REFUSALS = {
         OSError,
         "failed writing",
     ),
+    # a cell that is not ASCII is refused before the temp file is opened
+    "dataset-not-ascii": (
+        lambda d: emit_dataset([["\u00e9"]], ["x"], str(d / "d.csv")),
+        ValueError,
+        "'ascii' codec",
+    ),
     # the temp file is written, then cannot replace the directory; it is removed
     "dataset-write-onto-directory": (
         lambda d: emit_dataset([], ["a"], _taken(d / "x.csv")),
@@ -103,4 +109,5 @@ def test_refusal_raises_its_error(name, tmp_path):
     call, error, pattern = REFUSALS[name]
     with pytest.raises(error, match=pattern):
         call(tmp_path)
-    assert not list(tmp_path.rglob("*.tmp"))  # a failed write leaves no temp file
+    # a failed write leaves no dataset and no temp file
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]

@@ -422,12 +422,20 @@ def test_threshold_estimate_values():
 
 
 def test_harmonic_sweep_continuum_region():
-    sweep = harmonic_sweep(0.01, [0.5, 1.0], states_per_point=8, half_width=60)
+    sweep = harmonic_sweep(0.01, [0.5, 1.0], states_per_point=np.int64(8), half_width=60)
+    assert sweep.index.tolist() == [*range(8)] * 2  # a numpy integer counts the states
     below = sweep.ac_quarter < 1.0
     ratios = sweep.e_over_sqrt_c[below] / (sweep.index[below] + 0.5)
     assert np.abs(ratios - 1.0).max() < 0.01
     assert np.all(sweep.e_over_sqrt_c >= 0.0)
     assert np.allclose(sweep.reference, 3.0 / sweep.ac_quarter**2)
+
+
+@pytest.mark.parametrize("states", [-1, 0, 2.5, 3.0, "3"])
+def test_harmonic_sweep_refuses_states_per_point_below_one(states):
+    # -1 would slice [:-1] and keep all but one state, 0 none and 2.5 fail in numpy
+    with pytest.raises(ValueError, match="states_per_point must be an integer >= 1"):
+        harmonic_sweep(0.01, [1.0], states_per_point=states, half_width=10)
 
 
 def test_degenerate_pairs_high_lattice_regime():
