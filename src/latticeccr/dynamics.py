@@ -5,13 +5,25 @@ phases), so unitarity is exact to rounding and no integrator error enters
 the comparisons between exact dynamics and the trajectories predicted by
 assuming the canonical commutation relation.
 
-Packets that share an eigenbasis share one quasi-momentum build and then
-propagate one at a time, in order: each packet's chunks of CHUNK times are
-phased, multiplied by its coefficients in one GEMM and reduced to the
-observables, so one packet's amplitudes are held at a time, and each packet
-warns and fails as it runs, as run_timeseries on [packet] alone. Each packet
-then gets its own CCR model and Heisenberg oracle from its own initial moments,
-so its record does not depend on the other packets or its place among them.
+Packets that share an eigenbasis propagate one at a time, in order: each
+packet's chunks of CHUNK times are phased, multiplied by its coefficients and
+reduced to the observables, so one packet's amplitudes are held at a time, and
+each packet warns and fails as it runs, as run_timeseries on [packet] alone.
+Each packet then gets its own CCR model and Heisenberg oracle from its own
+initial moments, so its record does not depend on the other packets or its
+place among them.
+
+Propagation works through the site reflection m -> -m. The quasi-momentum
+k = i S is antisymmetric Toeplitz and maps reflection-even vectors to odd ones,
+so <k> needs only the real c x (c + 1) block M that takes the even halves
+psi[c:] + psi[c::-1] to the odd ones (c = half_width), built from the 1-D
+kernel: one GEMM of half the rows and columns of S psi, for every run, and no
+N x N quasi-momentum matrix. When the eigenvectors are exact parity vectors
+(v == +-v[::-1], as eigensolve gives for every Hamiltonian it splits into parity
+blocks), the amplitudes are two half-size GEMMs, the even columns' right halves
+E and the odd columns' O, and the block is filled as psi_{+-i} = E_i +- O_i; every
+other observable is the same reduction of the full block. propagate keeps the
+full-basis product as the per-time reference.
 
 The phases follow one rule on every time grid: in a chunk whose first time
 is t_s (0 for the first chunk), e^{-iEt} is the block exp(-i E (t - t_s))
@@ -32,16 +44,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, ToleranceError
-from .lattice import Hopping, LatticeSpec, Potential, StateVector, build_quasi_momentum, expectation
+from .lattice import (
+    HERMITICITY_BLOCK,
+    Hopping,
+    LatticeSpec,
+    Potential,
+    StateVector,
+    _phase_kernel,
+    expectation,
+)
 from .spectral import SpectrumResult
 
 LEAK_WARN = 1e-10
 LEAK_FAIL = 1e-6
 CHUNK = 128  # grid times per evolution block: memory O(N * CHUNK), not O(N * len(grid))
-# _evolve's blocks hold _UNIT psi. A power of two changes no rounding unless a value under-
+# run_timeseries' blocks hold _UNIT psi. A power of two changes no rounding unless a value under-
 # or overflows, so each observable is bit-identical to the plain one, while the Bessel tails
 # of cosine hopping (below 2^-1022) stay normal floats off the slow subnormal path. Nothing
-# overflows: at LatticeSpec's extremes |x| <= 2^512 * 2^30, ||S|| <= pi/a < 2^514 and
+# overflows: at LatticeSpec's extremes |x| <= 2^512 * 2^30, ||S|| <= pi/a < 2^514, the
+# reflection block |M| <= 2 ||S||, the halves |psi_i +- psi_-i| <= 2 |psi| and
 # sum |_UNIT psi|^2 = 2^256, so every product and sum stays below 2^800.
 _UNIT = 2.0**128
 
@@ -96,10 +117,15 @@ def make_gaussian(spec: LatticeSpec, packet: GaussianPacket) -> StateVector:
 
 
 def _coefficients(psi: StateVector, sr: SpectrumResult) -> np.ndarray:
-    """_UNIT times the state's coefficients in the eigenbasis of sr."""
+    """_UNIT times the state's coefficients in the eigenbasis of sr: for real eigenvectors V
+    one real GEMM V^T [Re psi, Im psi], with no complex copy of V."""
     if len(psi.amplitudes) != sr.dimension:
         raise ValueError("state dimension does not match the spectrum")
-    coeff = sr.eigenvectors.conj().T @ psi.amplitudes
+    vecs = sr.eigenvectors
+    if np.iscomplexobj(vecs):
+        coeff = vecs.conj().T @ psi.amplitudes
+    else:
+        coeff = (vecs.T @ psi.amplitudes.view(np.float64).reshape(-1, 2)).view(complex)[:, 0]
     coeff *= _UNIT
     return coeff
 
@@ -114,11 +140,10 @@ def _chunks(times: np.ndarray):
         yield start, origin, None if start and step else times[start : start + CHUNK] - origin
 
 
-def _phases(sr: SpectrumResult, times: np.ndarray):
+def _phases(energies: np.ndarray, times: np.ndarray):
     """Yield (start, block, column) over _chunks, the chunk's exp(-i E t) being
-    block * column[:, None]: row j for eigenvalue j, column i for times[start + i]. block
+    block * column[:, None]: row j for energies[j], column i for times[start + i]. block
     is exp(-i E tau), made once on a k * dt grid and shared, and column exp(-i E t_s)."""
-    energies = sr.eigenvalues
     for start, origin, tau in _chunks(times):
         if tau is not None:
             block = -1j * np.outer(energies, tau)
@@ -137,15 +162,76 @@ def _block(vecs: np.ndarray, phases: np.ndarray, column: np.ndarray, coeff: np.n
     return (vecs @ phased.view(np.float64)).view(complex)
 
 
-def _observables(block: np.ndarray, x: np.ndarray, s_mat: np.ndarray, signs: np.ndarray):
-    """<x>, <k>, |S|, the norm and the larger boundary amplitude at each time of a block
-    of _UNIT psi, each sum scaled back; s_mat is S of the quasi-momentum k = i S."""
+def _parity_halves(sr: SpectrumResult, spec: LatticeSpec):
+    """(order, (even, odd)) when sr's eigenvectors are real vectors on spec's window with
+    v == +-v[::-1] exactly, as eigensolve gives for every Hamiltonian it splits, else None.
+    order lists the even columns, then the odd ones; even holds the even columns' right
+    halves v[c:] and odd the odd columns' v[c + 1:], c = half_width (an odd v has v[c] = 0).
+    The check reads tiles of HERMITICITY_BLOCK columns, so it makes no N x N temporary."""
+    vecs, c = sr.eigenvectors, spec.half_width
+    if np.iscomplexobj(vecs) or vecs.shape[0] != spec.n_sites:
+        return None
+    b, even = HERMITICITY_BLOCK, np.empty(vecs.shape[1], dtype=bool)
+    for j in range(0, vecs.shape[1], b):
+        right, left = vecs[c:, j : j + b], vecs[c::-1, j : j + b]
+        even[j : j + b] = (right == left).all(axis=0)
+        if not (even[j : j + b] | (right == -left).all(axis=0)).all():
+            return None
+    order = np.concatenate([np.flatnonzero(even), np.flatnonzero(~even)])
+    return order, (vecs[c:, even], vecs[c + 1 :, ~even])
+
+
+def _split_block(halves: tuple, phases: np.ndarray, column: np.ndarray, coeff: np.ndarray):
+    """_block on the halves of _parity_halves, with coeff and the phases' rows in its order:
+    two half-size real GEMMs, E of the even columns' right halves and O of the odd ones',
+    times their phased coefficients, fill the block as psi_{+-i} = E_i +- O_i (psi_0 = E_0).
+    E is made in the block's rows c.., so O is the one temporary."""
+    (even, odd), phased = halves, (phases * (coeff * column)[:, None]).view(np.float64)
+    c = len(odd)
+    block = np.empty((2 * c + 1, phased.shape[1] // 2), dtype=complex)
     parts = block.view(np.float64)
-    u, v = parts[:, 0::2], np.ascontiguousarray(parts[:, 1::2])  # BLAS needs unit stride
+    np.matmul(even, phased[: even.shape[1]], out=parts[c:])
+    odd_part = odd @ phased[even.shape[1] :]
+    np.subtract(parts[c + 1 :], odd_part, out=parts[c - 1 :: -1])
+    parts[c + 1 :] += odd_part
+    return block
+
+
+def _reflection_block(spec: LatticeSpec) -> np.ndarray:
+    """The real c x (c + 1) block M[i - 1, j] = s(i - j) + s(i + j), i = 1..c, j = 0..c,
+    with column 0 s(i), of the quasi-momentum k = i S, S[m, n] = s(m - n) antisymmetric
+    Toeplitz: (S e)_i = (M pe)_i / 2 for i > 0 and the even vector e of halves pe
+    (_momentum). Two sliding windows of the kernel s, so no N x N or c x c index array."""
+    c = spec.half_width
+    s = (_phase_kernel(spec) / spec.spacing).imag  # s(d) at index d + 2c
+    windows = np.lib.stride_tricks.sliding_window_view
+    hankel = windows(s, c + 1)[2 * c + 1 :]  # row i - 1: s(i + j)
+    block = windows(s[::-1], c + 1)[2 * c - 1 : c - 1 : -1] + hankel  # s(i - j) + s(i + j)
+    block[:, 0] = hankel[:, 0]
+    return block
+
+
+def _momentum(block: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<k> times the squared norm at each column of a block of amplitudes psi, through its
+    reflection halves pe = psi[c:] + psi[c::-1] and po = psi[c + 1:] - psi[c - 1::-1]:
+    <k> = -Im sum conj(po) (M pe), M the _reflection_block, since S maps even vectors to odd
+    ones. One real GEMM of half the rows and columns of S psi."""
+    c = len(m)
+    even = (block[c:] + block[c::-1]).view(np.float64)
+    odd = (block[c + 1 :] - block[c - 1 :: -1]).view(np.float64)
+    mixed = m @ even
+    return (odd[:, 1::2] * mixed[:, 0::2] - odd[:, 0::2] * mixed[:, 1::2]).sum(axis=0)
+
+
+def _observables(block: np.ndarray, x: np.ndarray, m: np.ndarray, signs: np.ndarray):
+    """<x>, <k>, |S|, the norm and the larger boundary amplitude at each time of a block
+    of _UNIT psi, each sum scaled back; m is the _reflection_block of <k>."""
+    parts = block.view(np.float64)
+    u, v = parts[:, 0::2], parts[:, 1::2]
     prob = u * u + v * v
     return (
         x @ prob / _UNIT**2,
-        -2.0 * (u * (s_mat @ v)).sum(axis=0) / _UNIT**2,  # <k> = -2 u.(S v) for psi = u + i v
+        _momentum(block, m) / _UNIT**2,
         np.abs((signs @ parts).view(complex)) / _UNIT,
         np.sqrt(prob.sum(axis=0)) / _UNIT,
         np.maximum(np.abs(block[0]), np.abs(block[-1])) / _UNIT,
@@ -155,7 +241,7 @@ def _observables(block: np.ndarray, x: np.ndarray, s_mat: np.ndarray, signs: np.
 def propagate(psi0: StateVector, sr: SpectrumResult, t: float) -> StateVector:
     """Evolve a state to time t in the eigenbasis of its Hamiltonian."""
     coeff = _coefficients(psi0, sr)
-    ((_, phases, column),) = _phases(sr, np.array([t], dtype=float))
+    ((_, phases, column),) = _phases(sr.eigenvalues, np.array([t], dtype=float))
     block = _block(sr.eigenvectors, phases, column, coeff)
     return StateVector(block[:, 0] / _UNIT, normalized=psi0.normalized)
 
@@ -233,12 +319,14 @@ def run_timeseries(
     """Propagate Gaussian packets in the spectrum sr of the Hamiltonian (hop, pot) and
     record each one's observables at each grid time: one TimeSeries per packet, in order.
 
-    The packets share one quasi-momentum build and then propagate one at a time, so one
-    packet's amplitudes are held at a time, and each TimeSeries is that of the packet run
-    alone. Each packet's x_ccr is the CCR prediction for the Hamiltonian from the packet's
-    own <x> and <k> at t = 0: ccr_position_harmonic for a harmonic potential; for a linear
-    one x_exact_oracle, the packet's closed-form Heisenberg solution, with cosine hopping
-    (whose CCR trajectory is exact) and ccr_position_linear with any other; None otherwise.
+    The packets share one reflection block of the quasi-momentum and, for a spectrum of
+    exact parity vectors, one pair of half-size eigenvector blocks (see the module
+    docstring), and then propagate one at a time, so one packet's amplitudes are held at
+    a time, and each TimeSeries is that of the packet run alone. Each packet's x_ccr is
+    the CCR prediction for the Hamiltonian from the packet's own <x> and <k> at t = 0:
+    ccr_position_harmonic for a harmonic potential; for a linear one x_exact_oracle, the
+    packet's closed-form Heisenberg solution, with cosine hopping (whose CCR trajectory
+    is exact) and ccr_position_linear with any other; None otherwise.
     A grid that is empty, not finite or not ascending from t >= 0 is a ValueError.
 
     Boundary amplitude above leak_warn, initially or during the run, issues a warning;
@@ -256,8 +344,14 @@ def run_timeseries(
         raise ValueError("t_grid must ascend from t >= 0")
 
     x = spec.positions
-    s_mat = np.ascontiguousarray(build_quasi_momentum(spec).matrix.imag)  # k = i S, S real
+    m = _reflection_block(spec)
     signs = (-1.0) ** np.abs(spec.sites)
+    halves = _parity_halves(sr, spec)
+    if halves is None:
+        order, basis, product = slice(None), sr.eigenvectors, _block
+    else:
+        (order, basis), product = halves, _split_block
+    energies = sr.eigenvalues[order]
     runs = []
     for packet in packets:
         psi0 = make_gaussian(spec, packet)
@@ -267,14 +361,12 @@ def run_timeseries(
                 f"initial packet has boundary amplitude {edge:.2e} > {leak_warn:.0e}",
                 stacklevel=2,
             )
-        coeff = _coefficients(psi0, sr)
+        coeff = _coefficients(psi0, sr)[order]
         x_mean, k_mean, s_abs, norm = series = np.empty((4, len(t_grid)))
         boundary = 0.0
-        for start, phases, column in _phases(sr, t_grid):
+        for start, phases, column in _phases(energies, t_grid):
             # one chunk's amplitudes at a time, freed as _observables returns
-            *values, edge = _observables(
-                _block(sr.eigenvectors, phases, column, coeff), x, s_mat, signs
-            )
+            *values, edge = _observables(product(basis, phases, column, coeff), x, m, signs)
             stop = start + len(edge)
             series[:, start:stop] = values
             drift = np.abs(norm[start:stop] - 1.0) > 1e-10
@@ -295,9 +387,8 @@ def run_timeseries(
                 f"boundary amplitude reached {boundary:.2e} > {leak_warn:.0e}", stacklevel=2
             )
         x_ccr = x_exact = None
-        if pot.kind in ("harmonic", "linear"):  # the packet's <x> and <k> = -2 u.(S v)
-            amp = psi0.amplitudes
-            x0, k0 = expectation(psi0, x).real, -2.0 * amp.real @ (s_mat @ amp.imag)
+        if pot.kind in ("harmonic", "linear"):  # the packet's <x> and <k>, as _observables'
+            x0, k0 = expectation(psi0, x).real, _momentum(psi0.amplitudes[:, None], m)[0]
         if pot.kind == "harmonic":
             x_ccr = ccr_position_harmonic(x0, k0, pot.curvature, t_grid)
         elif pot.kind == "linear":

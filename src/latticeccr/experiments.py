@@ -481,6 +481,17 @@ def _kind(cls) -> str:
     return "int" if issubclass(cls, (int, np.integer)) else "float"
 
 
+def _json_float(token: str) -> str:
+    """The JSON text of a "%.12g" token, repr(float(token)) as json writes it: %g and repr
+    write one value alike except that %g writes an integral one without ".0", exponents
+    12 to 15 where repr writes fixed notation, and at exponents to -308 the digits that
+    a subnormal float may not keep."""
+    if "e" in token:
+        exponent = int(token[token.index("e") + 1 :])
+        return repr(float(token)) if 12 <= exponent <= 15 or exponent <= -308 else token
+    return _JSON_FLOATS.get(token, token + ".0")
+
+
 def _converted(cells, kind: str, fmt: str) -> tuple:
     """(conversion, values): the %-conversion that writes cells of one kind, and the values
     it takes. A str is written as is in CSV and quoted in JSON, a bool as true or false, a
@@ -495,8 +506,8 @@ def _converted(cells, kind: str, fmt: str) -> tuple:
     values = [float(cell) + 0.0 for cell in cells]
     if fmt == "csv":
         return "%.11e", values
-    rounded = map(float, ("%.11e " * len(values) % tuple(values)).split())
-    return "%s", [_JSON_FLOATS.get(t, t) for t in map(repr, rounded)]
+    tokens = ("%.12g " * len(values) % tuple(values)).split()
+    return "%s", [t if "." in t and "e" not in t else _json_float(t) for t in tokens]
 
 
 def _column(cells, fmt: str) -> tuple:

@@ -26,7 +26,7 @@ from latticeccr import (
     propagate,
     run_timeseries,
 )
-from latticeccr import dynamics
+from latticeccr import dynamics, lattice
 from latticeccr.dynamics import CHUNK, LEAK_WARN, _phases
 
 
@@ -213,7 +213,7 @@ def assert_within_direct_bound(hop, times):
     spec, force = LatticeSpec(288, 1.0), 0.5
     sr = eigensolve(build_hamiltonian(spec, hop, Potential.linear(force)))
     eps = np.finfo(float).eps
-    for start, block, column in _phases(sr, times):
+    for start, block, column in _phases(sr.eigenvalues, times):
         et = np.outer(sr.eigenvalues, times[start : start + CHUNK])
         err = np.abs(block * column[:, None] - np.exp(-1j * et))
         assert np.all(err <= 4 * eps * (1 + np.abs(et)))
@@ -251,7 +251,7 @@ def test_phases_off_the_step_grid_are_the_direct_ones():
     for times in (np.linspace(0.0, 40.0, 2 * CHUNK + 9) ** 1.01, np.arange(CHUNK) * 0.1, [12.5]):
         times = np.asarray(times)
         starts = []
-        for start, block, column in _phases(sr, times):
+        for start, block, column in _phases(sr.eigenvalues, times):
             origin = times[start] if start else 0.0
             offsets = times[start : start + CHUNK] - origin
             assert np.array_equal(block, np.exp(-1j * np.outer(sr.eigenvalues, offsets)))
@@ -353,8 +353,9 @@ def test_run_timeseries_refuses_a_non_finite_time(linear_system, bad, where):
 
 @pytest.mark.parametrize("kind", ["harmonic", "linear"])
 def test_ccr_models_take_each_packets_own_k0(kind, monkeypatch):
-    # the k0 handed to the CCR model, -2 u.(S v) for psi = u + i v, is <k> of the
-    # quasi-momentum matrix within 4 eps relative, for kicked packets on two windows
+    # the k0 handed to the CCR model, -Im sum conj(po) (M pe) over the packet's reflection
+    # halves, is <k> of the quasi-momentum matrix within 4 eps relative, for kicked
+    # packets on two windows
     models = {"harmonic": "ccr_position_harmonic", "linear": "ccr_position_linear"}
     model = getattr(dynamics, models[kind])
     seen = []
@@ -377,6 +378,103 @@ def test_ccr_models_take_each_packets_own_k0(kind, monkeypatch):
         for packet, k0 in zip(packets, seen):
             want = expectation(make_gaussian(spec, packet), kop).real
             assert abs(k0 - want) <= 4 * np.finfo(float).eps * abs(want), (packet, k0, want)
+
+
+def test_reflection_block_is_the_quasi_momentum_bit_for_bit():
+    # M[i - 1, j] = S[c + i, c + j] + S[c + i, c - j] for j > 0 and S[c + i, c] in column 0:
+    # the same kernel entries as the N x N matrix's, summed once
+    spec = LatticeSpec(37, 0.7)
+    c, s_mat = spec.half_width, build_quasi_momentum(spec).matrix.imag
+    m = dynamics._reflection_block(spec)
+    assert m.shape == (c, c + 1)
+    assert np.array_equal(m[:, 1:], s_mat[c + 1 :, c + 1 :] + s_mat[c + 1 :, c - 1 :: -1])
+    assert np.array_equal(m[:, 0], s_mat[c + 1 :, c])
+
+
+def full_basis_block(spec, hop, pot, packet, times):
+    """The spectrum, the packet's _coefficients, the first chunk's phase block and column,
+    and that chunk's block V @ phased on the full basis."""
+    sr = eigensolve(build_hamiltonian(spec, hop, pot))
+    coeff = dynamics._coefficients(make_gaussian(spec, packet), sr)
+    ((_, phases, column),) = _phases(sr.eigenvalues, times)
+    return sr, coeff, phases, column, dynamics._block(sr.eigenvectors, phases, column, coeff)
+
+
+@pytest.mark.parametrize(
+    "hop, pot, packet",
+    [
+        (Hopping.quadratic(), Potential.linear(0.4), GaussianPacket(5, 0.05, k0=0.9)),
+        (Hopping.quadratic(), Potential.harmonic(0.01), GaussianPacket(-20, 0.1, k0=0.4)),
+    ],
+    ids=["bloch", "harmonic"],
+)
+def test_momentum_from_reflection_halves_matches_the_full_product(hop, pot, packet):
+    # <k> |psi|^2 = -Im sum conj(po) (M pe) against the full-basis -2 u.(S v) with the N x N
+    # S, at a = 0.7: within 16 eps ||S|| |psi|^2, ||S|| <= pi / a (4.5 eps measured)
+    spec = LatticeSpec(96, 0.7)
+    times = np.arange(CHUNK) * 0.37
+    *_, block = full_basis_block(spec, hop, pot, packet, times)
+    u, v = block.real, block.imag
+    want = -2.0 * (u * (build_quasi_momentum(spec).matrix.imag @ v)).sum(axis=0)
+    got = dynamics._momentum(block, dynamics._reflection_block(spec))
+    bound = 16 * np.finfo(float).eps * (np.pi / spec.spacing) * (u * u + v * v).sum(axis=0)
+    assert np.all(np.abs(got - want) <= bound)
+    assert np.abs(got).min() > 1e3 * bound.max()  # moving packets: the bound is relative
+
+
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=lambda h: h.kind)
+def test_parity_block_matches_the_full_product(hop):
+    # psi_{+-i} = E_i +- O_i from the even and the odd columns' right halves against the
+    # full V @ phased: within 16 eps |coefficients| at every time (4 eps measured)
+    spec = LatticeSpec(96, 0.7)
+    times = np.arange(CHUNK) * 0.37
+    pot, packet = Potential.harmonic(0.02), GaussianPacket(10, 0.1, k0=-0.4)
+    sr, coeff, _, _, full = full_basis_block(spec, hop, pot, packet, times)
+    order, halves = dynamics._parity_halves(sr, spec)
+    assert sorted(order) == list(range(spec.n_sites))
+    ((_, phases, column),) = _phases(sr.eigenvalues[order], times)
+    split = dynamics._split_block(halves, phases, column, coeff[order])
+    bound = 16 * np.finfo(float).eps * np.linalg.norm(coeff)
+    assert np.abs(split - full).max() <= bound
+    assert not np.array_equal(split, full)  # the sums do run in another order
+
+
+def test_parity_halves_only_for_exact_parity_vectors_of_the_window():
+    # a linear potential's vectors, complex ones, a spectrum of another window and one
+    # column a rounding off its reflection all take the full basis
+    spec = LatticeSpec(24, 1.0)
+    sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.01)))
+    assert dynamics._parity_halves(sr, spec) is not None
+    tilted = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.linear(0.4)))
+    other = LatticeSpec(20, 1.0)
+    vecs = sr.eigenvectors.copy()
+    vecs[0, 7] = np.nextafter(vecs[0, 7], 1.0)
+    for bad, window in [
+        (tilted, spec),
+        (SpectrumResult(sr.eigenvalues, sr.eigenvectors * 1j, 0.0), spec),
+        (sr, other),
+        (SpectrumResult(sr.eigenvalues, vecs, 0.0), spec),
+    ]:
+        assert dynamics._parity_halves(bad, window) is None
+
+
+def test_run_timeseries_builds_no_quasi_momentum_matrix(monkeypatch):
+    # <k> and each packet's k0 come from the c x (c + 1) reflection block alone
+    def refused(*args):
+        raise AssertionError("an N x N quasi-momentum or Toeplitz matrix was built")
+
+    spec = LatticeSpec(48, 0.8)
+    hop, packet = Hopping.quadratic(), GaussianPacket(5, 0.2, k0=0.3)
+    solved = [
+        (pot, eigensolve(build_hamiltonian(spec, hop, pot)))
+        for pot in (Potential.harmonic(0.01), Potential.linear(0.4))
+    ]
+    for name in ("build_quasi_momentum", "build_phase_operator", "_toeplitz"):
+        monkeypatch.setattr(lattice, name, refused)
+        monkeypatch.setattr(dynamics, name, refused, raising=False)
+    for pot, sr in solved:
+        (ts,) = run_timeseries(spec, hop, pot, [packet], np.arange(CHUNK + 3) * 0.1, sr, 1.0, 1.0)
+        assert ts.x_ccr is not None and np.all(np.isfinite(ts.k_mean))
 
 
 def test_run_timeseries_linear_observables(linear_system):
@@ -587,33 +685,51 @@ def test_packets_together_match_alone_on_direct_phases(linear_system):
 def plain_observables(spec, psi0, sr, times):
     """run_timeseries' observables from blocks of the plain amplitudes psi, not
     2^128 psi: the unscaled block loop on the phases of _phases, the reference for
-    the scaled one. Also returns the number of subnormal real components over the
-    blocks."""
-    vecs = sr.eigenvectors
+    the scaled one. The coefficients are the real product V^T [Re psi, Im psi]. The
+    block is V @ phased, or for exact parity vectors (v == +-v[::-1]) psi_{+-i} =
+    E_i +- O_i from the even and the odd columns' right halves, the even columns'
+    rows first. <k> is -Im sum conj(po) (M pe) over the reflection halves pe and po,
+    M taken from the N x N S. Also returns the number of subnormal real components
+    over the blocks."""
+    vecs, c = sr.eigenvectors, spec.half_width
     assert not np.iscomplexobj(vecs)
-    coeff = vecs.T @ psi0.amplitudes
-    s_mat = np.ascontiguousarray(build_quasi_momentum(spec).matrix.imag)
+    coeff = (vecs.T @ psi0.amplitudes.view(np.float64).reshape(-1, 2)).view(complex)[:, 0]
+    s_mat = build_quasi_momentum(spec).matrix.imag
+    m = s_mat[c + 1 :, c:] + s_mat[c + 1 :, c::-1]
+    m[:, 0] = s_mat[c + 1 :, c]
+    even = np.all(vecs[c:] == vecs[c::-1], axis=0)
+    split = np.all(even | np.all(vecs[c:] == -vecs[c::-1], axis=0))
+    order = np.concatenate([np.flatnonzero(even), np.flatnonzero(~even)])
+    if not split:
+        order = np.arange(len(coeff))
     signs = (-1.0) ** np.abs(spec.sites)
     out = {name: np.empty(len(times)) for name in ("x_mean", "k_mean", "s_abs", "norm")}
     boundary, subnormal = 0.0, 0
-    for start, phases, column in _phases(sr, times):
-        phased = phases * (coeff * column)[:, None]
-        block = (vecs @ phased.view(np.float64)).view(complex)
+    for start, phases, column in _phases(sr.eigenvalues[order], times):
+        phased = (phases * (coeff[order] * column)[:, None]).view(np.float64)
+        if split:
+            e = vecs[c:, even] @ phased[: np.count_nonzero(even)]
+            o = vecs[c + 1 :, ~even] @ phased[np.count_nonzero(even) :]
+            parts = np.concatenate([(e[1:] - o)[::-1], e[:1], e[1:] + o])
+        else:
+            parts = vecs @ phased
+        block = parts.view(complex)
         stop = start + block.shape[1]
-        parts = block.view(np.float64)
         subnormal += np.count_nonzero((parts != 0) & (np.abs(parts) < np.finfo(float).tiny))
-        u, v = parts[:, 0::2], np.ascontiguousarray(parts[:, 1::2])
+        u, v = parts[:, 0::2], parts[:, 1::2]
         prob = u * u + v * v
+        pe = (block[c:] + block[c::-1]).view(np.float64)
+        po = (block[c + 1 :] - block[c - 1 :: -1]).view(np.float64)
+        mpe = m @ pe
         out["x_mean"][start:stop] = spec.positions @ prob
-        out["k_mean"][start:stop] = -2.0 * (u * (s_mat @ v)).sum(axis=0)
+        out["k_mean"][start:stop] = (po[:, 1::2] * mpe[:, 0::2] - po[:, 0::2] * mpe[:, 1::2]).sum(0)
         out["s_abs"][start:stop] = np.abs((signs @ parts).view(complex))
         out["norm"][start:stop] = np.sqrt(prob.sum(axis=0))
         boundary = max(boundary, np.maximum(np.abs(block[0]), np.abs(block[-1])).max())
     return out, boundary, subnormal
 
 
-def assert_matches_plain_blocks(spec, hop, force, packet, times):
-    pot = Potential.linear(force)
+def assert_matches_plain_blocks(spec, hop, pot, packet, times):
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
     with np.errstate(over="raise", invalid="raise"):
         (ts,) = run_timeseries(spec, hop, pot, [packet], times, sr, leak_warn=1.0, leak_fail=1.0)
@@ -621,7 +737,7 @@ def assert_matches_plain_blocks(spec, hop, force, packet, times):
     for name, values in want.items():
         assert np.array_equal(getattr(ts, name), values), name
     assert ts.boundary_max == boundary
-    return subnormal
+    return subnormal, dynamics._parity_halves(sr, spec) is not None
 
 
 def test_run_timeseries_matches_plain_blocks_on_subnormal_tails():
@@ -630,7 +746,8 @@ def test_run_timeseries_matches_plain_blocks_on_subnormal_tails():
     spec, force = LatticeSpec(288, 1.0), 0.5
     times = np.linspace(0.0, 3 * 2 * np.pi / force, 2 * CHUNK + 45)
     packet = GaussianPacket(0, 0.02, k0=0.3)
-    subnormal = assert_matches_plain_blocks(spec, Hopping.cosine(), force, packet, times)
+    pot = Potential.linear(force)
+    subnormal, _ = assert_matches_plain_blocks(spec, Hopping.cosine(), pot, packet, times)
     assert subnormal > 10 * len(times)  # the reference does take the subnormal path
 
 
@@ -638,22 +755,40 @@ def test_run_timeseries_matches_plain_blocks_on_subnormal_tails():
 @pytest.mark.parametrize("a", [1e-150, 1.3e154])
 def test_run_timeseries_matches_plain_blocks_at_extreme_spacings(hop, a):
     # |x| up to 2^517 at a = 1.3e154, ||S|| near 2^501 at a = 1e-150: the scaled sums
-    # neither overflow nor round apart
+    # neither overflow nor round apart, on the full basis. At a = 1e-150 a linear -F a m
+    # would be lost below the hopping's 1/a^2 and leave the Hamiltonian mirror-symmetric,
+    # so the tilt there is m / (20 a^2)
+    spec = LatticeSpec(40, a)
+    pot = Potential.linear(0.5 / a) if a > 1 else Potential.custom(spec.sites / (20 * a * a))
+    times = np.arange(CHUNK + 9) * 0.05 * min(a * a, 1.0)
+    packet = GaussianPacket(2, 0.05, k0=0.3 / a)
+    assert not assert_matches_plain_blocks(spec, hop, pot, packet, times)[1]
+
+
+@pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=lambda h: h.kind)
+@pytest.mark.parametrize("a", [1e-150, 1.3e154])
+def test_parity_halves_match_plain_blocks_at_extreme_spacings(hop, a):
+    # the same on the parity halves of a constant potential, whose eigenvectors are exact
+    # parity vectors: |M| <= 2 ||S|| and |psi_i +- psi_-i| <= 2 |psi| overflow nothing
     spec = LatticeSpec(40, a)
     times = np.arange(CHUNK + 9) * 0.05 * min(a * a, 1.0)
-    assert_matches_plain_blocks(spec, hop, 0.5 / a, GaussianPacket(2, 0.05, k0=0.3 / a), times)
+    packet = GaussianPacket(2, 0.05, k0=0.3 / a)
+    pot = Potential.constant(0.0)
+    assert assert_matches_plain_blocks(spec, hop, pot, packet, times)[1]
 
 
 def test_propagate_differs_from_plain_product_only_at_the_subnormal_grain():
     # scaled back from 2^128 psi, a component whose plain product underflowed is
-    # rounded once instead of term by term: about 54 of the 1154 real components
-    # move, by at most 5 units of 2^-1074, and none above 2.35 * 2^-1022
+    # rounded once instead of term by term: 48 to 55 of the 1154 real components
+    # move, by at most 5 units of 2^-1074, and none above 1.21 * 2^-1022. Both sides
+    # take the coefficients from the real product V^T [Re psi, Im psi], as _coefficients
     spec, hop, pot = LatticeSpec(288, 1.0), Hopping.cosine(), Potential.linear(0.5)
     sr = eigensolve(build_hamiltonian(spec, hop, pot))
     psi = make_gaussian(spec, GaussianPacket(0, 0.02, k0=0.3))
     tiny = np.finfo(float).tiny
-    for t in (0.0, 2.2 * np.pi, 20.0):  # at the last two, one of them is a normal float
-        coeff = np.exp(-1j * sr.eigenvalues * t) * (sr.eigenvectors.T @ psi.amplitudes)
+    for t in (0.0, 2.2 * np.pi, 20.0):  # at 2.2 pi, one of them is a normal float
+        real = sr.eigenvectors.T @ psi.amplitudes.view(np.float64).reshape(-1, 2)
+        coeff = np.exp(-1j * sr.eigenvalues * t) * real.view(complex)[:, 0]
         plain = (sr.eigenvectors @ coeff.view(np.float64).reshape(-1, 2)).ravel()
         got = propagate(psi, sr, t).amplitudes.view(np.float64)
         differ = got != plain

@@ -227,6 +227,38 @@ def test_emit_dataset_json_round_trip(tmp_path):
     assert body["rows"] == [[1, 0.5], [2, 0.25]]
 
 
+def per_cell_json(value) -> str:
+    """A float cell's JSON text as the per-cell emitter wrote it: the shortest text of its
+    12-digit rounding, repr(float("%.11e" % v)), negative zero as zero and NaN and inf
+    spelt as json spells them."""
+    text = repr(float("%.11e" % (float(value) + 0.0)))
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
+def test_json_float_cells_match_the_per_cell_repr():
+    # one "%.12g" pass with its fix-ups gives the per-cell text, byte for byte: random bit
+    # patterns (NaN payloads included), subnormals, +-0, NaN and +-inf, every power of 2
+    # and of 10 with its nextafter neighbours, and the 12-digit rounding boundaries
+    # 9.99999999999500 * 10^k, where %g's exponent steps
+    rng = np.random.default_rng(25)
+    bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64)
+    subnormal = rng.integers(1, 2**52, 2_000, dtype=np.uint64)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)])
+    edges = 9.999999999995 * 10.0 ** np.arange(-323, 308)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308])
+    values = np.concatenate([bits.view(np.float64), subnormal.view(np.float64), special])
+    values = np.concatenate([values, -values])
+    for base in (powers, edges):
+        near = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)])
+        values = np.concatenate([values, near, -near])
+    values = values.tolist()
+    conversion, texts = experiments._converted(values, "float", "json")
+    assert conversion == "%s"
+    want = [per_cell_json(v) for v in values]
+    bad = [(v, got, ref) for v, got, ref in zip(values, texts, want) if got != ref]
+    assert not bad, bad[:5]
+
+
 def test_ccr_check_run_reports_delta_defect(tmp_path):
     cfg = parse_config('{"experiment": "ccr-check", "lattice": {"M": 40}}')
     columns, rows, manifest = run_experiment(cfg, out_dir=str(tmp_path))

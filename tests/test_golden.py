@@ -40,10 +40,13 @@ GOLDEN = {
     # dynamics (harmonic default): 93 cells, 86 of them |S| values below 1e-3
     # moving by at most 1.6e-14, 7 <x>/<k> cells by one unit in the 12th
     # digit; boundary_max (1.9e-9) by 5.2e-17.
-    "dynamics.csv": "b048a5bc080a3fa2af2aabcdd427fd3834ebb02fd72a42ec75254c80e604939b",
-    "dynamics.json": "fcf6ef8512956d852a0bf20285b277ee586225446553d7af830f1246a9ad1d52",
+    # Propagation through the reflection halves (real coefficient GEMM, the parity
+    # halves' two GEMMs, <k> from M) then moved 36 s_abs cells (values below 2.1e-3) by at
+    # most 1e-14 absolute; boundary_max (1.9e-9) by 6.9e-23.
+    "dynamics.csv": "8c2fa90f06851d456725601764ff0e07e678e751f9973e187c3c94c2921774ba",
+    "dynamics.json": "99b457ffc8c7675ccd8554f0787ea7ea84352bd73878105983da1460a9b0c998",
     # the CCR model follows from the Hamiltonian: no "model" in config or derived
-    "dynamics_manifest.json": "f7c09f4e5342be12f061ddbaeca0e45c05ba74207bb10b728e7d2f51b48dbdd3",
+    "dynamics_manifest.json": "de87e1ecc87358bbe1e276d0dcbc1b68acb5bfafd54a08781e33a3fdd28b43fb",
     # fig1 and sweep: 17 cells each, at most 1.6e-11 relative. The eigenvalues-only
     # solve of harmonic_sweep (eigvalsh on the parity blocks) then moved 2 more
     # e_over_sqrtc cells in each (quadratic n = 9 at ac^(1/4) = 0.4625 and n = 5 at
@@ -65,8 +68,12 @@ GOLDEN = {
     # chunk's block times exp(-i E t_s), and the oracle sums by one GEMV per chunk.
     # fig4: 105 cells; 90 s_abs_b0.02 and 12 s_abs_b0.2 values by at most 4.4e-15
     # absolute, 3 x_exact cells by one unit in the 12th printed digit (1e-14)
-    "fig4.csv": "b8c02fc70655a777e3a5276e924b2bf96d45d849fc10018c9600436c4df91d5e",
-    "fig4.json": "59be4b9e2989a06ce377cbf07494e9ec48c4268f0edc2523e1caeb2cac9613fe",
+    # The real coefficient GEMM and <k> from M then moved 209 cells, each by at most
+    # 1e-15 absolute: 180 s_abs_b0.02 and 26 s_abs_b0.2 values below 4.3e-4, and 3 x_mean
+    # cells of the centred packets (two near-zero values below 3.7e-15, one 3.5e-4 by one
+    # unit in the 12th digit).
+    "fig4.csv": "5eaca24c58da814308d721e4fd0963372e12b2ce47876a1f847c0f2951448ce5",
+    "fig4.json": "9216ef2330706dfff1d702e52104c5ebbf9bb65de4ab18f94232fdf9d410c35d",
     "fig4_manifest.json": "3791c11626773af41abfefd5334f5ec3e5d89c071f1983359dab3e7b9b382456",
     # fig5: 171 cells, at most 1e-10 absolute on <x> values up to 40, one unit
     # in the 12th digit; boundary_max by 1.3e-11 relative
@@ -74,7 +81,9 @@ GOLDEN = {
     # (at most 1e-10 absolute, 4.2e-12 relative)
     "fig5.csv": "a366b12d3e16dffeadc690c4bc04f1e779e6bb656336ed0aab6bcd8842819245",
     "fig5.json": "6eefecd8a5b5d9712708745982fce9fbaee474e28a5455613bd53daac29d2d7f",
-    "fig5_manifest.json": "eb9fda12eb2c62743234d65d7c3f413f5ac2fec7376427c951b46f019abd05b7",
+    # the reflection halves left fig5's datasets unchanged and moved its boundary_max
+    # (5.8e-7) by 3.2e-22, 5.4e-16 relative
+    "fig5_manifest.json": "2cc364c11c2a0d22aea94fd00fea33845871f509c228d25489ab666ede027485",
     # spectrum: 317 cells. With exact parity the 100 odd states' s_n fall from
     # up to 3.9e-10 to at most 5.3e-16 and all 201 centers from up to 5.1e-8 to
     # at most 3.6e-14 (the whole-matrix solve left mixed pairs, which
