@@ -34,9 +34,9 @@ class CcrDefect:
     """Interior profile of ([x, k] - i)|psi> and its summary numbers.
 
     tail is the measured residue of the profile against the closed form
-    -i (-1)^m S_psi; on interior-supported states it sits at rounding level
-    because the commutator with the diagonal position operator involves no
-    truncated intermediate sums.
+    -i (-1)^m S_psi. It sits at rounding level for every state, whatever its
+    support: x is diagonal, so ([x, k] - i)_mn = -i (-1)^(m - n) holds for
+    every pair of window sites, boundary rows included.
     """
 
     sites: np.ndarray
@@ -70,8 +70,8 @@ def ccr_defect(
     """Site-resolved commutator defect <m|([x,k] - i)|psi> on interior sites.
 
     The state must be supported (|amplitude| > 1e-12) only on sites
-    |m| <= half_width - interior_margin, otherwise the profile would be
-    dominated by window truncation. Default margin is half_width/4.
+    |m| <= half_width - interior_margin (default half_width/4), which choose
+    the rows reported; the profile is exact on the whole window (CcrDefect).
     """
     interior = _interior(psi, spec, interior_margin)
     # x is diagonal, so [x, k]_mn = (x_m - x_n) k_mn: no matrix product needed

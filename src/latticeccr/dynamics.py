@@ -18,12 +18,12 @@ k = i S is antisymmetric Toeplitz and maps reflection-even vectors to odd ones,
 so <k> needs only the real c x (c + 1) block M that takes the even halves
 psi[c:] + psi[c::-1] to the odd ones (c = half_width), built from the 1-D
 kernel: one GEMM of half the rows and columns of S psi, for every run, and no
-N x N quasi-momentum matrix. When the eigenvectors are exact parity vectors
-(v == +-v[::-1], as eigensolve gives for every Hamiltonian it splits into parity
-blocks), the amplitudes are two half-size GEMMs, the even columns' right halves
-E and the odd columns' O, and the block is filled as psi_{+-i} = E_i +- O_i; every
-other observable is the same reduction of the full block. propagate keeps the
-full-basis product as the per-time reference.
+N x N quasi-momentum matrix. When eigensolve split the Hamiltonian by parity, its
+SpectrumResult carries the blocks' vectors on half the window, and the amplitudes
+are two half-size GEMMs, E of the even columns and L of the odd ones, filled in as
+psi_{-i} = E_i + L_i and psi_{+i} = E_i - L_i; any other spectrum, a hand-built one
+too, takes the full basis, and every other observable is the same reduction of the
+full block. propagate keeps the full-basis product as the per-time reference.
 
 The phases follow one rule on every time grid: in a chunk whose first time
 is t_s (0 for the first chunk), e^{-iEt} is the block exp(-i E (t - t_s))
@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import LeakageError, ToleranceError
 from .lattice import (
-    HERMITICITY_BLOCK,
     Hopping,
     LatticeSpec,
     Potential,
@@ -162,38 +161,21 @@ def _block(vecs: np.ndarray, phases: np.ndarray, column: np.ndarray, coeff: np.n
     return (vecs @ phased.view(np.float64)).view(complex)
 
 
-def _parity_halves(sr: SpectrumResult, spec: LatticeSpec):
-    """(order, (even, odd)) when sr's eigenvectors are real vectors on spec's window with
-    v == +-v[::-1] exactly, as eigensolve gives for every Hamiltonian it splits, else None.
-    order lists the even columns, then the odd ones; even holds the even columns' right
-    halves v[c:] and odd the odd columns' v[c + 1:], c = half_width (an odd v has v[c] = 0).
-    The check reads tiles of HERMITICITY_BLOCK columns, so it makes no N x N temporary."""
-    vecs, c = sr.eigenvectors, spec.half_width
-    if np.iscomplexobj(vecs) or vecs.shape[0] != spec.n_sites:
-        return None
-    b, even = HERMITICITY_BLOCK, np.empty(vecs.shape[1], dtype=bool)
-    for j in range(0, vecs.shape[1], b):
-        right, left = vecs[c:, j : j + b], vecs[c::-1, j : j + b]
-        even[j : j + b] = (right == left).all(axis=0)
-        if not (even[j : j + b] | (right == -left).all(axis=0)).all():
-            return None
-    order = np.concatenate([np.flatnonzero(even), np.flatnonzero(~even)])
-    return order, (vecs[c:, even], vecs[c + 1 :, ~even])
-
-
 def _split_block(halves: tuple, phases: np.ndarray, column: np.ndarray, coeff: np.ndarray):
-    """_block on the halves of _parity_halves, with coeff and the phases' rows in its order:
-    two half-size real GEMMs, E of the even columns' right halves and O of the odd ones',
-    times their phased coefficients, fill the block as psi_{+-i} = E_i +- O_i (psi_0 = E_0).
-    E is made in the block's rows c.., so O is the one temporary."""
+    """_block on a spectrum's parity halves (SpectrumResult._halves), with coeff and the
+    phases' rows in their order: two half-size real GEMMs, E of the even columns' values at
+    m = 0, -1, ..., -c and L of the odd columns' at m = -1, ..., -c, times their phased
+    coefficients, fill the block as psi_{-i} = E_i + L_i and psi_{+i} = E_i - L_i
+    (psi_0 = E_0), an even column taking equal values at +-m and an odd one opposite ones.
+    E is made in the block's rows c.., so L is the one temporary."""
     (even, odd), phased = halves, (phases * (coeff * column)[:, None]).view(np.float64)
     c = len(odd)
     block = np.empty((2 * c + 1, phased.shape[1] // 2), dtype=complex)
     parts = block.view(np.float64)
     np.matmul(even, phased[: even.shape[1]], out=parts[c:])
-    odd_part = odd @ phased[even.shape[1] :]
-    np.subtract(parts[c + 1 :], odd_part, out=parts[c - 1 :: -1])
-    parts[c + 1 :] += odd_part
+    left = odd @ phased[even.shape[1] :]
+    np.add(parts[c + 1 :], left, out=parts[c - 1 :: -1])
+    parts[c + 1 :] -= left
     return block
 
 
@@ -319,8 +301,8 @@ def run_timeseries(
     """Propagate Gaussian packets in the spectrum sr of the Hamiltonian (hop, pot) and
     record each one's observables at each grid time: one TimeSeries per packet, in order.
 
-    The packets share one reflection block of the quasi-momentum and, for a spectrum of
-    exact parity vectors, one pair of half-size eigenvector blocks (see the module
+    The packets share one reflection block of the quasi-momentum and, for a spectrum that
+    eigensolve split by parity, its two half-size eigenvector blocks (see the module
     docstring), and then propagate one at a time, so one packet's amplitudes are held at
     a time, and each TimeSeries is that of the packet run alone. Each packet's x_ccr is
     the CCR prediction for the Hamiltonian from the packet's own <x> and <k> at t = 0:
@@ -346,7 +328,7 @@ def run_timeseries(
     x = spec.positions
     m = _reflection_block(spec)
     signs = (-1.0) ** np.abs(spec.sites)
-    halves = _parity_halves(sr, spec)
+    halves = sr._halves
     if halves is None:
         order, basis, product = slice(None), sr.eigenvectors, _block
     else:

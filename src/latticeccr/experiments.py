@@ -331,7 +331,7 @@ def _plan(experiment: str, params: dict) -> _Plan:
     elif experiment == "ccr-check":
         margin = params["margin"]
         keys = ("lattice.M" if margin is None else "margin", "packet.n0", "packet.b")
-        plan.interior = keys, margin
+        plan.interior, plan.dense = (keys, margin), 3  # ccr_defect's complex k and x_m - x_n
         plan.columns = ["m", "defect_re", "defect_im", "ratio_re", "ratio_im"]
         plan.rows = max(2 * (half - (half // 4 if margin is None else margin)) + 1, 0)
     elif experiment == "dynamics":

@@ -8,12 +8,14 @@ and Frobenius identities. _even_states, for runs that read only even states
 (fig2, fig3's harmonic potential), solves the even block under eigensolve's
 contract and the odd block for its eigenvalues alone. All three are one
 pipeline, _decompose: blocks, one LAPACK call and one check per block, merge.
+The parity split is decided here alone: eigensolve keeps the parity blocks'
+vectors on half the window for run_timeseries (SpectrumResult._halves).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +33,14 @@ PARITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Full eigendecomposition: ascending eigenvalues, orthonormal columns."""
+    """Full eigendecomposition: ascending eigenvalues, orthonormal columns. _halves is
+    (order, [even, odd]) when eigensolve split the Hamiltonian by parity, else None (as for
+    a hand-built result): _decompose's halves, and order their columns' indices here."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_norm: float
+    _halves: tuple | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -145,12 +150,15 @@ def _decompose(ham: OperatorMatrix, tol: float, vectors: int):
     leading `vectors` blocks by eigh, held to _check_contract, and the others by eigvalsh,
     each held to the trace and Frobenius identities (_check_sums).
 
-    Returns (vals, slots, vecs, residual). vals are the blocks' eigenvalues merged
+    Returns (vals, slots, vecs, residual, halves). vals are the blocks' eigenvalues merged
     ascending, the even value first on an exact tie, and slots[i] the positions block i's
     values take in vals. vecs are the solved blocks' phase-fixed site-basis eigenvectors
     (None when no block is solved): a whole matrix's are eigh's own array, both parity
     blocks' columns follow vals, the even block's alone follow its own values. residual
-    is their largest residual (0.0 when no block is solved).
+    is their largest residual (0.0 when no block is solved). halves lists each solved parity
+    block's vectors as embedded in vecs, column-major, at the sites m = 0, -1, ..., -c (even)
+    or m = -1, ..., -c (odd), c = N // 2, each phase-fixed in vecs' site order, so that the
+    first-index tie rule of _fix_phases picks the entry it picks on vecs (empty if none).
     """
     blocks = _blocks(ham)
     bound = tol * (max(1.0, float(np.abs(ham.matrix).max())) * ham.dimension)
@@ -162,18 +170,22 @@ def _decompose(ham: OperatorMatrix, tol: float, vectors: int):
         parts.append(np.linalg.eigvalsh(block))
         _check_sums(block, parts[-1], bound)
     vals, slots = _merge(parts)
-    if not solved:
-        return vals, slots, None, residual
-    vecs = solved[0][1]
-    if len(blocks) == 2:  # the bases of _blocks: e_c and (e_{c+j} +- e_{c-j})/sqrt(2)
-        c, even = ham.dimension // 2, vecs
-        vecs = np.zeros((ham.dimension, sum(len(v) for v, _ in solved)))
-        cols = slots if len(solved) == 2 else [slice(None)]
-        vecs[c, cols[0]] = even[0]
+    vecs, halves = None, []
+    if len(blocks) == 1 and solved:
+        vecs = _fix_phases(solved[0][1])
+    elif solved:  # the bases of _blocks, e_c and (e_{c+j} +- e_{c-j})/sqrt(2)
+        n, cols = ham.dimension, slots if len(solved) == 2 else [slice(None)]
+        vecs = np.zeros((n, sum(len(v) for v, _ in solved)))
         for (_, part), col, sign in zip(solved, cols, (1.0, -1.0)):
-            half = part[-c:] / np.sqrt(2.0)
-            vecs[c + 1 :, col], vecs[c - 1 :: -1, col] = half, sign * half
-    return vals, slots, _fix_phases(vecs), residual
+            half = np.empty(part.shape, order="F")  # as vecs[:, col]: GEMM bits follow layout
+            np.divide(part, sign * np.sqrt(2.0), out=half)
+            if sign > 0:
+                half[0] = part[0]  # e_c's coefficient, unscaled
+            _fix_phases(half[::-1])
+            k = len(half)
+            vecs[k - 1 :: -1, col], vecs[n - k :, col] = half, sign * half
+            halves.append(half)
+    return vals, slots, vecs, residual, halves
 
 
 def _even_states(ham: OperatorMatrix, tol: float = 1e-10):
@@ -189,7 +201,7 @@ def _even_states(ham: OperatorMatrix, tol: float = 1e-10):
     the trace and Frobenius identities, as in eigenvalues. Raises ValueError
     when ham has no parity split (after solving it whole).
     """
-    vals, slots, vecs, _ = _decompose(ham, tol, vectors=1)
+    vals, slots, vecs, *_ = _decompose(ham, tol, vectors=1)
     if len(slots) == 1:
         raise ValueError("no parity split: the matrix is not a real odd-size mirror-symmetric one")
     return slots[0], vals[slots[0]], vecs
@@ -210,8 +222,9 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     and an odd eigenvalue are exactly equal the even state comes first.
     Every other matrix is decomposed whole.
     """
-    vals, _, vecs, residual = _decompose(ham, tol, vectors=2)
-    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residual_norm=residual)
+    vals, slots, vecs, residual, halves = _decompose(ham, tol, vectors=2)
+    split = (np.concatenate(slots), halves) if halves else None
+    return SpectrumResult(vals, vecs, residual, split)
 
 
 def eigenvalues(ham: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:

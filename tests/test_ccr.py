@@ -74,6 +74,20 @@ def test_defect_matches_dense_commutator():
         assert np.abs(ccr_defect(psi, spec).profile - want).max() <= 1e-14
 
 
+@pytest.mark.parametrize("a", [1.0, 0.37, 2.5])
+def test_window_commutator_is_exact_on_every_pair_of_sites(a):
+    # x is diagonal, so ([x, k] - i)_mn = (x_m - x_n) k_mn - i delta_mn, and it equals
+    # -i (-1)^(m - n) for every pair of window sites, boundary rows included: the defect of
+    # any state is -i (-1)^m S, whatever its support. Within eps (1 + (|m| + |n|) / |m - n|),
+    # the rounding of x_m = a m (0.75 of it, 31.5 eps = 7e-15, measured at a = 0.37)
+    spec = LatticeSpec(50, a)
+    x, k = spec.positions, build_quasi_momentum(spec).matrix
+    m, n = spec.sites[:, None], spec.sites[None, :]
+    defect = (x[:, None] - x[None, :]) * k - 1j * np.eye(spec.n_sites)
+    bound = np.finfo(float).eps * (1 + (abs(m) + abs(n)) / np.maximum(abs(m - n), 1))
+    assert np.all(np.abs(defect + 1j * (-1.0) ** abs(m - n)) <= bound)
+
+
 def test_defect_vanishes_on_cancelling_state():
     spec = LatticeSpec(20, 1.0)
     amp = np.zeros(spec.n_sites, dtype=complex)
@@ -125,8 +139,8 @@ def test_defect_tail_shrinks_when_window_doubles():
         spec = LatticeSpec(half, 1.0)
         psi = make_gaussian(spec, packet)
         tails[half] = ccr_defect(psi, spec, interior_margin=half // 4).tail
-    # identity is exact on interior-supported states, so both tails sit at
-    # rounding level and doubling the window cannot make things worse
+    # the identity is exact on the whole window, so both tails sit at rounding
+    # level and doubling the window cannot make things worse
     assert tails[100] <= 0.5 * tails[50] + 1e-12
 
 

@@ -424,13 +424,14 @@ def test_momentum_from_reflection_halves_matches_the_full_product(hop, pot, pack
 
 @pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=lambda h: h.kind)
 def test_parity_block_matches_the_full_product(hop):
-    # psi_{+-i} = E_i +- O_i from the even and the odd columns' right halves against the
-    # full V @ phased: within 16 eps |coefficients| at every time (4 eps measured)
+    # psi_{-+i} = E_i +- L_i from the spectrum's parity halves, E of the even columns and L
+    # of the odd ones, against the full V @ phased: within 16 eps |coefficients| at every
+    # time (4 eps measured)
     spec = LatticeSpec(96, 0.7)
     times = np.arange(CHUNK) * 0.37
     pot, packet = Potential.harmonic(0.02), GaussianPacket(10, 0.1, k0=-0.4)
     sr, coeff, _, _, full = full_basis_block(spec, hop, pot, packet, times)
-    order, halves = dynamics._parity_halves(sr, spec)
+    order, halves = sr._halves
     assert sorted(order) == list(range(spec.n_sites))
     ((_, phases, column),) = _phases(sr.eigenvalues[order], times)
     split = dynamics._split_block(halves, phases, column, coeff[order])
@@ -439,23 +440,15 @@ def test_parity_block_matches_the_full_product(hop):
     assert not np.array_equal(split, full)  # the sums do run in another order
 
 
-def test_parity_halves_only_for_exact_parity_vectors_of_the_window():
-    # a linear potential's vectors, complex ones, a spectrum of another window and one
-    # column a rounding off its reflection all take the full basis
-    spec = LatticeSpec(24, 1.0)
-    sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.01)))
-    assert dynamics._parity_halves(sr, spec) is not None
-    tilted = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.linear(0.4)))
-    other = LatticeSpec(20, 1.0)
-    vecs = sr.eigenvectors.copy()
-    vecs[0, 7] = np.nextafter(vecs[0, 7], 1.0)
-    for bad, window in [
-        (tilted, spec),
-        (SpectrumResult(sr.eigenvalues, sr.eigenvectors * 1j, 0.0), spec),
-        (sr, other),
-        (SpectrumResult(sr.eigenvalues, vecs, 0.0), spec),
-    ]:
-        assert dynamics._parity_halves(bad, window) is None
+def test_split_spectrum_of_another_window_fails_on_its_dimension():
+    # the parity halves are read as they are, so a window mismatch is caught where the
+    # packet's coefficients are taken, as for the full basis
+    hop, pot = Hopping.quadratic(), Potential.harmonic(0.01)
+    other = eigensolve(build_hamiltonian(LatticeSpec(20, 1.0), hop, pot))
+    assert other._halves is not None
+    grid = np.arange(5) * 0.1
+    with pytest.raises(ValueError, match="^state dimension does not match the spectrum$"):
+        run_timeseries(LatticeSpec(24, 1.0), hop, pot, [GaussianPacket(0, 0.2)], grid, other)
 
 
 def test_run_timeseries_builds_no_quasi_momentum_matrix(monkeypatch):
@@ -737,7 +730,7 @@ def assert_matches_plain_blocks(spec, hop, pot, packet, times):
     for name, values in want.items():
         assert np.array_equal(getattr(ts, name), values), name
     assert ts.boundary_max == boundary
-    return subnormal, dynamics._parity_halves(sr, spec) is not None
+    return subnormal, sr._halves is not None
 
 
 def test_run_timeseries_matches_plain_blocks_on_subnormal_tails():

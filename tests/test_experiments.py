@@ -764,6 +764,21 @@ def test_size_rule_bound_is_at_most_the_measured_peak(experiment, blocks, tmp_pa
     assert 0 < need <= peak
 
 
+def test_size_rule_counts_the_matrices_of_ccr_check(tmp_path):
+    # ccr_defect holds the complex N x N quasi-momentum and the N x N float x_m - x_n at once,
+    # three N x N float64 matrices: at M = 400 the bound stays within 0.9 of the traced
+    # peak (0.99 measured; 0.66 when two matrices were counted)
+    cfg = parse_config('{"experiment": "ccr-check", "lattice": {"M": 400}}')
+    need, keys = experiments._size(experiments._plan("ccr-check", cfg.params))
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys == ("lattice.M",) and 0.9 * peak <= need <= peak
+
+
 def test_size_rule_refuses_before_building_the_window():
     # 2 * 10^6 + 1 sites: refused from the plan's O(1) objects, before any O(N) check
     tracemalloc.start()

@@ -272,6 +272,27 @@ def test_translation_hamiltonian_commutator_interior():
     assert np.abs(lhs[inner, inner] - rhs[inner, inner]).max() < 1e-13
 
 
+@pytest.mark.parametrize("a", [1.0, 0.37, 2.5])
+def test_quadratic_hopping_velocity_is_the_quasi_momentum(a):
+    # i[H, x]_mn = i H_mn (x_n - x_m) equals k_mn on the whole window for quadratic hopping
+    # and any diagonal potential, within (eps / a) (1 + (|m| + |n|) / |m - n|), the rounding
+    # of x_m = a m (0.37 of it, 84 eps = 1.9e-14, measured at a = 0.37); for cosine hopping
+    # the two differ by 1 / (2 a)
+    spec = LatticeSpec(50, a)
+    x, k = spec.positions, build_quasi_momentum(spec).matrix
+    m, n = spec.sites[:, None], spec.sites[None, :]
+    bound = np.finfo(float).eps / a * (1 + (abs(m) + abs(n)) / np.maximum(abs(m - n), 1))
+    custom = Potential.custom(3.0 * np.cos(spec.sites) + 0.01 * spec.sites**3)
+    for pot in (Potential.harmonic(0.01), Potential.linear(0.4), custom):
+        for hop, exact in ((Hopping.quadratic(), True), (Hopping.cosine(), False)):
+            velocity = 1j * build_hamiltonian(spec, hop, pot).matrix * (x[None, :] - x[:, None])
+            defect = np.abs(velocity - k)
+            if exact:
+                assert np.all(defect <= bound), (pot.kind, (defect / bound).max())
+            else:
+                assert defect.max() == pytest.approx(0.5 / a, rel=1e-12), pot.kind
+
+
 def test_reflection_symmetry_even_potential():
     spec = LatticeSpec(15, 1.0)
     ham = build_hamiltonian(spec, Hopping.quadratic(), Potential.harmonic(0.2)).matrix

@@ -157,6 +157,59 @@ def test_other_matrices_keep_the_whole_solve(mat):
     assert np.array_equal(sr.eigenvectors, _fix_phases(vecs))
 
 
+@pytest.mark.parametrize(
+    "pot",
+    [
+        Potential.harmonic(0.05),
+        Potential.constant(0.3),
+        Potential.custom(0.01 * np.abs(_SPEC.sites) ** 3 - 0.2 * np.cos(_SPEC.sites)),
+    ],
+    ids=["harmonic", "constant", "mirror-custom"],
+)
+def test_parity_halves_embed_into_the_eigenvectors(pot):
+    # the split solve keeps its halves: the even columns' values at m = 0, -1, ..., -c and
+    # the odd columns' at m = -1, ..., -c, column-major, each ascending in its parity, are
+    # the eigenvectors' entries bit for bit on both sides of the centre
+    sr = eigensolve(build_hamiltonian(_SPEC, Hopping.quadratic(), pot))
+    order, (even, odd) = sr._halves
+    vecs, c = sr.eigenvectors, _SPEC.half_width
+    assert even.shape == (c + 1, c + 1) and odd.shape == (c, c)
+    assert even.flags.f_contiguous and odd.flags.f_contiguous
+    assert np.array_equal(np.sort(order), np.arange(_SPEC.n_sites))
+    assert np.all(np.diff(order[: c + 1]) > 0) and np.all(np.diff(order[c + 1 :]) > 0)
+    evens, odds = vecs[:, order[: c + 1]], vecs[:, order[c + 1 :]]
+    assert np.array_equal(evens[c::-1], even) and np.array_equal(evens[c:], even)
+    assert np.array_equal(odds[c - 1 :: -1], odd) and np.array_equal(odds[c + 1 :], -odd)
+    assert not odds[c].any()
+
+
+def test_parity_halves_keep_the_first_index_tie_rule():
+    # sites -2 and -1 coupled, as 1 and 2: every vector but e_0 has |v| tied at m = -2 and
+    # m = -1, with opposite signs in two of them. Fixed on the halves, each phase still makes
+    # the first site's entry positive, as _fix_phases does on the full vectors
+    ham = np.diag([1.0, 1.0, 5.0, 1.0, 1.0])
+    ham[0, 1] = ham[1, 0] = ham[3, 4] = ham[4, 3] = 0.5
+    sr = eigensolve(OperatorMatrix(ham))
+    vecs = sr.eigenvectors
+    assert sr._halves is not None and np.array_equal(abs(vecs[0, :4]), abs(vecs[1, :4]))
+    want = [[1, 1, 1, 1, 0], [-1, -1, 1, 1, 0], [0, 0, 0, 0, 1], [-1, 1, 1, -1, 0], [1, -1, 1, -1, 0]]
+    assert np.array_equal(np.sign(vecs), want)
+    assert np.array_equal(_fix_phases(vecs.copy()), vecs)
+
+
+def test_only_split_solves_carry_parity_halves():
+    # a linear potential's solve, a mirror-symmetric complex matrix's and a result built by
+    # hand (even from a split solve's own arrays) carry none: propagation takes the full basis
+    ham = build_hamiltonian(_SPEC, Hopping.quadratic(), Potential.harmonic(0.05))
+    split = eigensolve(ham)
+    assert split._halves is not None
+    linear = build_hamiltonian(_SPEC, Hopping.quadratic(), Potential.linear(0.4))
+    assert eigensolve(linear)._halves is None
+    assert eigensolve(OperatorMatrix(_mirror_symmetric_complex(_SPEC)))._halves is None
+    by_hand = SpectrumResult(split.eigenvalues, split.eigenvectors, split.residual_norm)
+    assert by_hand._halves is None
+
+
 # the 25 spacings of the default sweep and fig1 grid (c = 0.01, x = 0.1 .. 3.0)
 _SWEEP_SPACINGS = np.linspace(0.1, 3.0, 25) / 0.01**0.25
 
