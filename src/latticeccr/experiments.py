@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .ccr import _interior, ccr_defect
+from .ccr import _margin, ccr_defect
 from .dynamics import CHUNK, LEAK_FAIL, LEAK_WARN, GaussianPacket, make_gaussian, run_timeseries
 from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, build_hamiltonian
 from .spectral import (
@@ -268,7 +268,9 @@ class _Plan:
     period: float | None = None  # the period of the motion that the time grid samples
     dense: int = 2
     grows: tuple = ("lattice.M",)
-    interior: tuple | None = None  # ccr-check's support check: (config keys, margin)
+
+
+_CCR_PRODUCTS = 10**9  # ccr-check's cap on N (4M + 1), its convolution's products: M <= 11 179
 
 
 def _plan(experiment: str, params: dict) -> _Plan:
@@ -328,12 +330,14 @@ def _plan(experiment: str, params: dict) -> _Plan:
         solve("F", "linear", params["F"], quadratic)
         solve("c", "harmonic", params["c"], quadratic)
         plan.columns, plan.rows, plan.dense = ["m", "ws_amp_sqrt2", "harmonic_amp"], sites, 3
-    elif experiment == "ccr-check":
+    elif experiment == "ccr-check":  # no N x N matrix: bounded by its convolution's products
+        if sites * (4 * half + 1) > _CCR_PRODUCTS:
+            work = f"ccr-check's {Decimal(sites * (4 * half + 1)):.3g} complex products N (4M + 1)"
+            raise ConfigError(f"config key 'lattice.M': {work} exceed {_CCR_PRODUCTS:.0e}")
         margin = params["margin"]
-        keys = ("lattice.M" if margin is None else "margin", "packet.n0", "packet.b")
-        plan.interior, plan.dense = (keys, margin), 3  # ccr_defect's complex k and x_m - x_n
+        width = _named(("lattice.M" if margin is None else "margin",), _margin, half, margin)
         plan.columns = ["m", "defect_re", "defect_im", "ratio_re", "ratio_im"]
-        plan.rows = max(2 * (half - (half // 4 if margin is None else margin)) + 1, 0)
+        plan.rows, plan.dense = 2 * (half - width) + 1, 0
     elif experiment == "dynamics":
         plan.columns = ["t", "x_mean", "k_mean", "s_abs", "norm", "x_ccr", "x_exact"]
     elif experiment == "fig4":
@@ -399,8 +403,7 @@ def _check_plan(plan: _Plan) -> None:
     """The plan's checks before the run, each naming its config key: first the size rule,
     _size's bound against the machine's physical memory; then the run's O(N) objects through
     the package's own checks: custom hopping's terms; at every spacing, the diagonal of each
-    solve, first without its potential and then with it; every packet; and ccr-check's
-    margin and support check of ccr_defect."""
+    solve, first without its potential and then with it; and every packet."""
     need, keys = _size(plan)
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
@@ -418,10 +421,7 @@ def _check_plan(plan: _Plan) -> None:
             _named(kinetic, _hamiltonian_diagonal, spec, hop, Potential.constant())
             _named((key,), _hamiltonian_diagonal, spec, hop, pot)
     for keys, packet in plan.packets:
-        psi = _named(keys, make_gaussian, plan.spec, packet)
-    if plan.interior:  # ccr-check, whose one packet is psi
-        keys, margin = plan.interior
-        _named(keys, _interior, psi, plan.spec, margin)
+        _named(keys, make_gaussian, plan.spec, packet)
 
 
 def _read_config(text: str) -> dict:
@@ -628,12 +628,13 @@ def _run_fig1(plan):
 
 
 def _run_fig2(plan):
-    # odd states have S_n = 0: only the even block's vectors are solved
+    # odd states have S_n = 0: only the even halves v_-j are solved; S_n = v_0 + 2 sum (-1)^j v_-j
     rows, n_cut = [], plan.params["n_cut"]
-    signs = (-1.0) ** np.abs(plan.spec.sites)
+    weights = 2.0 * (-1.0) ** np.arange(plan.spec.half_width + 1)
+    weights[0] = 1.0
     for _, hop, pot in plan.solves:
-        index, _, vecs = _solve(plan, hop, pot, even_only=True)
-        overlap = np.abs(signs @ vecs)
+        index, _, half = _solve(plan, hop, pot, even_only=True)
+        overlap = np.abs(weights @ half)
         rows.extend([pot.curvature, int(n), float(s)] for n, s in zip(index, overlap) if n <= n_cut)
     return rows, {"c_values": plan.params["c_values"], "n_cut": n_cut}
 
@@ -648,13 +649,14 @@ def _run_fig3(plan):
     # how many ladder states lie inside depends on the solved spectrum, not on the parse
     ladder = _named(("lattice.M", "F"), wannier_stark_analysis, ws, spec, linear.force)
 
-    # even states have mirror lobes at +-m, so match the lobe's distance from the centre;
-    # only the even block's vectors are solved
-    even, _, harm = _solve(plan, hop, harmonic, even_only=True)
-    lobes = spec.sites[np.argmax(np.abs(harm), axis=0)]
-    best = int(np.argmin(np.abs(np.abs(lobes) - abs(target))))
+    # even states have mirror lobes at +-m, so match the lobe's distance from the centre; only
+    # the even halves (m = 0, -1, ..., -M) are solved, reversed for the first-index tie rule
+    even, _, half = _solve(plan, hop, harmonic, even_only=True)
+    lobes = spec.half_width - np.argmax(np.abs(half[::-1]), axis=0)
+    best = int(np.argmin(np.abs(lobes - abs(target))))
+    harm = np.concatenate([half[::-1, best], half[1:, best]])  # v_m = v_-m
     rows = [
-        [int(m), np.sqrt(2.0) * ws.eigenvectors[i, ws_idx].real, harm[i, best]]
+        [int(m), np.sqrt(2.0) * ws.eigenvectors[i, ws_idx].real, harm[i]]
         for i, m in enumerate(spec.sites)
     ]
     derived = {
@@ -714,8 +716,8 @@ def _run_dynamics(plan):
 
 
 def _run_ccr_check(plan):
-    ((_, packet),), (_, margin) = plan.packets, plan.interior
-    result = ccr_defect(make_gaussian(plan.spec, packet), plan.spec, margin)
+    ((_, packet),) = plan.packets
+    result = ccr_defect(make_gaussian(plan.spec, packet), plan.spec, plan.params["margin"])
     rows = []
     for m, defect in zip(result.sites, result.profile):
         ratio = defect / (-1j * (-1.0) ** abs(int(m)))

@@ -8,8 +8,8 @@ and Frobenius identities. _even_states, for runs that read only even states
 (fig2, fig3's harmonic potential), solves the even block under eigensolve's
 contract and the odd block for its eigenvalues alone. All three are one
 pipeline, _decompose: blocks, one LAPACK call and one check per block, merge.
-The parity split is decided here alone: eigensolve keeps the parity blocks'
-vectors on half the window for run_timeseries (SpectrumResult._halves).
+The parity split is decided here alone: the parity blocks' vectors stay on
+half the window, for run_timeseries (SpectrumResult._halves) and _even_states.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ToleranceError
 from .lattice import (
+    HERMITICITY_BLOCK,
     Hopping,
     LatticeSpec,
     OperatorMatrix,
@@ -152,13 +153,13 @@ def _decompose(ham: OperatorMatrix, tol: float, vectors: int):
 
     Returns (vals, slots, vecs, residual, halves). vals are the blocks' eigenvalues merged
     ascending, the even value first on an exact tie, and slots[i] the positions block i's
-    values take in vals. vecs are the solved blocks' phase-fixed site-basis eigenvectors
-    (None when no block is solved): a whole matrix's are eigh's own array, both parity
-    blocks' columns follow vals, the even block's alone follow its own values. residual
-    is their largest residual (0.0 when no block is solved). halves lists each solved parity
-    block's vectors as embedded in vecs, column-major, at the sites m = 0, -1, ..., -c (even)
-    or m = -1, ..., -c (odd), c = N // 2, each phase-fixed in vecs' site order, so that the
-    first-index tie rule of _fix_phases picks the entry it picks on vecs (empty if none).
+    values take in vals. halves lists each solved parity block's vectors, column-major, at
+    the sites m = 0, -1, ..., -c (even) or m = -1, ..., -c (odd), c = N // 2, each
+    phase-fixed in the full vectors' site order, so that the first-index tie rule of
+    _fix_phases picks the entry it picks on a full vector (empty if none). vecs are the
+    phase-fixed site-basis eigenvectors of a solved whole matrix (eigh's own array) or of
+    both parity blocks (embedded from the halves, columns following vals), else None.
+    residual is the solved blocks' largest residual (0.0 when no block is solved).
     """
     blocks = _blocks(ham)
     bound = tol * (max(1.0, float(np.abs(ham.matrix).max())) * ham.dimension)
@@ -170,41 +171,39 @@ def _decompose(ham: OperatorMatrix, tol: float, vectors: int):
         parts.append(np.linalg.eigvalsh(block))
         _check_sums(block, parts[-1], bound)
     vals, slots = _merge(parts)
-    vecs, halves = None, []
-    if len(blocks) == 1 and solved:
-        vecs = _fix_phases(solved[0][1])
-    elif solved:  # the bases of _blocks, e_c and (e_{c+j} +- e_{c-j})/sqrt(2)
-        n, cols = ham.dimension, slots if len(solved) == 2 else [slice(None)]
-        vecs = np.zeros((n, sum(len(v) for v, _ in solved)))
-        for (_, part), col, sign in zip(solved, cols, (1.0, -1.0)):
-            half = np.empty(part.shape, order="F")  # as vecs[:, col]: GEMM bits follow layout
-            np.divide(part, sign * np.sqrt(2.0), out=half)
-            if sign > 0:
-                half[0] = part[0]  # e_c's coefficient, unscaled
-            _fix_phases(half[::-1])
-            k = len(half)
-            vecs[k - 1 :: -1, col], vecs[n - k :, col] = half, sign * half
-            halves.append(half)
+    vecs = _fix_phases(solved[0][1]) if len(blocks) == 1 and solved else None
+    halves = []  # in the bases of _blocks, e_c and (e_{c+j} +- e_{c-j})/sqrt(2)
+    for (_, part), sign in zip(solved if len(blocks) == 2 else [], (1.0, -1.0)):
+        half = np.empty(part.shape, order="F")  # as vecs[:, col]: GEMM bits follow layout
+        np.divide(part, sign * np.sqrt(2.0), out=half)
+        if sign > 0:
+            half[0] = part[0]  # e_c's coefficient, unscaled
+        _fix_phases(half[::-1])
+        halves.append(half)
+    if len(halves) == 2:
+        vecs = np.zeros((ham.dimension,) * 2)
+        for half, col, sign in zip(halves, slots, (1.0, -1.0)):
+            vecs[len(half) - 1 :: -1, col], vecs[-len(half) :, col] = half, sign * half
     return vals, slots, vecs, residual, halves
 
 
 def _even_states(ham: OperatorMatrix, tol: float = 1e-10):
-    """The even-parity states of a Hamiltonian that _blocks splits, without
-    the odd block's eigenvectors: their indices in eigensolve's ascending
-    order, their eigenvalues and their phase-fixed site-basis vectors, equal
-    to eigensolve(ham, tol)'s columns at those indices. (The odd eigenvalues
-    come from eigvalsh, not eigh: an index can differ from eigensolve's only
-    where an even and an odd eigenvalue lie within rounding of each other.)
+    """The even-parity states of a Hamiltonian that _blocks splits, without the odd
+    block's eigenvectors: their indices in eigensolve's ascending order, their eigenvalues
+    and their phase-fixed halves as _decompose makes them, the rows m = 0, -1, ..., -c of
+    eigensolve(ham, tol)'s columns at those indices. (The odd eigenvalues come from eigvalsh,
+    not eigh: an index can differ from eigensolve's only where an even and an odd
+    eigenvalue lie within rounding of each other.)
 
     The even block is held to eigensolve's residual and orthonormality
     contract; the odd block is solved for its eigenvalues alone and held to
     the trace and Frobenius identities, as in eigenvalues. Raises ValueError
     when ham has no parity split (after solving it whole).
     """
-    vals, slots, vecs, *_ = _decompose(ham, tol, vectors=1)
+    vals, slots, *_, halves = _decompose(ham, tol, vectors=1)
     if len(slots) == 1:
         raise ValueError("no parity split: the matrix is not a real odd-size mirror-symmetric one")
-    return slots[0], vals[slots[0]], vecs
+    return slots[0], vals[slots[0]], halves[0]
 
 
 def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
@@ -278,10 +277,12 @@ def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDia
     re-projected here and a state of an asymmetric potential keeps "none".
     """
     _check_window(sr, spec)
-    vecs = sr.eigenvectors
-    reflected = vecs[::-1, :]
-    even_err = np.linalg.norm(vecs - reflected, axis=0)
-    odd_err = np.linalg.norm(vecs + reflected, axis=0)
+    vecs, b = sr.eigenvectors, HERMITICITY_BLOCK
+    even_err, odd_err = np.empty((2, vecs.shape[1]))
+    for j in range(0, vecs.shape[1], b):  # a tile of columns at a time: no N x N temporary
+        tile, reflected = vecs[:, j : j + b], vecs[::-1, j : j + b]
+        even_err[j : j + b] = np.linalg.norm(tile - reflected, axis=0)
+        odd_err[j : j + b] = np.linalg.norm(tile + reflected, axis=0)
     parity = np.where(even_err < PARITY_TOL, "even", np.where(odd_err < PARITY_TOL, "odd", "none"))
     signs = (-1.0) ** np.abs(spec.sites)
     overlap = np.abs(signs @ vecs)

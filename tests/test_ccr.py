@@ -1,5 +1,7 @@
 """Alternating overlap and the site-resolved commutation-relation defect."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from latticeccr import (
     GaussianPacket,
     LatticeSpec,
+    OperatorMatrix,
     StateVector,
     alternating_overlap,
     build_position,
@@ -65,13 +68,59 @@ def test_defect_profile_of_delta_state():
 
 
 def test_defect_matches_dense_commutator():
-    # ccr_defect scales k by x_m - x_n; the two-GEMM commutator is the reference
-    for half, a in ((60, 1.0), (48, 0.7)):
+    # ccr_defect convolves the kernel a d k(d) - i delta_d0 with psi; the references are the
+    # matrix forms: the two-GEMM commutator, and (x_m - x_n) k_mn scaled entrywise, each
+    # times psi. Each term of the sums is rounded within a few eps, so the forms agree within
+    # 2 eps sum_n |psi_n| (1.24 of it measured, at a = 0.37)
+    eps = np.finfo(float).eps
+    for half, a in ((60, 1.0), (48, 0.7), (60, 0.37), (60, 2.5), (200, 0.37)):
         spec = LatticeSpec(half, a)
         psi = make_gaussian(spec, GaussianPacket(5, 0.05, k0=2.9 / a))
-        dense = commutator(build_position(spec), build_quasi_momentum(spec)) - 1j * np.eye(spec.n_sites)
-        want = (dense @ psi.amplitudes)[spec.interior_sites(half // 4)]
-        assert np.abs(ccr_defect(psi, spec).profile - want).max() <= 1e-14
+        x, k = spec.positions, build_quasi_momentum(spec).matrix
+        scaled = (x[:, None] - x[None, :]) * k
+        dense = commutator(build_position(spec), build_quasi_momentum(spec))
+        got = ccr_defect(psi, spec).profile
+        bound = 2 * eps * np.abs(psi.amplitudes).sum()
+        for matrix in (scaled, dense):
+            matrix -= 1j * np.eye(spec.n_sites)
+            want = (matrix @ psi.amplitudes)[spec.interior_sites(half // 4)]
+            assert np.abs(got - want).max() <= bound, (half, a)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.37, 2.5])
+def test_defect_is_the_closed_form_on_a_full_support_state(a):
+    # a random state with support on every site, boundary sites included; margin 1 reports
+    # every row but the two edge ones. Each row is -i (-1)^m S within eps sum_n |psi_n|
+    # (0.34 of it measured)
+    spec = LatticeSpec(100, a)
+    rng = np.random.default_rng(19)
+    psi = StateVector(rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)).normalize()
+    result = ccr_defect(psi, spec, interior_margin=1)
+    assert np.array_equal(result.sites, np.arange(-99, 100))
+    want = -1j * (-1.0) ** np.abs(result.sites) * alternating_overlap(psi)
+    err = np.abs(result.profile - want)
+    bound = np.finfo(float).eps * np.abs(psi.amplitudes).sum()
+    assert np.all(err <= bound), result.sites[err > bound]
+    assert result.tail == err.max()
+
+
+def test_defect_builds_no_matrix(monkeypatch):
+    # the profile comes from the 1-D kernel: no OperatorMatrix is made, and at M = 800 the
+    # call traces under 1 MiB (0.28 MB measured; the N x N form held 61.7 MB)
+    def refuse(self):
+        raise AssertionError("ccr_defect built an OperatorMatrix")
+
+    spec = LatticeSpec(800, 1.0)
+    psi = make_gaussian(spec, GaussianPacket(0, 50.0))
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", refuse)
+    tracemalloc.start()
+    try:
+        result = ccr_defect(psi, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.sites) == 2 * (800 - 200) + 1
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("a", [1.0, 0.37, 2.5])
@@ -109,13 +158,15 @@ def test_defect_ratio_identity_uniform():
     assert np.abs(ratios - alternating_overlap(psi)).max() < 1e-12
 
 
-def test_defect_support_precondition():
+def test_defect_margin_precondition():
+    # the margin chooses the rows reported and must leave at least the centre; the state's
+    # support is not checked
     spec = LatticeSpec(16, 1.0)
-    amp = np.ones(spec.n_sites, dtype=complex)
-    with pytest.raises(ValueError):
-        ccr_defect(StateVector(amp).normalize(), spec, interior_margin=4)
-    with pytest.raises(ValueError):
-        ccr_defect(delta_state(spec, 0), spec, interior_margin=0)
+    for margin in (0, 17):
+        with pytest.raises(ValueError, match="interior margin"):
+            ccr_defect(delta_state(spec, 0), spec, interior_margin=margin)
+    assert len(ccr_defect(delta_state(spec, 16), spec, interior_margin=16).sites) == 1
+    assert ccr_defect(delta_state(spec, 1), spec, interior_margin=None).sites[-1] == 12
 
 
 def test_defect_tail_rounding_level_for_random_states():

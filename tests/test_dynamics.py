@@ -16,6 +16,7 @@ from latticeccr import (
     ToleranceError,
     alternating_overlap,
     build_hamiltonian,
+    build_position,
     build_quasi_momentum,
     ccr_position_harmonic,
     ccr_position_linear,
@@ -28,6 +29,7 @@ from latticeccr import (
 )
 from latticeccr import dynamics, lattice
 from latticeccr.dynamics import CHUNK, LEAK_WARN, _phases
+from reference import commutator
 
 
 def moments(psi, spec):
@@ -550,6 +552,30 @@ def test_run_timeseries_blocks_match_per_time_propagation(linear_system):
         assert np.abs(getattr(ts, name) - values).max() < 1e-12, name
     edges = [max(abs(s.amplitudes[0]), abs(s.amplitudes[-1])) for s in states]
     assert abs(ts.boundary_max - max(edges)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude")  # the tilted packet's far tails
+@pytest.mark.parametrize("a", [1.0, 0.7])
+@pytest.mark.parametrize(
+    "pot", [Potential.harmonic(0.01), Potential.linear(0.4)], ids=["harmonic", "linear"]
+)
+def test_k_mean_is_the_velocity_of_the_propagated_state(pot, a):
+    # for quadratic hopping i[H, x] = k on the window, so d<x>/dt = <k>: run_timeseries'
+    # k_mean equals <psi(t)| i[H, x] |psi(t)>, with psi(t) from propagate and i[H, x] from
+    # two dense GEMMs, within 4 eps (1 + |E|_max t), the bound of the direct phases
+    # exp(-i E t) (1.25 of eps (1 + |E|_max t) measured, linear at a = 0.7). The grid is
+    # k * dt over two CHUNKs, so later chunks take the factored phases
+    spec, hop = LatticeSpec(80, a), Hopping.quadratic()
+    ham = build_hamiltonian(spec, hop, pot)
+    sr = eigensolve(ham)
+    velocity = 1j * commutator(ham, build_position(spec))
+    packet = GaussianPacket(0, 0.05, k0=0.3)
+    grid = np.arange(2 * CHUNK + 17) * 0.25
+    (ts,) = run_timeseries(spec, hop, pot, [packet], grid, sr, leak_fail=1.0)
+    psi0 = make_gaussian(spec, packet)
+    want = [expectation(propagate(psi0, sr, t), velocity).real for t in grid]
+    bound = 4 * np.finfo(float).eps * (1 + np.abs(sr.eigenvalues).max() * grid)
+    assert np.all(np.abs(ts.k_mean - want) <= bound)
 
 
 def test_complex_eigenvectors_give_the_same_evolution(linear_system):

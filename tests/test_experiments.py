@@ -13,7 +13,7 @@ from latticeccr import (
     ConfigError,
     GaussianPacket,
     LatticeSpec,
-    ccr_defect,
+    alternating_overlap,
     emit_dataset,
     TimeSeries,
     make_gaussian,
@@ -401,7 +401,6 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("fig5", ["time.t_max=1e300"], "time.t_max"),
         ("ccr-check", ["margin=500"], "margin"),
         ("ccr-check", ["lattice.M=3"], "lattice.M"),
-        ("ccr-check", ["packet.n0=90"], "packet.n0"),
         ("ccr-check", ["packet.n0=100"], "packet.n0"),
         ("dynamics", ["packet.n0=200"], "packet.n0"),
         ("fig4", ["n0=400"], "n0"),
@@ -433,6 +432,7 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         ("sweep", ["grid.points=1000000000000"], "grid.points"),
         ("dynamics", ["time.dt=1e-9"], "time.dt"),
         ("spectrum", ["lattice.M=1000000"], "lattice.M"),
+        ("ccr-check", ["lattice.M=1000000"], "lattice.M"),
     ],
     ids=[
         "lattice.M",
@@ -458,7 +458,6 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "time.t_max-grid",
         "margin-too-large",
         "default-margin-zero",
-        "ccr-check-support",
         "ccr-check-center",
         "dynamics-center",
         "fig4-center",
@@ -490,6 +489,7 @@ def test_cli_spectrum_and_overrides(tmp_path, capsys):
         "grid.points-memory",
         "time.dt-memory",
         "lattice.M-memory",
+        "ccr-check-work",
     ],
 )
 def test_cli_config_error_exit_code(experiment, assignments, key, tmp_path, capsys):
@@ -537,24 +537,51 @@ def test_cli_memory_error_exit_code(message, tmp_path, capsys, monkeypatch):
     assert manifest["config"]["experiment"] == "sweep"
 
 
-def test_ccr_check_support_check_matches_ccr_defect():
-    # the parse-time support check accepts exactly the packets ccr_defect accepts
-    for half, margin, b, k0 in [(8, None, 0.05, 0.0), (40, 10, 0.5, 1.3), (101, 5, 5.0, -0.4)]:
-        spec = LatticeSpec(half, 1.0)
-        for n0 in range(-half + 1, half):
-            packet = {"n0": n0, "b": b, "k0": k0}
-            cfg = {"experiment": "ccr-check", "lattice": {"M": half}, "packet": packet}
-            try:
-                parse_config(json.dumps({**cfg, "margin": margin}))
-                parsed = True
-            except ConfigError:
-                parsed = False
-            try:
-                ccr_defect(make_gaussian(spec, GaussianPacket(n0, b, k0)), spec, margin)
-                measured = True
-            except ValueError:
-                measured = False
-            assert parsed == measured, (half, margin, b, n0)
+def test_ccr_check_runs_a_full_support_packet(tmp_path, capsys):
+    # a packet centred 10 sites from the edge of M = 100, with amplitude far above 1e-12
+    # beyond the default rows |m| <= 75: the defect is -i (-1)^m S for a state of any support,
+    # so the run reports it, and every ratio is S
+    assert main(["ccr-check", "--out", str(tmp_path), "--set", "packet.n0=90"]) == 0
+    rows = np.genfromtxt(tmp_path / "ccr-check.csv", delimiter=",", names=True)
+    spec = LatticeSpec(100, 1.0)
+    psi = make_gaussian(spec, GaussianPacket(90, 50.0))
+    assert np.abs(psi.amplitudes[~spec.interior_sites(25)]).max() > 0.5
+    assert np.array_equal(rows["m"], np.arange(-75, 76))
+    overlap = alternating_overlap(psi)
+    ratio = rows["ratio_re"] + 1j * rows["ratio_im"]
+    assert np.abs(ratio - overlap).max() <= 1e-12
+
+
+def test_ccr_check_work_limit_refuses_before_building_the_window():
+    # ccr-check holds no N x N matrix, so the size rule would pass M = 10^6; the limit on
+    # the convolution's N (4M + 1) products refuses it from O(1) objects
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"'lattice.M': ccr-check's 8.00e\+12 complex products"):
+            parse_config('{"experiment": "ccr-check", "lattice": {"M": 1000000}}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the largest window under the limit parses
+    parse_config('{"experiment": "ccr-check", "lattice": {"M": 11179}}')
+    with pytest.raises(ConfigError, match="'lattice.M'"):
+        parse_config('{"experiment": "ccr-check", "lattice": {"M": 11180}}')
+
+
+def test_fig3_lobes_keep_the_first_index_tie_rule(tmp_path, monkeypatch):
+    # an even state whose largest |v| ties at m = 0 and m = -5 has its lobe at |m| = 5, the
+    # first largest entry of the full vector (m = -M first), so it matches target_site -5
+    # ahead of a state with its lobe at |m| = 3; its column is embedded with v_m = v_-m
+    half = np.zeros((41, 2), order="F")
+    half[[0, 5], 0] = 0.5
+    half[3, 1] = 1.0
+    even = (np.array([4, 7]), np.zeros(2), half)
+    monkeypatch.setattr(experiments, "_even_states", lambda ham, tol: even)
+    cfg = parse_config('{"experiment": "fig3", "lattice": {"M": 40}, "target_site": -5}')
+    _, rows, manifest = run_experiment(cfg, out_dir=str(tmp_path))
+    assert manifest.derived["harmonic_state_index"] == 4
+    assert [row[2] for row in rows] == [*half[::-1, 0], *half[1:, 0]]
 
 
 def test_sweep_manifest_lists_every_spacing(tmp_path, capsys):
@@ -765,18 +792,21 @@ def test_size_rule_bound_is_at_most_the_measured_peak(experiment, blocks, tmp_pa
 
 
 def test_size_rule_counts_the_matrices_of_ccr_check(tmp_path):
-    # ccr_defect holds the complex N x N quasi-momentum and the N x N float x_m - x_n at once,
-    # three N x N float64 matrices: at M = 400 the bound stays within 0.9 of the traced
-    # peak (0.99 measured; 0.66 when two matrices were counted)
+    # ccr_defect convolves a 1-D kernel with the state and holds no N x N matrix, so none is
+    # counted: at M = 400 the bound (the dataset's cells) stays at or below the traced peak,
+    # and the peak below a quarter of one N x N float64 matrix (0.33 of 5.1 MB measured)
     cfg = parse_config('{"experiment": "ccr-check", "lattice": {"M": 400}}')
-    need, keys = experiments._size(experiments._plan("ccr-check", cfg.params))
+    plan = experiments._plan("ccr-check", cfg.params)
+    need, keys = experiments._size(plan)
     tracemalloc.start()
     try:
         run_experiment(cfg, out_dir=str(tmp_path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert keys == ("lattice.M",) and 0.9 * peak <= need <= peak
+    n = plan.spec.n_sites
+    assert plan.dense == 0 and keys == ("lattice.M",)
+    assert 0 < need <= peak < 2 * n * n
 
 
 def test_size_rule_refuses_before_building_the_window():

@@ -56,9 +56,12 @@ GOLDEN = {
     # fig1 and sweep take every spacing from grid: their config echo has no lattice.a
     "fig1_manifest.json": "63d1ba6a3c9e83ceb5b74410b056ab1d0dd7b22f7fbd587d36cff211a9f6745f",
     # fig2: 20 cells; one by one unit in the 12th digit (0.404), 19 values below
-    # 1e-2 by at most 4.9e-14 absolute
-    "fig2.csv": "9dfabe59ec7d45f0714d0e47b85893849afefaf922c4584c7aae17b85c3b8165",
-    "fig2.json": "e062996354461e4f8a9c711a90e09a59b0c098438d8103c544fd04f7aa4f85b8",
+    # 1e-2 by at most 4.9e-14 absolute. |S_n| = |v_0 + 2 sum_j (-1)^j v_-j| from the even
+    # halves (a sum in another order) then moved 17 of the 123 s_n cells, each by at most
+    # 8.9e-16 absolute: 2 at c = 0.1 (8.5e-7 and 3.7e-5) and 15 at c = 0.01 (3.4e-15 to
+    # 6.6e-5; the 6 below 1e-12 are rounding noise)
+    "fig2.csv": "a546bd0abc73f21c14dfc80c5deead00b483eff21d53a4f2645b965547b4b195",
+    "fig2.json": "8896214aa45cd3c570e7ce211b5ddee7d3d7ad7b59ad81472c316c0275550efd",
     "fig2_manifest.json": "271f2429741c56d5a9732dec9f64e641fa814f0d4edd73353e7767ce5344b5a9",
     # fig3: 165 cells of harmonic_amp, at most 2.3e-11 relative (2e-12 absolute)
     "fig3.csv": "c1c0b3e79e49dcf57f193d34ab4c909f597bfb50657a86bd69570e1c01851971",

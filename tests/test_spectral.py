@@ -1,5 +1,7 @@
 """Eigensolver contract, parity/overlap diagnostics, ladders and sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -335,11 +337,14 @@ def test_eigenvalues_contract_near_the_float_range():
 
 
 def _assert_even_columns(ham, sr):
-    index, vals, vecs = _even_states(ham)
+    # the even halves, rows m = 0, -1, ..., -c, are eigensolve's: its kept halves and the
+    # upper half of its even columns reversed, bit for bit
+    index, vals, half = _even_states(ham)
     even = np.flatnonzero(np.all(sr.eigenvectors == sr.eigenvectors[::-1], axis=0))
     assert np.array_equal(index, even)
     assert np.array_equal(vals, sr.eigenvalues[even])
-    assert np.array_equal(vecs, sr.eigenvectors[:, even])
+    assert np.array_equal(half, sr.eigenvectors[ham.dimension // 2 :: -1, even])
+    assert np.array_equal(half, sr._halves[1][0]) and half.flags.f_contiguous
 
 
 _M100 = LatticeSpec(100, 1.0)
@@ -368,10 +373,10 @@ def test_even_states_are_eigensolves_even_columns_wide(parity_solve):
 
 def test_even_states_tie_puts_even_first():
     # diag(2, 5, 2): the even block holds 2 and 5, the odd block 2
-    index, vals, vecs = _even_states(OperatorMatrix(np.diag([2.0, 5.0, 2.0])))
+    index, vals, half = _even_states(OperatorMatrix(np.diag([2.0, 5.0, 2.0])))
     assert np.array_equal(index, [0, 2]) and np.array_equal(vals, [2.0, 5.0])
     r = 1 / np.sqrt(2.0)
-    assert np.array_equal(vecs, [[r, 0.0], [0.0, 1.0], [r, 0.0]])
+    assert np.array_equal(half, [[0.0, 1.0], [r, 0.0]])  # rows m = 0 and m = -1
 
 
 def test_even_states_need_a_parity_split():
@@ -465,6 +470,26 @@ def test_diagnose_asymmetric_potential_labels_match_the_vectors():
         assert (d.parity == "even") == (even_err[d.index] < PARITY_TOL)
         assert (d.parity == "odd") == (even_err[d.index] >= PARITY_TOL > odd_err[d.index])
     assert sum(d.parity == "none" for d in diags) > 0
+
+
+@pytest.mark.parametrize(
+    "pot", [Potential.harmonic(0.01), Potential.linear(0.4)], ids=["parity", "whole"]
+)
+def test_diagnose_states_labels_parity_a_tile_at_a_time(pot):
+    # the parity norms reduce a tile of columns at a time, so the one N x N temporary left is
+    # |v|^2 for the centers: at M = 400 the call traces within 1.1 times the eigenvectors'
+    # bytes (1.05 measured; 2.0 when v -+ Rv were formed whole)
+    spec = LatticeSpec(400, 1.0)
+    sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), pot))
+    tracemalloc.start()
+    try:
+        diags = diagnose_states(sr, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sr.eigenvectors.nbytes
+    labels = {d.parity for d in diags}
+    assert labels == ({"even", "odd"} if pot.kind == "harmonic" else {"none"})
 
 
 def test_threshold_estimate_values():
