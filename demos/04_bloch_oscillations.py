@@ -5,8 +5,9 @@ Heisenberg solution is periodic with period 2 pi/(a F). Assuming the
 canonical commutation relation instead produces the continuum parabola,
 which tracks the exact motion beautifully until the packet reaches the
 Brillouin-zone edge (where the alternating overlap |S| spikes) and is
-qualitatively wrong afterwards. For the nearest-neighbour kinetic energy
-the CCR answer happens to be exact at all times.
+qualitatively wrong afterwards. The CCR model's <k> = k0 + F t is off from
+the exact <k> by F times the integral of |S|^2 over time. For the
+nearest-neighbour kinetic energy the CCR answer happens to be exact at all times.
 """
 
 import numpy as np

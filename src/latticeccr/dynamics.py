@@ -30,8 +30,10 @@ is t_s (0 for the first chunk), e^{-iEt} is the block exp(-i E (t - t_s))
 times the column exp(-i E t_s), so the first chunk's phases, and propagate's
 single time, are the direct exp(-i E t). On a grid t_k = k dt (the CLI's)
 every chunk's block equals the first chunk's, so it is made once per packet
-and each later chunk takes only its column, N exps instead of N * CHUNK;
-exact_position_linear sums its bracket by the same rule, one GEMV per chunk.
+and each later chunk takes only its column, N exps instead of N * CHUNK.
+_phases is the one generator of these phases: run_timeseries and propagate evolve
+eigenstates through it, and the Heisenberg oracle exact_position_linear its modes
+e^{-i a n F t}, as _phases(a F n, t), one GEMV per chunk.
 The product differs from the direct exp(-i E t) by O(eps (1 + |E| t)), the
 direct form's own bound.
 """
@@ -129,23 +131,17 @@ def _coefficients(psi: StateVector, sr: SpectrumResult) -> np.ndarray:
     return coeff
 
 
-def _chunks(times: np.ndarray):
-    """Yield (start, t_s, tau) over chunks of at most CHUNK times: t_s is the chunk's first
-    time (0 for the first chunk) and tau the chunk's times less t_s, or None on the grid
-    k * dt of more than CHUNK points, where every chunk's tau is the first chunk's."""
+def _phases(energies: np.ndarray, times: np.ndarray):
+    """Yield (start, block, column) over chunks of at most CHUNK times, the chunk's
+    exp(-i E t) being block * column[:, None]: row j for energies[j], column i for
+    times[start + i]. With t_s the chunk's first time (0 for the first chunk), block is
+    exp(-i E (t - t_s)) and column exp(-i E t_s); on a grid k * dt of more than CHUNK
+    points every chunk's block is the first chunk's, made once and shared."""
     step = len(times) > CHUNK and np.array_equal(times, np.arange(len(times)) * times[1])
     for start in range(0, len(times), CHUNK):
         origin = times[start] if start else 0.0
-        yield start, origin, None if start and step else times[start : start + CHUNK] - origin
-
-
-def _phases(energies: np.ndarray, times: np.ndarray):
-    """Yield (start, block, column) over _chunks, the chunk's exp(-i E t) being
-    block * column[:, None]: row j for energies[j], column i for times[start + i]. block
-    is exp(-i E tau), made once on a k * dt grid and shared, and column exp(-i E t_s)."""
-    for start, origin, tau in _chunks(times):
-        if tau is not None:
-            block = -1j * np.outer(energies, tau)
+        if not (start and step):
+            block = -1j * np.outer(energies, times[start : start + CHUNK] - origin)
             np.exp(block, out=block)
         yield start, block[:, : len(times) - start], np.exp(-1j * (energies * origin))
 
@@ -243,9 +239,11 @@ def exact_position_linear(
         x(t) = x - sum_{n>0} [ t_n T_n (e^{-i a n F t} - 1)/F + h.c. ],
 
     with t_n the hopping amplitudes (the coefficient of T_n in H is -t_n).
-    Manifestly periodic with the Bloch period 2 pi/(a F). The bracket follows _phases'
-    rule, one GEMV per chunk of the rows e^{-i a n F (t - t_s)} against t_n <T_n>
-    e^{-i a n F t_s}; at F = 0 it takes its limit -i a n t, which is free motion.
+    Manifestly periodic with the Bloch period 2 pi/(a F). The bracket evolves its modes
+    through _phases(a F n, t), as propagation does its eigenstates: one GEMV per chunk,
+    the weights t_n <T_n> times the chunk's column e^{-i a n F t_s} against its block
+    e^{-i a n F (t - t_s)}, less the weights' sum. At F = 0, where every mode is 1 and
+    the bracket's 1/F is undefined, it takes its limit -i a n t, which is free motion.
     """
     a = spec.spacing
     _, amps = hop.terms(spec)
@@ -256,13 +254,9 @@ def exact_position_linear(
     weights = amps * t_exp
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if force:
-        phase, total = -1j * a * force, weights.sum()
-        series = np.empty(len(times))
-        for start, origin, tau in _chunks(times):
-            if tau is not None:
-                block = np.exp(phase * np.outer(tau, n))
-            sums = (block @ (weights * np.exp(phase * origin * n)))[: len(times) - start]
-            series[start : start + CHUNK] = 2.0 * (sums - total).real
+        total, series = weights.sum(), np.empty(len(times))
+        for start, block, column in _phases(a * force * n, times):
+            series[start : start + CHUNK] = 2.0 * ((weights * column) @ block - total).real
         out = x0 - series / force
     else:
         out = x0 - 2.0 * times * np.real(-1j * a * n * weights).sum()

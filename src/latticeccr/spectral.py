@@ -146,10 +146,10 @@ def _merge(parts: list):
     return vals[order], np.split(slot, np.cumsum([len(p) for p in parts])[:-1])
 
 
-def _decompose(ham: OperatorMatrix, tol: float, vectors: int):
-    """Solve each of _blocks(ham) once, against the bound tol * max(1, |H|_max) * N: the
-    leading `vectors` blocks by eigh, held to _check_contract, and the others by eigvalsh,
-    each held to the trace and Frobenius identities (_check_sums).
+def _decompose(ham: OperatorMatrix, blocks: list, tol: float, vectors: int):
+    """Solve each of blocks, _blocks(ham) made by the caller, once, against the bound
+    tol * max(1, |H|_max) * N: the leading `vectors` blocks by eigh, held to _check_contract,
+    and the others by eigvalsh, each held to the trace and Frobenius identities (_check_sums).
 
     Returns (vals, slots, vecs, residual, halves). vals are the blocks' eigenvalues merged
     ascending, the even value first on an exact tie, and slots[i] the positions block i's
@@ -161,7 +161,6 @@ def _decompose(ham: OperatorMatrix, tol: float, vectors: int):
     both parity blocks (embedded from the halves, columns following vals), else None.
     residual is the solved blocks' largest residual (0.0 when no block is solved).
     """
-    blocks = _blocks(ham)
     bound = tol * (max(1.0, float(np.abs(ham.matrix).max())) * ham.dimension)
     solved = [np.linalg.eigh(block) for block in blocks[:vectors]]
     checked = (_check_contract(block, *pair, bound) for block, pair in zip(blocks, solved))
@@ -198,11 +197,12 @@ def _even_states(ham: OperatorMatrix, tol: float = 1e-10):
     The even block is held to eigensolve's residual and orthonormality
     contract; the odd block is solved for its eigenvalues alone and held to
     the trace and Frobenius identities, as in eigenvalues. Raises ValueError
-    when ham has no parity split (after solving it whole).
+    when ham has no parity split, before any solve.
     """
-    vals, slots, *_, halves = _decompose(ham, tol, vectors=1)
-    if len(slots) == 1:
+    blocks = _blocks(ham)
+    if len(blocks) == 1:
         raise ValueError("no parity split: the matrix is not a real odd-size mirror-symmetric one")
+    vals, slots, *_, halves = _decompose(ham, blocks, tol, vectors=1)
     return slots[0], vals[slots[0]], halves[0]
 
 
@@ -221,7 +221,7 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     and an odd eigenvalue are exactly equal the even state comes first.
     Every other matrix is decomposed whole.
     """
-    vals, slots, vecs, residual, halves = _decompose(ham, tol, vectors=2)
+    vals, slots, vecs, residual, halves = _decompose(ham, _blocks(ham), tol, vectors=2)
     split = (np.concatenate(slots), halves) if halves else None
     return SpectrumResult(vals, vecs, residual, split)
 
@@ -238,7 +238,7 @@ def eigenvalues(ham: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:
     bound = tol * max(1, |H|_max) * N (H the whole matrix) or
     |sum(E^2) - ||H||_F^2| exceeds bound * max(1, max |E|).
     """
-    return _decompose(ham, tol, vectors=0)[0]
+    return _decompose(ham, _blocks(ham), tol, vectors=0)[0]
 
 
 def _check_sums(mat: np.ndarray, vals: np.ndarray, bound: float) -> None:
@@ -278,17 +278,17 @@ def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDia
     """
     _check_window(sr, spec)
     vecs, b = sr.eigenvectors, HERMITICITY_BLOCK
-    even_err, odd_err = np.empty((2, vecs.shape[1]))
+    even_err, odd_err, center = np.empty((3, vecs.shape[1]))
     for j in range(0, vecs.shape[1], b):  # a tile of columns at a time: no N x N temporary
         tile, reflected = vecs[:, j : j + b], vecs[::-1, j : j + b]
         even_err[j : j + b] = np.linalg.norm(tile - reflected, axis=0)
         odd_err[j : j + b] = np.linalg.norm(tile + reflected, axis=0)
+        prob = np.abs(tile)
+        prob *= prob
+        center[j : j + b] = spec.positions @ prob
     parity = np.where(even_err < PARITY_TOL, "even", np.where(odd_err < PARITY_TOL, "odd", "none"))
     signs = (-1.0) ** np.abs(spec.sites)
     overlap = np.abs(signs @ vecs)
-    prob = np.abs(vecs)
-    prob *= prob
-    center = spec.positions @ prob
     return [
         EigenstateDiagnostics(index=n, parity=str(p), overlap=float(s), center=float(x))
         for n, (p, s, x) in enumerate(zip(parity, overlap, center))

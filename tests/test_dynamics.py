@@ -141,10 +141,10 @@ def test_exact_position_matches_propagation(linear_system):
 @pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=["R1", "R64"])
 @pytest.mark.parametrize("steps", [1, 3, CHUNK + 1, CHUNK + CHUNK // 2 + 1, 5 * CHUNK + 2])
 def test_exact_position_blocks_match_one_piece(hop, steps):
-    # the bracket is summed chunk by chunk; the series is bit-identical to the one rule's
-    # with its rows and columns built whole. These grids are k * dt: over CHUNK points
-    # every chunk takes the first chunk's rows. Centred at 0 the packet has x0 near 0, so
-    # the series keeps the chunk sums' last bits
+    # the bracket evolves through _phases chunk by chunk; the series is bit-identical to
+    # the one rule's written out. These grids are k * dt: over CHUNK points every chunk
+    # takes the first chunk's block. Centred at 0 the packet has x0 near 0, so the series
+    # keeps the chunk sums' last bits
     spec, force = LatticeSpec(32, 0.7), -0.55
     ts = np.linspace(0.0, 30.0, steps)
     assert steps < 2 or np.array_equal(ts, np.arange(steps) * ts[1])
@@ -157,8 +157,8 @@ def test_exact_position_blocks_match_one_piece(hop, steps):
 @pytest.mark.parametrize("hop", [Hopping.cosine(), Hopping.quadratic()], ids=["R1", "R64"])
 @pytest.mark.parametrize("steps", [CHUNK + 1, CHUNK + CHUNK // 2 + 1, 5 * CHUNK + 2])
 def test_exact_position_blocks_match_one_piece_off_the_step_grid(hop, steps):
-    # a grid that is not k * dt: each chunk takes its own rows from its first time, down
-    # to a last chunk of one row, bit for bit
+    # a grid that is not k * dt: each chunk takes its own block from its first time, down
+    # to a last chunk of one time, bit for bit
     spec, force = LatticeSpec(32, 0.7), -0.55
     psi = make_gaussian(spec, GaussianPacket(3, 0.05, k0=0.4))
     ts = np.linspace(0.0, 30.0, steps) ** 1.01
@@ -176,24 +176,23 @@ def bracket_weights(psi, spec, hop):
 
 
 def one_rule_series(psi, spec, hop, force, ts):
-    """exact_position_linear's series by the one phase rule, its rows and columns each built
-    whole: at t in the chunk from t_s (0 for the first chunk) the row e^{-i a n F (t - t_s)},
-    on a k * dt grid over CHUNK times the first chunk's rows for every chunk, against the
-    column weights e^{-i a n F t_s}, less the weights' sum."""
+    """exact_position_linear's series by the one phase rule, written out here: the modes
+    r = (a F) n; in the chunk from t_s (0 for the first chunk) the block
+    e^{-i r (t - t_s)}, on a k * dt grid over CHUNK times the first chunk's block for every
+    chunk, and the column e^{-i r t_s}; each chunk's sums (weights * column) @ block, less
+    the weights' sum."""
     n, weights = bracket_weights(psi, spec, hop)
     x0 = expectation(psi, spec.positions).real
-    phase = -1j * spec.spacing * force
-    origins = ts[::CHUNK].copy()
-    origins[0] = 0.0
-    columns = weights * np.exp(phase * origins[:, None] * n)
-    if len(ts) > CHUNK and np.array_equal(ts, np.arange(len(ts)) * ts[1]):
-        block = np.exp(phase * np.outer(ts[:CHUNK], n))
-        sums = np.matmul(block, columns[:, :, None]).ravel()[: len(ts)]
-    else:
-        rows = np.exp(phase * np.outer(ts - np.repeat(origins, CHUNK)[: len(ts)], n))
-        pieces = np.split(rows, range(CHUNK, len(ts), CHUNK))
-        sums = np.concatenate([piece @ column for piece, column in zip(pieces, columns)])
-    return x0 - 2.0 * (sums - weights.sum()).real / force
+    rates = spec.spacing * force * n
+    step = len(ts) > CHUNK and np.array_equal(ts, np.arange(len(ts)) * ts[1])
+    first = np.exp(-1j * np.outer(rates, ts[:CHUNK]))
+    sums = []
+    for start in range(0, len(ts), CHUNK):
+        origin = ts[start] if start else 0.0
+        offsets = ts[start : start + CHUNK] - origin
+        block = first[:, : len(offsets)] if step else np.exp(-1j * np.outer(rates, offsets))
+        sums.append((weights * np.exp(-1j * (rates * origin))) @ block)
+    return x0 - 2.0 * (np.concatenate(sums) - weights.sum()).real / force
 
 
 def direct_series(psi, spec, hop, force, ts):
@@ -500,6 +499,57 @@ def test_run_timeseries_zone_edge_overlap_peaks():
     # the wider packet has the narrower quasi-momentum distribution, hence
     # the taller zone-edge spike
     assert peaks[0.02][1] > peaks[0.2][1]
+
+
+def zone_edge_weight_integral(sr, spec, psi, times):
+    """int_0^t |S|^2 dt' in closed form: S(t) = sum_j a_j e^{-i E_j t} with a_j = c_j S_j,
+    c_j the packet's coefficients and S_j = sum_m (-1)^m v_j(m), so the integral is
+    sum_jk conj(a_j) a_k (e^{i (E_j - E_k) t} - 1)/(i (E_j - E_k)), |a_j|^2 t where
+    E_j = E_k."""
+    vecs = sr.eigenvectors
+    amps = (vecs.T @ psi.amplitudes) * ((-1.0) ** np.abs(spec.sites) @ vecs)
+    pairs = np.conj(amps)[:, None] * amps
+    gaps = np.subtract.outer(sr.eigenvalues, sr.eigenvalues)
+    apart = gaps != 0
+    rates = 1j * np.where(apart, gaps, 1.0)
+    return np.array(
+        [np.sum(pairs * np.where(apart, np.expm1(rates * t) / rates, t)).real for t in times]
+    )
+
+
+def sum_rule_residuals(hop, half_width):
+    """fig4's packet (n0 = 0, b = 0.02; F = 0.4, a = 1) over two Bloch periods: the largest
+    residual of the CCR-defect sum rule <k>(t) - <k>(0) = F (t - int_0^t |S|^2 dt') over 11
+    times, <k> from run_timeseries, and int over one Bloch period of |S|^2 less T_B."""
+    spec, force = LatticeSpec(half_width, 1.0), 0.4
+    pot, period = Potential.linear(force), 2 * np.pi / force
+    sr = eigensolve(build_hamiltonian(spec, hop, pot))
+    times = np.linspace(0.0, 2 * period, 11)
+    (ts,) = run_timeseries(spec, hop, pot, [GaussianPacket(0, 0.02)], times, sr)
+    psi = make_gaussian(spec, GaussianPacket(0, 0.02))
+    weight = zone_edge_weight_integral(sr, spec, psi, [*times, period])
+    residual = ts.k_mean - ts.k_mean[0] - force * (times - weight[:-1])
+    return np.abs(residual).max(), weight[-1] - period
+
+
+@pytest.mark.parametrize("half_width", [192, 288])
+def test_ccr_defect_sum_rule_is_exact_for_cosine_hopping(half_width):
+    # the CCR model's <k> = k0 + F t is off by exactly F int |S|^2: the window's [x, k]
+    # falls short of i by the zone-edge term -i (-1)^(m - n), and cosine hopping's [T, k]
+    # has entries only in the two edge rows and columns, where the packet has no weight.
+    # Over a Bloch period the zone-edge weight integrates to T_B (1.9e-14 and 2.5e-14
+    # measured at M = 288)
+    residual, period_gap = sum_rule_residuals(Hopping.cosine(), half_width)
+    assert residual <= 1e-12
+    assert abs(period_gap) <= 1e-12
+
+
+def test_ccr_defect_sum_rule_residual_is_the_windows_for_quadratic_hopping():
+    # quadratic hopping's window [T, k] != 0 leaves a residual that falls with the window:
+    # 6.5e-5 at M = 288 and 8.1e-6 at M = 576 measured, 8.0 times per doubling
+    coarse, _ = sum_rule_residuals(Hopping.quadratic(), 288)
+    fine, _ = sum_rule_residuals(Hopping.quadratic(), 576)
+    assert 0 < fine <= coarse / 6
 
 
 def test_run_timeseries_leakage_error():

@@ -379,8 +379,17 @@ def test_even_states_tie_puts_even_first():
     assert np.array_equal(half, [[0.0, 1.0], [r, 0.0]])  # rows m = 0 and m = -1
 
 
-def test_even_states_need_a_parity_split():
+def test_even_states_need_a_parity_split(monkeypatch):
     ham = build_hamiltonian(_M100, Hopping.quadratic(), Potential.linear(0.4))
+    with pytest.raises(ValueError, match="no parity split"):
+        _even_states(ham)
+
+    # the refusal comes from the blocks alone, before any LAPACK call
+    def refused(*args, **kwargs):
+        raise AssertionError("a matrix with no parity split was solved")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     with pytest.raises(ValueError, match="no parity split"):
         _even_states(ham)
 
@@ -476,9 +485,13 @@ def test_diagnose_asymmetric_potential_labels_match_the_vectors():
     "pot", [Potential.harmonic(0.01), Potential.linear(0.4)], ids=["parity", "whole"]
 )
 def test_diagnose_states_labels_parity_a_tile_at_a_time(pot):
-    # the parity norms reduce a tile of columns at a time, so the one N x N temporary left is
-    # |v|^2 for the centers: at M = 400 the call traces within 1.1 times the eigenvectors'
-    # bytes (1.05 measured; 2.0 when v -+ Rv were formed whole)
+    # the parity norms and the centers <x> = x @ |v|^2 reduce a tile of columns at a time, so
+    # no N x N temporary is formed: at M = 400 the call traces within 0.6 times the
+    # eigenvectors' bytes (0.48 measured, the tiles' temporaries and the diagnostics; 1.05
+    # when |v|^2 was formed whole, 2.0 when v -+ Rv were too). With one BLAS thread each
+    # tile's GEMV is the whole one's bit for bit (the spectrum digests hold it); a threaded
+    # GEMV splits its sums otherwise, so here the centers are held to the GEMV's own bound
+    # N eps |x| @ |v|^2 (6.4 eps |x| @ |v|^2 measured with two threads)
     spec = LatticeSpec(400, 1.0)
     sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), pot))
     tracemalloc.start()
@@ -487,9 +500,12 @@ def test_diagnose_states_labels_parity_a_tile_at_a_time(pot):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * sr.eigenvectors.nbytes
+    assert peak <= 0.6 * sr.eigenvectors.nbytes
     labels = {d.parity for d in diags}
     assert labels == ({"even", "odd"} if pot.kind == "harmonic" else {"none"})
+    prob = np.abs(sr.eigenvectors) ** 2
+    err = np.abs([d.center for d in diags] - spec.positions @ prob)
+    assert np.all(err <= len(prob) * np.finfo(float).eps * (np.abs(spec.positions) @ prob))
 
 
 def test_threshold_estimate_values():
