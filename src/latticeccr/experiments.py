@@ -25,6 +25,7 @@ from .ccr import _margin, ccr_defect
 from .dynamics import CHUNK, LEAK_FAIL, LEAK_WARN, GaussianPacket, make_gaussian, run_timeseries
 from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, build_hamiltonian
 from .spectral import (
+    _centers,
     _even_states,
     diagnose_states,
     eigensolve,
@@ -644,7 +645,7 @@ def _run_fig3(plan):
     (_, hop, linear), (_, _, harmonic) = plan.solves
 
     ws = _solve(plan, hop, linear)
-    centers = np.sum(spec.sites[:, None] * np.abs(ws.eigenvectors) ** 2, axis=0)
+    centers = _centers(ws.eigenvectors, spec.sites)
     ws_idx = int(np.argmin(np.abs(centers - target)))
     # how many ladder states lie inside depends on the solved spectrum, not on the parse
     ladder = _named(("lattice.M", "F"), wannier_stark_analysis, ws, spec, linear.force)

@@ -268,6 +268,17 @@ def _check_window(sr: SpectrumResult, spec: LatticeSpec) -> None:
         raise ValueError(f"spectrum of {len(sr.eigenvectors)} sites on a window of {spec.n_sites}")
 
 
+def _centers(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights @ |V|^2 for the columns V of vecs (<x> for weights x_m), a tile of
+    HERMITICITY_BLOCK columns at a time: no N x N temporary."""
+    out, b = np.empty(vecs.shape[1]), HERMITICITY_BLOCK
+    for j in range(0, vecs.shape[1], b):
+        prob = np.abs(vecs[:, j : j + b])
+        prob *= prob
+        out[j : j + b] = weights @ prob
+    return out
+
+
 def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDiagnostics]:
     """Parity, |S_n| and <x> for every eigenstate.
 
@@ -278,17 +289,15 @@ def diagnose_states(sr: SpectrumResult, spec: LatticeSpec) -> list[EigenstateDia
     """
     _check_window(sr, spec)
     vecs, b = sr.eigenvectors, HERMITICITY_BLOCK
-    even_err, odd_err, center = np.empty((3, vecs.shape[1]))
+    even_err, odd_err = np.empty((2, vecs.shape[1]))
     for j in range(0, vecs.shape[1], b):  # a tile of columns at a time: no N x N temporary
         tile, reflected = vecs[:, j : j + b], vecs[::-1, j : j + b]
         even_err[j : j + b] = np.linalg.norm(tile - reflected, axis=0)
         odd_err[j : j + b] = np.linalg.norm(tile + reflected, axis=0)
-        prob = np.abs(tile)
-        prob *= prob
-        center[j : j + b] = spec.positions @ prob
     parity = np.where(even_err < PARITY_TOL, "even", np.where(odd_err < PARITY_TOL, "odd", "none"))
     signs = (-1.0) ** np.abs(spec.sites)
     overlap = np.abs(signs @ vecs)
+    center = _centers(vecs, spec.positions)
     return [
         EigenstateDiagnostics(index=n, parity=str(p), overlap=float(s), center=float(x))
         for n, (p, s, x) in enumerate(zip(parity, overlap, center))
@@ -328,26 +337,21 @@ def harmonic_sweep(
     the reference column is the dashed boundary 3/(a c^(1/4))^2 below which
     the continuum ladder n + 1/2 is expected to survive.
     """
-    if curvature <= 0:
-        raise ValueError("curvature must be positive")
+    pot = Potential.harmonic(curvature)
     if not isinstance(states_per_point, (int, np.integer)) or states_per_point < 1:
         raise ValueError(f"states_per_point must be an integer >= 1, got {states_per_point}")
     hop = Hopping.quadratic() if hopping is None else hopping
-    rows_x, rows_n, rows_e, rows_ref = [], [], [], []
-    for a in a_values:
-        spec = LatticeSpec(half_width, float(a))
-        ham = build_hamiltonian(spec, hop, Potential.harmonic(curvature))
-        vals = eigenvalues(ham, tol=tol)[:states_per_point]
-        x = float(a) * curvature**0.25
-        rows_x.extend([x] * len(vals))
-        rows_n.extend(range(len(vals)))
-        rows_e.extend(vals / np.sqrt(curvature))
-        rows_ref.extend([3.0 / x**2] * len(vals))
+    per, spacings = min(states_per_point, 2 * half_width + 1), [float(a) for a in a_values]
+    vals = [
+        eigenvalues(build_hamiltonian(LatticeSpec(half_width, a), hop, pot), tol=tol)[:per]
+        for a in spacings
+    ]
+    x = np.array(spacings) * curvature**0.25
     return SweepResult(
-        ac_quarter=np.array(rows_x),
-        index=np.array(rows_n),
-        e_over_sqrt_c=np.array(rows_e),
-        reference=np.array(rows_ref),
+        ac_quarter=np.repeat(x, per),
+        index=np.tile(np.arange(per), len(x)),
+        e_over_sqrt_c=np.ravel(vals) / np.sqrt(curvature),
+        reference=np.repeat(3.0 / x**2, per),
     )
 
 
@@ -355,40 +359,35 @@ def degenerate_pairs(sr: SpectrumResult, spec: LatticeSpec, gap_tol: float) -> l
     """Adjacent eigenvalue pairs closer than gap_tol.
 
     Each pair is tagged with the distance between the centers of its
-    left/right localized combinations (v_j +- v_{j+1})/sqrt(2)."""
+    left/right localized combinations (v_j +- v_{j+1})/sqrt(2), read as the
+    doublet's transition dipole |c_+ - c_-| = 2 |Re <v_j| x |v_{j+1}>|."""
     _check_window(sr, spec)
-    vals, vecs = sr.eigenvalues, sr.eigenvectors
-    x = spec.positions
+    vals, vecs, x = sr.eigenvalues, sr.eigenvectors, spec.positions
     out = []
     for j in range(len(vals) - 1):
         gap = float(vals[j + 1] - vals[j])
         if gap < gap_tol:
-            plus = (vecs[:, j] + vecs[:, j + 1]) / np.sqrt(2.0)
-            minus = (vecs[:, j] - vecs[:, j + 1]) / np.sqrt(2.0)
-            c_plus = float(np.sum(x * np.abs(plus) ** 2))
-            c_minus = float(np.sum(x * np.abs(minus) ** 2))
-            out.append(DegeneratePair(j, j + 1, gap, abs(c_plus - c_minus)))
+            dipole = np.vdot(vecs[:, j], x * vecs[:, j + 1]).real
+            out.append(DegeneratePair(j, j + 1, gap, 2.0 * abs(float(dipole))))
     return out
 
 
 def wannier_stark_analysis(sr: SpectrumResult, spec: LatticeSpec, force: float) -> LadderReport:
     """Ladder statistics for the spectrum of kinetic - force * position.
 
-    States whose position center lies within half_width/4 of the middle
-    enter the statistics (boundary-distorted states are excluded);
-    consecutive spacings of their eigenvalues are reported against the
-    expected a * force. Translation residuals compare each selected state
-    to the most central one shifted by the appropriate number of sites,
-    minimized over a global phase, both over the full window and restricted
-    to sites |m| <= half_width - half_width // 4, where the infinite-lattice
-    translation covariance is actually testable.
+    States whose site center <m> = sum_m m |v_m|^2 (in sites, not positions)
+    lies within half_width/4 of the middle enter the statistics
+    (boundary-distorted states are excluded); consecutive spacings of their
+    eigenvalues are reported against the expected a * force. Translation
+    residuals compare each selected state to the most central one shifted by
+    the appropriate number of sites, minimized over a global phase, both over
+    the full window and restricted to sites |m| <= half_width - half_width // 4,
+    where the infinite-lattice translation covariance is actually testable.
     """
     if force == 0:
         raise ValueError("Wannier-Stark analysis needs a nonzero force")
     _check_window(sr, spec)
-    m = spec.sites
-    w = spec.half_width // 4
-    centers = np.real(np.sum(m[:, None] * np.abs(sr.eigenvectors) ** 2, axis=0))
+    centers = _centers(sr.eigenvectors, spec.sites)
     selected = np.where(np.abs(centers) <= 0.25 * spec.half_width)[0]
     if len(selected) < 3:
         raise ValueError(f"only {len(selected)} interior states; need at least 3")
@@ -396,7 +395,7 @@ def wannier_stark_analysis(sr: SpectrumResult, spec: LatticeSpec, force: float) 
     cents = centers[selected]
     spacings = np.diff(energies)
     expected = abs(spec.spacing * force)
-    inner = spec.interior_sites(w)
+    inner = spec.interior_sites(spec.half_width // 4)
     n = spec.n_sites
     res_full, res_inner = [], []
     # neighboring ladder rungs: each state translated onto the next one up,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jacobi import jacobi_eigh
+from reference import wannier_stark_state
 from latticeccr import (
     Hopping,
     LatticeSpec,
@@ -532,6 +533,19 @@ def test_harmonic_sweep_refuses_states_per_point_below_one(states):
         harmonic_sweep(0.01, [1.0], states_per_point=states, half_width=10)
 
 
+def test_harmonic_sweep_reads_its_spacings_once():
+    # an empty list gives an empty table, and a generator, read once, the list's table
+    empty = harmonic_sweep(0.01, [], states_per_point=4, half_width=10)
+    for column in (empty.ac_quarter, empty.index, empty.e_over_sqrt_c, empty.reference):
+        assert column.shape == (0,)
+    spacings = [0.5, 1.25, 2.0]
+    listed = harmonic_sweep(0.01, spacings, states_per_point=30, half_width=10)
+    generated = harmonic_sweep(0.01, (a for a in spacings), states_per_point=30, half_width=10)
+    assert listed.index.tolist() == [*range(21)] * 3  # states_per_point capped at N = 21
+    for got, want in zip(vars(generated).values(), vars(listed).values()):
+        assert np.array_equal(got, want)
+
+
 def test_degenerate_pairs_high_lattice_regime():
     spec, sr = harmonic_spectrum(100, 3.0, 1.0)
     pairs = degenerate_pairs(sr, spec, gap_tol=0.1)
@@ -543,6 +557,33 @@ def test_degenerate_pairs_high_lattice_regime():
     # localized combinations sit symmetrically, two wells per pair
     seps = np.array([p.center_separation for p in interior])
     assert np.all(np.diff(seps) > 0)
+
+
+def _combination_separations(sr, spec, gap_tol):
+    """The separations as degenerate_pairs once formed them: the centers of both
+    combinations (v_j +- v_{j+1})/sqrt(2), each summed over the window."""
+    vals, vecs, x = sr.eigenvalues, sr.eigenvectors, spec.positions
+    out = []
+    for j in np.flatnonzero(np.diff(vals) < gap_tol):
+        plus = (vecs[:, j] + vecs[:, j + 1]) / np.sqrt(2.0)
+        minus = (vecs[:, j] - vecs[:, j + 1]) / np.sqrt(2.0)
+        c_plus, c_minus = (float(np.sum(x * np.abs(v) ** 2)) for v in (plus, minus))
+        out.append(abs(c_plus - c_minus))
+    return out
+
+
+@pytest.mark.parametrize("c", [0.01, 1.0])
+def test_degenerate_pairs_separation_is_the_transition_dipole(c):
+    # |c_+ - c_-| = 2 |Re <v_j| x |v_{j+1}>| for real and for complex columns (each column
+    # given a phase here); separations up to 600 (a = 3) agree to 1e-13 relative
+    spec, sr = harmonic_spectrum(100, 3.0, c)
+    phased = sr.eigenvectors * np.exp(0.7j * np.arange(spec.n_sites))
+    for vecs in (sr.eigenvectors, phased):
+        spectrum = SpectrumResult(sr.eigenvalues, vecs, sr.residual_norm)
+        pairs = degenerate_pairs(spectrum, spec, gap_tol=0.1)
+        assert len(pairs) == 100
+        want = _combination_separations(spectrum, spec, gap_tol=0.1)
+        assert [p.center_separation for p in pairs] == pytest.approx(want, rel=1e-13)
 
 
 def test_degenerate_pairs_absent_below_threshold():
@@ -591,6 +632,56 @@ def test_wannier_stark_power_law_decay_envelope(stark_spectrum):
         far = dist > 10
         # amplitude envelope of the long-range-hopping ladder states
         assert np.all(amp[far] <= 30.0 / (0.4 * dist[far] ** 3))
+
+
+def test_wannier_stark_analysis_reduces_centers_a_tile_at_a_time():
+    # the site centers <m> = m @ |v|^2 reduce a tile of columns at a time: at M = 400 the call
+    # traces within 0.5 times the eigenvectors' bytes (0.34 measured, 2.01 when |v|^2 and
+    # m |v|^2 were formed whole); the centers are held to the GEMV's own bound N eps |m| @ |v|^2
+    spec = LatticeSpec(400, 1.0)
+    sr = eigensolve(build_hamiltonian(spec, Hopping.quadratic(), Potential.linear(0.4)))
+    tracemalloc.start()
+    try:
+        report = wannier_stark_analysis(sr, spec, force=0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * sr.eigenvectors.nbytes
+    prob = np.abs(sr.eigenvectors[:, report.state_indices]) ** 2
+    err = np.abs(report.centers - spec.sites @ prob)
+    assert np.all(err <= len(prob) * np.finfo(float).eps * (np.abs(spec.sites) @ prob))
+
+
+def _oracle_distances(hop, half_width, n, force=0.4):
+    """max |psi - v| and |E - E_n| between the closed-form Wannier-Stark state centred on
+    site n (a = 1) and the window eigenvector whose site center is nearest n, after removing
+    a global phase."""
+    spec = LatticeSpec(half_width, 1.0)
+    sr = eigensolve(build_hamiltonian(spec, hop, Potential.linear(force)))
+    j = int(np.argmin(np.abs(spec.sites @ np.abs(sr.eigenvectors) ** 2 - n)))
+    psi, energy = wannier_stark_state(hop.kind, 1.0, force, n, spec.sites)
+    v = sr.eigenvectors[:, j]
+    overlap = np.vdot(psi, v)
+    return np.abs(v - overlap / abs(overlap) * psi).max(), abs(sr.eigenvalues[j] - energy)
+
+
+@pytest.mark.parametrize("n", [0, -30])
+def test_wannier_stark_states_match_the_closed_form_for_cosine_hopping(n):
+    # nearest-neighbour hopping: the window state is the infinite lattice's to rounding
+    # (2.2e-15 in the state and 1.8e-15 in the energy at M = 100, F = 0.4)
+    psi_err, energy_err = _oracle_distances(Hopping.cosine(), 100, n)
+    assert psi_err <= 1e-13 and energy_err <= 1e-13
+
+
+@pytest.mark.parametrize("n", [0, -30])
+def test_wannier_stark_states_converge_to_the_closed_form_for_quadratic_hopping(n):
+    # the window drops the 1/d^2 hopping tails, so the state and the ladder energy differ from
+    # the infinite lattice's (F = 0.4: max |dpsi| 1.2e-7 and 2.7e-7, |dE| 4.2e-9 and 1.3e-8
+    # at M = 100); doubling M shrinks them 17.6x and 27x, and 32x and 37x
+    (psi_100, energy_100), (psi_200, energy_200) = (
+        _oracle_distances(Hopping.quadratic(), half_width, n) for half_width in (100, 200)
+    )
+    assert psi_200 * 10 <= psi_100 and energy_200 * 20 <= energy_100
 
 
 def test_wannier_stark_cosine_kinetic_exponential_localization():
