@@ -29,8 +29,9 @@ The phases follow one rule on every time grid: in a chunk whose first time
 is t_s (0 for the first chunk), e^{-iEt} is the block exp(-i E (t - t_s))
 times the column exp(-i E t_s), so the first chunk's phases, and propagate's
 single time, are the direct exp(-i E t). On a grid t_k = k dt (the CLI's)
-every chunk's block equals the first chunk's, so it is made once per packet
-and each later chunk takes only its column, N exps instead of N * CHUNK.
+every chunk's block equals the first chunk's, so each later chunk takes only its
+column, N exps instead of N * CHUNK. That block, like the one block of a grid of at
+most CHUNK times, is made once per call of run_timeseries and shared by its packets.
 _phases is the one generator of these phases: run_timeseries and propagate evolve
 eigenstates through it, and the Heisenberg oracle exact_position_linear its modes
 e^{-i a n F t}, as _phases(a F n, t), one GEMV per chunk.
@@ -131,16 +132,23 @@ def _coefficients(psi: StateVector, sr: SpectrumResult) -> np.ndarray:
     return coeff
 
 
-def _phases(energies: np.ndarray, times: np.ndarray):
+def _one_block(times: np.ndarray) -> bool:
+    """Whether every chunk of times takes the first chunk's _phases block: a grid k * dt,
+    or one of at most CHUNK times."""
+    return len(times) <= CHUNK or np.array_equal(times, np.arange(len(times)) * times[1])
+
+
+def _phases(energies: np.ndarray, times: np.ndarray, block: np.ndarray | None = None):
     """Yield (start, block, column) over chunks of at most CHUNK times, the chunk's
     exp(-i E t) being block * column[:, None]: row j for energies[j], column i for
     times[start + i]. With t_s the chunk's first time (0 for the first chunk), block is
-    exp(-i E (t - t_s)) and column exp(-i E t_s); on a grid k * dt of more than CHUNK
-    points every chunk's block is the first chunk's, made once and shared."""
-    step = len(times) > CHUNK and np.array_equal(times, np.arange(len(times)) * times[1])
+    exp(-i E (t - t_s)) and column exp(-i E t_s); where _one_block(times) every chunk's
+    block is the first chunk's, made once and shared. A block given is the first chunk's,
+    made by the caller."""
+    shared = _one_block(times)
     for start in range(0, len(times), CHUNK):
         origin = times[start] if start else 0.0
-        if not (start and step):
+        if block is None or (start and not shared):
             block = -1j * np.outer(energies, times[start : start + CHUNK] - origin)
             np.exp(block, out=block)
         yield start, block[:, : len(times) - start], np.exp(-1j * (energies * origin))
@@ -295,10 +303,11 @@ def run_timeseries(
     """Propagate Gaussian packets in the spectrum sr of the Hamiltonian (hop, pot) and
     record each one's observables at each grid time: one TimeSeries per packet, in order.
 
-    The packets share one reflection block of the quasi-momentum and, for a spectrum that
-    eigensolve split by parity, its two half-size eigenvector blocks (see the module
-    docstring), and then propagate one at a time, so one packet's amplitudes are held at
-    a time, and each TimeSeries is that of the packet run alone. Each packet's x_ccr is
+    The packets share one reflection block of the quasi-momentum, for a spectrum that
+    eigensolve split by parity its two half-size eigenvector blocks, and on a grid whose
+    chunks all take the first chunk's phase block that block (see the module docstring);
+    then they propagate one at a time, so one packet's amplitudes are held at a time, and
+    each TimeSeries is that of the packet run alone. Each packet's x_ccr is
     the CCR prediction for the Hamiltonian from the packet's own <x> and <k> at t = 0:
     ccr_position_harmonic for a harmonic potential; for a linear one x_exact_oracle, the
     packet's closed-form Heisenberg solution, with cosine hopping (whose CCR trajectory
@@ -328,6 +337,9 @@ def run_timeseries(
     else:
         (order, basis), product = halves, _split_block
     energies = sr.eigenvalues[order]
+    # one first chunk's block for all packets, only where every chunk takes it (_one_block):
+    # elsewhere it would be held beside each later chunk's own block
+    first = next(_phases(energies, t_grid))[1] if _one_block(t_grid) else None
     runs = []
     for packet in packets:
         psi0 = make_gaussian(spec, packet)
@@ -340,7 +352,7 @@ def run_timeseries(
         coeff = _coefficients(psi0, sr)[order]
         x_mean, k_mean, s_abs, norm = series = np.empty((4, len(t_grid)))
         boundary = 0.0
-        for start, phases, column in _phases(energies, t_grid):
+        for start, phases, column in _phases(energies, t_grid, first):
             # one chunk's amplitudes at a time, freed as _observables returns
             *values, edge = _observables(product(basis, phases, column, coeff), x, m, signs)
             stop = start + len(edge)
@@ -357,7 +369,7 @@ def run_timeseries(
                     f"{leak_fail:.0e} (window half_width {spec.half_width} too small)"
                 )
             boundary = max(boundary, edge.max())
-        del phases, column  # no phase block is held across the next packet's _coefficients
+        del phases, column  # a chunk's own block is not held across the next packet's start
         if boundary > leak_warn:
             warnings.warn(
                 f"boundary amplitude reached {boundary:.2e} > {leak_warn:.0e}", stacklevel=2

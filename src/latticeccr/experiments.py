@@ -27,11 +27,11 @@ from .lattice import Hopping, LatticeSpec, Potential, _hamiltonian_diagonal, bui
 from .spectral import (
     _centers,
     _even_states,
+    _ladder,
     diagnose_states,
     eigensolve,
     harmonic_sweep,
     threshold_estimate,
-    wannier_stark_analysis,
 )
 
 
@@ -648,7 +648,7 @@ def _run_fig3(plan):
     centers = _centers(ws.eigenvectors, spec.sites)
     ws_idx = int(np.argmin(np.abs(centers - target)))
     # how many ladder states lie inside depends on the solved spectrum, not on the parse
-    ladder = _named(("lattice.M", "F"), wannier_stark_analysis, ws, spec, linear.force)
+    ladder = _named(("lattice.M", "F"), _ladder, ws, spec, linear.force, centers)
 
     # even states have mirror lobes at +-m, so match the lobe's distance from the centre; only
     # the even halves (m = 0, -1, ..., -M) are solved, reversed for the first-index tie rule

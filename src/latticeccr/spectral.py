@@ -8,8 +8,11 @@ and Frobenius identities. _even_states, for runs that read only even states
 (fig2, fig3's harmonic potential), solves the even block under eigensolve's
 contract and the odd block for its eigenvalues alone. All three are one
 pipeline, _decompose: blocks, one LAPACK call and one check per block, merge.
-The parity split is decided here alone: the parity blocks' vectors stay on
-half the window, for run_timeseries (SpectrumResult._halves) and _even_states.
+harmonic_sweep runs the eigenvalues-only end of it (_values, then _merge) on a
+family: the kinetic parity blocks, split once at a = 1, scaled by 1/a^2 and
+given each spacing's diagonals. The parity split is decided here alone: the
+parity blocks' vectors stay on half the window, for run_timeseries
+(SpectrumResult._halves) and _even_states.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .lattice import (
     LatticeSpec,
     OperatorMatrix,
     Potential,
+    _hamiltonian_diagonal,
     build_hamiltonian,
 )
 
@@ -165,11 +169,7 @@ def _decompose(ham: OperatorMatrix, blocks: list, tol: float, vectors: int):
     solved = [np.linalg.eigh(block) for block in blocks[:vectors]]
     checked = (_check_contract(block, *pair, bound) for block, pair in zip(blocks, solved))
     residual = max(checked, default=0.0)
-    parts = [vals for vals, _ in solved]
-    for block in blocks[vectors:]:
-        parts.append(np.linalg.eigvalsh(block))
-        _check_sums(block, parts[-1], bound)
-    vals, slots = _merge(parts)
+    vals, slots = _merge([vals for vals, _ in solved] + _values(blocks[vectors:], bound))
     vecs = _fix_phases(solved[0][1]) if len(blocks) == 1 and solved else None
     halves = []  # in the bases of _blocks, e_c and (e_{c+j} +- e_{c-j})/sqrt(2)
     for (_, part), sign in zip(solved if len(blocks) == 2 else [], (1.0, -1.0)):
@@ -239,6 +239,16 @@ def eigenvalues(ham: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:
     |sum(E^2) - ||H||_F^2| exceeds bound * max(1, max |E|).
     """
     return _decompose(ham, _blocks(ham), tol, vectors=0)[0]
+
+
+def _values(blocks: list, bound: float) -> list:
+    """Each block's eigenvalues by eigvalsh, each list held to the trace and Frobenius
+    identities against bound (_check_sums) before the next block is solved."""
+    parts = []
+    for block in blocks:
+        parts.append(np.linalg.eigvalsh(block))
+        _check_sums(block, parts[-1], bound)
+    return parts
 
 
 def _check_sums(mat: np.ndarray, vals: np.ndarray, bound: float) -> None:
@@ -332,20 +342,35 @@ def harmonic_sweep(
 ) -> SweepResult:
     """Lowest normalized eigenvalues E_n/sqrt(c) across lattice spacings.
 
-    Each spacing is an independent eigenvalues-only solve of the harmonic
-    Hamiltonian, held to the trace and Frobenius identities (see eigenvalues);
-    the reference column is the dashed boundary 3/(a c^(1/4))^2 below which
-    the continuum ladder n + 1/2 is expected to survive.
+    The spacings' Hamiltonians are one family: quadratic and cosine hopping amplitudes
+    scale as s(a) = 1/a^2, custom ones not at all (s = 1), and the potential is diagonal.
+    So the kinetic matrix K is built, checked Hermitian and split into _blocks once, at
+    a = 1. At each spacing the two parity blocks are scaled by s(a) and take the diagonals
+    the parity split gives them, from _hamiltonian_diagonal (with its range rule) and the
+    scaled hops s(a) K(2j) between the sites +-j. Each block's eigenvalues are held to the
+    trace and Frobenius identities against the whole matrix's bound, as in eigenvalues,
+    whose values they are up to rounding. The reference column is the dashed boundary
+    3/(a c^(1/4))^2 below which the continuum ladder n + 1/2 is expected to survive.
     """
     pot = Potential.harmonic(curvature)
     if not isinstance(states_per_point, (int, np.integer)) or states_per_point < 1:
         raise ValueError(f"states_per_point must be an integer >= 1, got {states_per_point}")
     hop = Hopping.quadratic() if hopping is None else hopping
     per, spacings = min(states_per_point, 2 * half_width + 1), [float(a) for a in a_values]
-    vals = [
-        eigenvalues(build_hamiltonian(LatticeSpec(half_width, a), hop, pot), tol=tol)[:per]
-        for a in spacings
-    ]
+    kinetic, c = build_hamiltonian(LatticeSpec(half_width), hop, Potential.constant()), half_width
+    blocks, hops = _blocks(kinetic), float(np.abs(kinetic.matrix[0, 1:]).max())  # max |K| off d = 0
+    mirror = kinetic.matrix[c:, c::-1].diagonal().copy()  # K(2j), j = 0..c
+    mirror[0] = 0.0  # K(0) is the diagonal's: the even block's corner takes diag[c] alone
+    vals = []
+    for a in spacings:
+        spec = LatticeSpec(half_width, a)  # before a**2, which it bounds
+        scale = 1.0 if hop.kind == "custom" else 1.0 / a**2  # Hopping.terms' one a-dependence
+        diag, across = _hamiltonian_diagonal(spec, hop, pot), scale * mirror
+        parts = [block * scale for block in blocks]
+        for part, values in zip(parts, (diag[c:] + across, diag[c + 1 :] - across[1:])):
+            part.reshape(-1)[:: len(part) + 1] = values
+        bound = tol * (max(1.0, scale * hops, float(np.abs(diag).max())) * spec.n_sites)
+        vals.append(_merge(_values(parts, bound))[0][:per])
     x = np.array(spacings) * curvature**0.25
     return SweepResult(
         ac_quarter=np.repeat(x, per),
@@ -387,7 +412,12 @@ def wannier_stark_analysis(sr: SpectrumResult, spec: LatticeSpec, force: float) 
     if force == 0:
         raise ValueError("Wannier-Stark analysis needs a nonzero force")
     _check_window(sr, spec)
-    centers = _centers(sr.eigenvectors, spec.sites)
+    return _ladder(sr, spec, force, _centers(sr.eigenvectors, spec.sites))
+
+
+def _ladder(sr: SpectrumResult, spec: LatticeSpec, force: float, centers: np.ndarray):
+    """wannier_stark_analysis of a spectrum on spec's window, from the site centers
+    _centers(sr.eigenvectors, spec.sites) made by the caller."""
     selected = np.where(np.abs(centers) <= 0.25 * spec.half_width)[0]
     if len(selected) < 3:
         raise ValueError(f"only {len(selected)} interior states; need at least 3")

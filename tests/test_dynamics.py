@@ -1,5 +1,6 @@
 """Spectral propagation, Heisenberg oracles, and CCR trajectory models."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from latticeccr import (
     propagate,
     run_timeseries,
 )
-from latticeccr import dynamics, lattice
+from latticeccr import dynamics, experiments, lattice, parse_config
 from latticeccr.dynamics import CHUNK, LEAK_WARN, _phases
 from reference import commutator
 
@@ -749,6 +750,34 @@ def test_packets_together_match_alone_on_direct_phases(linear_system):
         for name in ("x_mean", "k_mean", "s_abs", "norm", "x_ccr", "x_exact_oracle"):
             assert np.array_equal(getattr(ts, name), getattr(alone, name)), name
         assert ts.boundary_max == alone.boundary_max
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.15], ids=["fig5-grid", "off-the-step-grid"])
+def test_packets_share_the_first_phase_block(offset, monkeypatch):
+    # fig5's three quadratic packets on its k * dt grid of 251 times make one exp(-i E t)
+    # block between them; on the same grid shifted by 0.15 every chunk of every packet
+    # makes its own. Either way each packet's record is that of the packet run alone
+    plan = experiments._plan("fig5", parse_config('{"experiment": "fig5"}').params)
+    (_, hop, pot), packets = plan.solves[0], [packet for _, packet in plan.packets][:3]
+    grid = offset + np.arange(plan.points) * plan.params["time"]["dt"]
+    assert len(grid) > CHUNK
+    sr = eigensolve(build_hamiltonian(plan.spec, hop, pot))
+    blocks, exp = [], np.exp
+
+    def counting(*args, **kwargs):
+        blocks.extend([np.shape(args[0])] if np.ndim(args[0]) == 2 else [])
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    together = run_timeseries(plan.spec, hop, pot, packets, grid, sr)
+    chunks = -(-len(grid) // CHUNK)
+    assert len(blocks) == (1 if offset == 0 else len(packets) * chunks)
+    monkeypatch.setattr(np, "exp", exp)
+    for packet, ts in zip(packets, together, strict=True):
+        (alone,) = run_timeseries(plan.spec, hop, pot, [packet], grid, sr)
+        for field in dataclasses.fields(ts):
+            got, want = getattr(ts, field.name), getattr(alone, field.name)
+            assert np.array_equal(got, want) if want is not None else got is None, field.name
 
 
 def plain_observables(spec, psi0, sr, times):

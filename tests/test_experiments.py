@@ -301,6 +301,21 @@ def test_fig3_state_near_target(tmp_path):
     assert abs(abs(lobe) - 41) <= 1
 
 
+def test_fig3_reduces_its_centers_once(tmp_path, monkeypatch):
+    # the ladder statistics read the site centers fig3 picks its Wannier-Stark state by
+    calls, centers = [], spectral._centers
+
+    def counting(vecs, weights):
+        calls.append(vecs.shape)
+        return centers(vecs, weights)
+
+    for module in (experiments, spectral):
+        monkeypatch.setattr(module, "_centers", counting)
+    cfg = parse_config('{"experiment": "fig3", "lattice": {"M": 60}}')
+    run_experiment(cfg, out_dir=str(tmp_path))
+    assert calls == [(121, 121)]
+
+
 def test_fig4_schema_and_oracle(tmp_path):
     cfg = parse_config(
         '{"experiment": "fig4", "lattice": {"M": 160}, '

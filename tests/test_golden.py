@@ -50,9 +50,12 @@ GOLDEN = {
     # fig1 and sweep: 17 cells each, at most 1.6e-11 relative. The eigenvalues-only
     # solve of harmonic_sweep (eigvalsh on the parity blocks) then moved 2 more
     # e_over_sqrtc cells in each (quadratic n = 9 at ac^(1/4) = 0.4625 and n = 5 at
-    # 2.5167) by one unit in the 12th printed digit, at most 3.5e-12 relative
-    "fig1.csv": "1cb60618a8e71a80237ee9ee5a3ea933635669fe9c368d1bab867c6e0124cfc1",
-    "fig1.json": "86a81ebefb27ded18e7f5ae02314a890a1a4d3be7b1a813c1beb1ee9cf641560",
+    # 2.5167) by one unit in the 12th printed digit, at most 3.5e-12 relative.
+    # The sweep as one family (kinetic parity blocks built at a = 1 and scaled by 1/a^2)
+    # then moved 1 cell in each: quadratic n = 4 at ac^(1/4) = 1.0667, 4.15667577282 ->
+    # 4.15667577281 (the value by 8.5e-14 relative; every value by at most 2.1e-13)
+    "fig1.csv": "8136d88d6187f6b82dc4b13cf13ddf380964d017b3bffb5840d38051c334e0f7",
+    "fig1.json": "7d5c4116248108cdafcfcce7763428e5c3b8ee3061a925d12ef31d9b530fb623",
     # fig1 and sweep take every spacing from grid: their config echo has no lattice.a
     "fig1_manifest.json": "63d1ba6a3c9e83ceb5b74410b056ab1d0dd7b22f7fbd587d36cff211a9f6745f",
     # fig2: 20 cells; one by one unit in the 12th digit (0.404), 19 values below
@@ -99,9 +102,9 @@ GOLDEN = {
     "spectrum.csv": "3c52e3102b00f8952088ea2d53590aa9e57f62b200b111cc8c6ac8748dfa7c6e",
     "spectrum.json": "3429efb0146b26fdaea42178bf4309054bb9e4e0401c7708be6483c28080f4b2",
     "spectrum_manifest.json": "dbee46703f04650270826dfdb65b7c4a06533592458e2a3dbb09b4baf977007f",
-    # sweep: the same 2 cells as fig1's quadratic rows
-    "sweep.csv": "45cabcd05e1d87c57b1f6214ea19946b0c501e41c31f48f8fe8191bb36f327e5",
-    "sweep.json": "0a6d84963788c7c7b43c03d4013a616e90ec65379cce2616a251bebeb3b4277b",
+    # sweep: the same cells as fig1's quadratic rows (2, then the 1 of the one family)
+    "sweep.csv": "f2d51855364bcff4529c7fea4cbbff592e79ee086f983a190183d068b2fd5bec",
+    "sweep.json": "77a2001852d575926d526593b5a00b188f0cd604bdab609506540fe59754f74d",
     # no lattice.a in the config echo, as for fig1
     "sweep_manifest.json": "fd6bd2a1a23512e02d424a5d240c42ee7f8e3f2bad96582b2f19df337d368c6a",
 }
