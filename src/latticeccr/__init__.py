@@ -18,7 +18,6 @@ from .lattice import (
     Potential,
     build_position,
     build_phase_operator,
-    build_quasi_momentum,
     build_k_squared,
     build_translation,
     build_hamiltonian,
@@ -67,7 +66,6 @@ __all__ = [
     "Potential",
     "build_position",
     "build_phase_operator",
-    "build_quasi_momentum",
     "build_k_squared",
     "build_translation",
     "build_hamiltonian",

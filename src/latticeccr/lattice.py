@@ -301,11 +301,6 @@ def build_phase_operator(spec: LatticeSpec) -> OperatorMatrix:
     return OperatorMatrix(_toeplitz(_phase_kernel(spec)))
 
 
-def build_quasi_momentum(spec: LatticeSpec) -> OperatorMatrix:
-    """Quasi-momentum operator: phase operator divided by the spacing."""
-    return OperatorMatrix(_toeplitz(_phase_kernel(spec) / spec.spacing))
-
-
 def _kinetic_matrix(spec: LatticeSpec, hop: Hopping) -> np.ndarray:
     """Kinetic matrix -t0 * I - sum_n t_n (T_n + T_n^dagger), unchecked: one Toeplitz
     kernel over the site differences d = m - n, -t0 at d = 0, -t_|d| up to the

@@ -2,11 +2,10 @@
 
 eigensolve wraps LAPACK's Hermitian decomposition behind a contract
 (residual and orthonormality tolerances, deterministic eigenvector phases),
-solving reflection-symmetric Hamiltonians as two parity blocks; eigenvalues
-solves the same blocks for their eigenvalues alone, each held to the trace
-and Frobenius identities. _even_states, for runs that read only even states
-(fig2, fig3's harmonic potential), solves the even block under eigensolve's
-contract and the odd block for its eigenvalues alone. All three are one
+solving reflection-symmetric Hamiltonians as two parity blocks. _even_states,
+for runs that read only even states (fig2, fig3's harmonic potential), solves
+the even block under eigensolve's contract and the odd block for its
+eigenvalues alone, held to the trace and Frobenius identities. Both are one
 pipeline, _decompose: blocks, one LAPACK call and one check per block, merge.
 harmonic_sweep runs the eigenvalues-only end of it (_values, then _merge) on a
 family: the kinetic parity blocks, split once at a = 1, scaled by 1/a^2 and
@@ -196,7 +195,7 @@ def _even_states(ham: OperatorMatrix, tol: float = 1e-10):
 
     The even block is held to eigensolve's residual and orthonormality
     contract; the odd block is solved for its eigenvalues alone and held to
-    the trace and Frobenius identities, as in eigenvalues. Raises ValueError
+    the trace and Frobenius identities (_check_sums). Raises ValueError
     when ham has no parity split, before any solve.
     """
     blocks = _blocks(ham)
@@ -226,21 +225,6 @@ def eigensolve(ham: OperatorMatrix, tol: float = 1e-10) -> SpectrumResult:
     return SpectrumResult(vals, vecs, residual, split)
 
 
-def eigenvalues(ham: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:
-    """Ascending eigenvalues alone, as eigensolve(ham, tol).eigenvalues would
-    give them up to rounding, without computing a single eigenvector.
-
-    The matrix is split into the same blocks as in eigensolve, and the lists
-    of two parity blocks merge with the even value first on an exact tie. With
-    no vectors there is no residual, so each block is held to the two exact
-    identities sum(E) = tr H and sum(E^2) = ||H||_F^2: raises ToleranceError,
-    naming the identity, if for a block |sum(E) - tr H| exceeds
-    bound = tol * max(1, |H|_max) * N (H the whole matrix) or
-    |sum(E^2) - ||H||_F^2| exceeds bound * max(1, max |E|).
-    """
-    return _decompose(ham, _blocks(ham), tol, vectors=0)[0]
-
-
 def _values(blocks: list, bound: float) -> list:
     """Each block's eigenvalues by eigvalsh, each list held to the trace and Frobenius
     identities against bound (_check_sums) before the next block is solved."""
@@ -252,8 +236,11 @@ def _values(blocks: list, bound: float) -> list:
 
 
 def _check_sums(mat: np.ndarray, vals: np.ndarray, bound: float) -> None:
-    """Check the trace and Frobenius identities of an eigenvalue list against
-    bound (see eigenvalues). Both sides and the bounds are compared scaled by
+    """Hold a block's eigenvalues E, computed without vectors and so without a
+    residual, to the exact identities sum(E) = tr H and sum(E^2) = ||H||_F^2 of
+    the block H = mat: raises ToleranceError, naming the identity, if
+    |sum(E) - tr H| exceeds bound or |sum(E^2) - ||H||_F^2| exceeds
+    bound * max(1, max |E|). Both sides and the bounds are compared scaled by
     the power of two s <= 1 / max(1, |H|_max), which changes no digit but keeps
     the squares of entries near the float range finite."""
     s = math.ldexp(1.0, -math.frexp(max(1.0, float(np.abs(mat).max())))[1])
@@ -348,8 +335,8 @@ def harmonic_sweep(
     a = 1. At each spacing the two parity blocks are scaled by s(a) and take the diagonals
     the parity split gives them, from _hamiltonian_diagonal (with its range rule) and the
     scaled hops s(a) K(2j) between the sites +-j. Each block's eigenvalues are held to the
-    trace and Frobenius identities against the whole matrix's bound, as in eigenvalues,
-    whose values they are up to rounding. The reference column is the dashed boundary
+    trace and Frobenius identities (_check_sums) against the whole matrix's bound,
+    tol * max(1, |H|_max) * N, as in eigensolve. The reference column is the dashed boundary
     3/(a c^(1/4))^2 below which the continuum ladder n + 1/2 is expected to survive.
     """
     pot = Potential.harmonic(curvature)

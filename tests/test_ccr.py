@@ -12,8 +12,8 @@ from latticeccr import (
     OperatorMatrix,
     StateVector,
     alternating_overlap,
+    build_phase_operator,
     build_position,
-    build_quasi_momentum,
     ccr_defect,
     make_gaussian,
 )
@@ -76,9 +76,9 @@ def test_defect_matches_dense_commutator():
     for half, a in ((60, 1.0), (48, 0.7), (60, 0.37), (60, 2.5), (200, 0.37)):
         spec = LatticeSpec(half, a)
         psi = make_gaussian(spec, GaussianPacket(5, 0.05, k0=2.9 / a))
-        x, k = spec.positions, build_quasi_momentum(spec).matrix
+        x, k = spec.positions, build_phase_operator(spec).matrix / spec.spacing
         scaled = (x[:, None] - x[None, :]) * k
-        dense = commutator(build_position(spec), build_quasi_momentum(spec))
+        dense = commutator(build_position(spec), k)
         got = ccr_defect(psi, spec).profile
         bound = 2 * eps * np.abs(psi.amplitudes).sum()
         for matrix in (scaled, dense):
@@ -130,7 +130,7 @@ def test_window_commutator_is_exact_on_every_pair_of_sites(a):
     # any state is -i (-1)^m S, whatever its support. Within eps (1 + (|m| + |n|) / |m - n|),
     # the rounding of x_m = a m (0.75 of it, 31.5 eps = 7e-15, measured at a = 0.37)
     spec = LatticeSpec(50, a)
-    x, k = spec.positions, build_quasi_momentum(spec).matrix
+    x, k = spec.positions, build_phase_operator(spec).matrix / spec.spacing
     m, n = spec.sites[:, None], spec.sites[None, :]
     defect = (x[:, None] - x[None, :]) * k - 1j * np.eye(spec.n_sites)
     bound = np.finfo(float).eps * (1 + (abs(m) + abs(n)) / np.maximum(abs(m - n), 1))

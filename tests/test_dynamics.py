@@ -17,8 +17,8 @@ from latticeccr import (
     ToleranceError,
     alternating_overlap,
     build_hamiltonian,
+    build_phase_operator,
     build_position,
-    build_quasi_momentum,
     ccr_position_harmonic,
     ccr_position_linear,
     eigensolve,
@@ -30,12 +30,12 @@ from latticeccr import (
 )
 from latticeccr import dynamics, experiments, lattice, parse_config
 from latticeccr.dynamics import CHUNK, LEAK_WARN, _phases
-from reference import commutator
+from reference import commutator, evolved
 
 
 def moments(psi, spec):
     """Initial <x> and <k>, on which the CCR models close."""
-    k = build_quasi_momentum(spec)
+    k = build_phase_operator(spec).matrix / spec.spacing
     return expectation(psi, spec.positions).real, expectation(psi, k).real
 
 
@@ -61,7 +61,7 @@ def test_packet_symmetric_expectations():
     spec = LatticeSpec(40, 1.0)
     psi = make_gaussian(spec, GaussianPacket(0, 0.2))
     assert abs(expectation(psi, spec.positions)) < 1e-12
-    assert abs(expectation(psi, build_quasi_momentum(spec))) < 1e-12
+    assert abs(expectation(psi, build_phase_operator(spec).matrix / spec.spacing)) < 1e-12
 
 
 def test_packet_leakage_warning():
@@ -134,7 +134,7 @@ def test_exact_position_matches_propagation(linear_system):
     spec, hop, pot, sr = linear_system
     psi = make_gaussian(spec, GaussianPacket(0, 0.2))
     for t in (1.0, 5.0, 12.0):
-        out = propagate(psi, sr, t)
+        out = evolved(psi, sr, t)
         xm = expectation(out, spec.positions).real
         assert exact_position_linear(psi, spec, hop, 0.4, t) == pytest.approx(xm, abs=1e-6)
 
@@ -270,7 +270,7 @@ def test_exact_position_free_limit():
     psi = make_gaussian(spec, GaussianPacket(0, 0.2, k0=0.3))
     ts = np.array([0.0, 1.0, 5.0, 12.0])
     free = exact_position_linear(psi, spec, hop, 0.0, ts)
-    want = [expectation(propagate(psi, sr, t), spec.positions).real for t in ts]
+    want = [expectation(evolved(psi, sr, t), spec.positions).real for t in ts]
     assert np.abs(free - want).max() < 1e-12
     assert free[-1] - free[0] > 1.0  # the kicked packet moves
     assert exact_position_linear(psi, spec, hop, 0.0, 5.0) == pytest.approx(free[2], abs=1e-15)
@@ -376,7 +376,7 @@ def test_ccr_models_take_each_packets_own_k0(kind, monkeypatch):
         seen.clear()
         run_timeseries(spec, hop, pot, packets, [0.0, 1.0], sr)
         assert len(seen) == len(packets)
-        kop = build_quasi_momentum(spec)
+        kop = build_phase_operator(spec).matrix / spec.spacing
         for packet, k0 in zip(packets, seen):
             want = expectation(make_gaussian(spec, packet), kop).real
             assert abs(k0 - want) <= 4 * np.finfo(float).eps * abs(want), (packet, k0, want)
@@ -386,7 +386,7 @@ def test_reflection_block_is_the_quasi_momentum_bit_for_bit():
     # M[i - 1, j] = S[c + i, c + j] + S[c + i, c - j] for j > 0 and S[c + i, c] in column 0:
     # the same kernel entries as the N x N matrix's, summed once
     spec = LatticeSpec(37, 0.7)
-    c, s_mat = spec.half_width, build_quasi_momentum(spec).matrix.imag
+    c, s_mat = spec.half_width, (build_phase_operator(spec).matrix / spec.spacing).imag
     m = dynamics._reflection_block(spec)
     assert m.shape == (c, c + 1)
     assert np.array_equal(m[:, 1:], s_mat[c + 1 :, c + 1 :] + s_mat[c + 1 :, c - 1 :: -1])
@@ -417,7 +417,7 @@ def test_momentum_from_reflection_halves_matches_the_full_product(hop, pot, pack
     times = np.arange(CHUNK) * 0.37
     *_, block = full_basis_block(spec, hop, pot, packet, times)
     u, v = block.real, block.imag
-    want = -2.0 * (u * (build_quasi_momentum(spec).matrix.imag @ v)).sum(axis=0)
+    want = -2.0 * (u * ((build_phase_operator(spec).matrix / spec.spacing).imag @ v)).sum(axis=0)
     got = dynamics._momentum(block, dynamics._reflection_block(spec))
     bound = 16 * np.finfo(float).eps * (np.pi / spec.spacing) * (u * u + v * v).sum(axis=0)
     assert np.all(np.abs(got - want) <= bound)
@@ -464,7 +464,7 @@ def test_run_timeseries_builds_no_quasi_momentum_matrix(monkeypatch):
         (pot, eigensolve(build_hamiltonian(spec, hop, pot)))
         for pot in (Potential.harmonic(0.01), Potential.linear(0.4))
     ]
-    for name in ("build_quasi_momentum", "build_phase_operator", "_toeplitz"):
+    for name in ("build_phase_operator", "_toeplitz"):
         monkeypatch.setattr(lattice, name, refused)
         monkeypatch.setattr(dynamics, name, refused, raising=False)
     for pot, sr in solved:
@@ -591,8 +591,8 @@ def test_run_timeseries_blocks_match_per_time_propagation(linear_system):
     grid = np.cumsum(rng.uniform(0.01, 0.2, 2 * CHUNK + 5))
     (ts,) = run_timeseries(spec, hop, pot, [packet], grid, sr, leak_fail=1.0)
     psi0 = make_gaussian(spec, packet)
-    kop = build_quasi_momentum(spec)
-    states = [propagate(psi0, sr, t) for t in grid]
+    kop = build_phase_operator(spec).matrix / spec.spacing
+    states = [evolved(psi0, sr, t) for t in grid]
     want = {
         "x_mean": [expectation(s, spec.positions).real for s in states],
         "k_mean": [expectation(s, kop).real for s in states],
@@ -612,10 +612,10 @@ def test_run_timeseries_blocks_match_per_time_propagation(linear_system):
 )
 def test_k_mean_is_the_velocity_of_the_propagated_state(pot, a):
     # for quadratic hopping i[H, x] = k on the window, so d<x>/dt = <k>: run_timeseries'
-    # k_mean equals <psi(t)| i[H, x] |psi(t)>, with psi(t) from propagate and i[H, x] from
-    # two dense GEMMs, within 4 eps (1 + |E|_max t), the bound of the direct phases
-    # exp(-i E t) (1.25 of eps (1 + |E|_max t) measured, linear at a = 0.7). The grid is
-    # k * dt over two CHUNKs, so later chunks take the factored phases
+    # k_mean equals <psi(t)| i[H, x] |psi(t)>, with psi(t) = V (e^{-iEt} * V^dagger psi0)
+    # and i[H, x] from two dense GEMMs each, within 4 eps (1 + |E|_max t), the bound of the
+    # direct phases exp(-i E t) (2.25 of eps (1 + |E|_max t) measured, linear at a = 0.7).
+    # The grid is k * dt over two CHUNKs, so later chunks take the factored phases
     spec, hop = LatticeSpec(80, a), Hopping.quadratic()
     ham = build_hamiltonian(spec, hop, pot)
     sr = eigensolve(ham)
@@ -624,7 +624,7 @@ def test_k_mean_is_the_velocity_of_the_propagated_state(pot, a):
     grid = np.arange(2 * CHUNK + 17) * 0.25
     (ts,) = run_timeseries(spec, hop, pot, [packet], grid, sr, leak_fail=1.0)
     psi0 = make_gaussian(spec, packet)
-    want = [expectation(propagate(psi0, sr, t), velocity).real for t in grid]
+    want = [expectation(evolved(psi0, sr, t), velocity).real for t in grid]
     bound = 4 * np.finfo(float).eps * (1 + np.abs(sr.eigenvalues).max() * grid)
     assert np.all(np.abs(ts.k_mean - want) <= bound)
 
@@ -792,7 +792,7 @@ def plain_observables(spec, psi0, sr, times):
     vecs, c = sr.eigenvectors, spec.half_width
     assert not np.iscomplexobj(vecs)
     coeff = (vecs.T @ psi0.amplitudes.view(np.float64).reshape(-1, 2)).view(complex)[:, 0]
-    s_mat = build_quasi_momentum(spec).matrix.imag
+    s_mat = (build_phase_operator(spec).matrix / spec.spacing).imag
     m = s_mat[c + 1 :, c:] + s_mat[c + 1 :, c::-1]
     m[:, 0] = s_mat[c + 1 :, c]
     even = np.all(vecs[c:] == vecs[c::-1], axis=0)

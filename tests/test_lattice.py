@@ -13,7 +13,6 @@ from latticeccr import (
     build_k_squared,
     build_phase_operator,
     build_position,
-    build_quasi_momentum,
     build_translation,
     expectation,
     alternating_overlap,
@@ -78,10 +77,12 @@ def test_phase_operator_matches_entry_formula():
 
 
 def test_quasi_momentum_is_scaled_phase():
+    # k = theta / a, the tests' dense quasi-momentum, has the closed form
+    # (-1)^(m-n) / (i a (m-n)) off the diagonal; exact at the dyadic a = 0.25
     spec = LatticeSpec(5, 0.25)
-    assert np.array_equal(
-        build_quasi_momentum(spec).matrix, build_phase_operator(spec).matrix / 0.25
-    )
+    d = spec.sites[:, None] - spec.sites[None, :]
+    want = np.where(d == 0, 0.0, (-1.0) ** np.abs(d) / (1j * 0.25 * np.where(d == 0, 1, d)))
+    assert np.array_equal(build_phase_operator(spec).matrix / spec.spacing, want)
 
 
 def test_k_squared_elements():
@@ -242,7 +243,6 @@ def test_builders_are_hermitian():
     for op in (
         build_position(spec),
         build_phase_operator(spec),
-        build_quasi_momentum(spec),
         build_k_squared(spec),
         build_hamiltonian(spec, Hopping.quadratic(), Potential.constant()),
         build_hamiltonian(spec, Hopping.cosine(), Potential.constant()),
@@ -279,7 +279,7 @@ def test_quadratic_hopping_velocity_is_the_quasi_momentum(a):
     # of x_m = a m (0.37 of it, 84 eps = 1.9e-14, measured at a = 0.37); for cosine hopping
     # the two differ by 1 / (2 a)
     spec = LatticeSpec(50, a)
-    x, k = spec.positions, build_quasi_momentum(spec).matrix
+    x, k = spec.positions, build_phase_operator(spec).matrix / spec.spacing
     m, n = spec.sites[:, None], spec.sites[None, :]
     bound = np.finfo(float).eps / a * (1 + (abs(m) + abs(n)) / np.maximum(abs(m - n), 1))
     custom = Potential.custom(3.0 * np.cos(spec.sites) + 0.01 * spec.sites**3)

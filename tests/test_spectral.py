@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jacobi import jacobi_eigh
-from reference import wannier_stark_state
+from reference import parity_eigenvalues, wannier_stark_state
 from latticeccr import (
     Hopping,
     LatticeSpec,
@@ -31,7 +31,6 @@ from latticeccr.spectral import (
     _check_contract,
     _even_states,
     _fix_phases,
-    eigenvalues,
 )
 
 
@@ -218,17 +217,6 @@ def test_only_split_solves_carry_parity_halves():
 _SWEEP_SPACINGS = np.linspace(0.1, 3.0, 25) / 0.01**0.25
 
 
-@pytest.mark.parametrize(
-    "hop", [Hopping.quadratic(), Hopping.cosine()], ids=["quadratic", "cosine"]
-)
-def test_eigenvalues_match_eigensolve_at_sweep_spacings(hop):
-    for a in _SWEEP_SPACINGS:
-        ham = build_hamiltonian(LatticeSpec(100, float(a)), hop, Potential.harmonic(0.01))
-        vals, ref = eigenvalues(ham), eigensolve(ham).eigenvalues
-        assert np.all(np.diff(vals) >= 0)
-        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
-
-
 def _record_eigvalsh(monkeypatch, shift=None):
     """Record the shape of every eigvalsh call; shift(vals) may alter its result."""
     shapes, original = [], np.linalg.eigvalsh
@@ -240,36 +228,6 @@ def _record_eigvalsh(monkeypatch, shift=None):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fake)
     return shapes
-
-
-def test_eigenvalues_solve_the_parity_blocks(monkeypatch):
-    shapes = _record_eigvalsh(monkeypatch)
-    ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
-    eigenvalues(ham)
-    assert shapes == [(101, 101), (100, 100)]
-
-
-@pytest.mark.parametrize(
-    "mat",
-    [
-        build_hamiltonian(_SPEC, Hopping.quadratic(), Potential.linear(0.4)).matrix,
-        _mirror_symmetric_complex(_SPEC),
-    ],
-    ids=["linear", "complex"],
-)
-def test_eigenvalues_of_other_matrices_are_the_whole_solve(mat, monkeypatch):
-    ref = np.linalg.eigvalsh(mat)
-    shapes = _record_eigvalsh(monkeypatch)
-    vals = eigenvalues(OperatorMatrix(mat))
-    assert shapes == [mat.shape]
-    assert np.array_equal(vals, ref)
-    whole = eigensolve(OperatorMatrix(mat)).eigenvalues
-    assert np.abs(vals - whole).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_eigenvalues_tie_puts_even_first():
-    # diag(2, 5, 2): the even block holds 2 and 5, the odd block 2
-    assert np.array_equal(eigenvalues(OperatorMatrix(np.diag([2.0, 5.0, 2.0]))), [2.0, 2.0, 5.0])
 
 
 def _shift_one(delta):
@@ -302,40 +260,31 @@ _WRONG_EIGENVALUE = pytest.mark.parametrize(
 )
 
 
-@_WRONG_EIGENVALUE
-def test_eigenvalues_contract_rejects_a_wrong_block_eigenvalue(shift, identity, monkeypatch):
-    # bound = 1e-10 * |H|_max * N, about 1.04e-6 here: a shift of 1e-4 is 96 times it
-    ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
-    assert 1e-4 > 50 * 1e-10 * np.abs(ham.matrix).max() * ham.dimension
-    eigenvalues(ham)
-    _record_eigvalsh(monkeypatch, shift)
-    with pytest.raises(ToleranceError, match=identity):
-        eigenvalues(ham)
-
-
 def test_eigenvalues_contract_rejects_opposite_errors_in_the_two_blocks(monkeypatch):
-    # +1e-4 on the even block's lowest eigenvalue and -1e-4 on the odd block's keep the
-    # whole matrix's trace and move its Frobenius sum by less than that identity's bound;
-    # each block's own trace identity is off by 96 times the bound
-    ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
-
+    # at one sweep spacing, +1e-4 on the even block's lowest eigenvalue and -1e-4 on the odd
+    # block's keep the whole matrix's trace and move its Frobenius sum by less than that
+    # identity's bound; each block's own trace identity is off by 96 times the bound
     def shift(vals):
         return _shift_one(1e-4 if len(vals) == 101 else -1e-4)(vals)
 
     shapes = _record_eigvalsh(monkeypatch, shift)
     with pytest.raises(ToleranceError, match="trace identity"):
-        eigenvalues(ham)
+        harmonic_sweep(0.01, [1.0], half_width=100)
     assert shapes[0] == (101, 101)
 
 
 def test_eigenvalues_contract_near_the_float_range():
-    # entries near 1e160 square past the float range; the scaled check must still pass
+    # entries near 1e160 square past the float range; the odd block's identities, compared
+    # scaled, must still pass
     ham = build_hamiltonian(LatticeSpec(100, 1.0), Hopping.quadratic(), Potential.harmonic(0.01))
     big = OperatorMatrix(ham.matrix * 2.0**530)
     with np.errstate(over="ignore"):
         assert not np.isfinite(np.sum(big.matrix**2))
-    ref = eigenvalues(ham) * 2.0**530
-    assert np.all(np.abs(eigenvalues(big) - ref) <= 1e-12 * ref)
+    index, vals, _ = _even_states(ham)
+    big_index, big_vals, _ = _even_states(big)
+    assert np.array_equal(big_index, index)
+    ref = vals * 2.0**530
+    assert np.all(np.abs(big_vals - ref) <= 1e-12 * ref)
 
 
 def _assert_even_columns(ham, sr):
@@ -411,8 +360,10 @@ def test_even_states_hold_the_even_block_to_the_contract(monkeypatch):
 
 @_WRONG_EIGENVALUE
 def test_even_states_hold_the_odd_eigenvalues_to_the_identities(shift, identity, monkeypatch):
-    # the odd block has no vectors, so a wrong odd eigenvalue must fail the identities
+    # the odd block has no vectors, so a wrong odd eigenvalue must fail the identities:
+    # bound = 1e-10 * |H|_max * N, about 1.04e-6 here, and a shift of 1e-4 is 96 times it
     ham = build_hamiltonian(_M100, Hopping.quadratic(), Potential.harmonic(0.01))
+    assert 1e-4 > 50 * 1e-10 * np.abs(ham.matrix).max() * ham.dimension
     _even_states(ham)
     shapes = _record_eigvalsh(monkeypatch, shift)
     with pytest.raises(ToleranceError, match=identity):
@@ -558,9 +509,11 @@ def test_harmonic_sweep_is_the_per_spacing_eigenvalues(hop):
     # at a (2.1e-13 and 1.1e-14 relative measured); custom hopping does not scale
     sweep = harmonic_sweep(0.01, _SWEEP_SPACINGS, half_width=100, hopping=hop)
     ref = np.concatenate([
-        eigenvalues(build_hamiltonian(LatticeSpec(100, float(a)), hop, Potential.harmonic(0.01)))
+        parity_eigenvalues(
+            build_hamiltonian(LatticeSpec(100, float(a)), hop, Potential.harmonic(0.01)).matrix
+        )[:20]
         for a in _SWEEP_SPACINGS
-    ]).reshape(len(_SWEEP_SPACINGS), -1)[:, :20].ravel() / np.sqrt(0.01)
+    ]) / np.sqrt(0.01)
     assert np.all(np.abs(sweep.e_over_sqrt_c - ref) <= 1e-12 * np.abs(ref))
     if hop.kind == "custom":
         assert np.array_equal(sweep.e_over_sqrt_c, ref)
